@@ -48,13 +48,6 @@ class RotationSpec:
             raise InvalidConfig(f"|angle_deg| must be <= 90, got {self.angle_deg}")
 
 
-def rotate_about_vertical(x: float, z: float, angle_deg: float) -> tuple[float, float]:
-    """Rotate the point (x, z) in the horizontal plane by angle_deg."""
-    theta = math.radians(angle_deg)
-    c, s = math.cos(theta), math.sin(theta)
-    return x * c - z * s, x * s + z * c
-
-
 def rotate_pose(pose: Pose, depths, spec: RotationSpec) -> Pose:
     """Rotate one pose about the vertical axis through the neck and reproject.
 

@@ -354,7 +354,7 @@ def cmd_stream(args) -> int:
         if args.realtime:
             time.sleep(1.0 / fps)
         fv = features.encode_frame(pose, encoding)
-        emission = recognizer.push_frame(state, fv, params)
+        emission = state.push(fv, params)
         if emission is not None:
             emissions.append(emission)
             print(

@@ -13,6 +13,7 @@ output: the anisotropic 1x1 scaling would distort them.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -69,16 +70,19 @@ def encode_coordinates(np_pose: NormalizedPose) -> FeatureVector:
 
 
 def angle_at(a, vertex, b) -> float:
-    """Unsigned angle in degrees [0, 180] between rays vertex->a and vertex->b."""
+    """Unsigned angle in degrees [0, 180] between rays vertex->a and vertex->b.
+
+    Taken as atan2(|a x b|, a . b), which stays accurate near 0 and 180
+    degrees, where the arccos of the normalized dot product does not.
+    """
     vertex = np.asarray(vertex, dtype=np.float64)
     ra = np.asarray(a, dtype=np.float64) - vertex
     rb = np.asarray(b, dtype=np.float64) - vertex
-    na = np.linalg.norm(ra)
-    nb = np.linalg.norm(rb)
-    if na == 0.0 or nb == 0.0:
+    if not ra.any() or not rb.any():
         raise ZeroLengthRay("angle rays must have nonzero length")
-    cos = np.clip(np.dot(ra, rb) / (na * nb), -1.0, 1.0)
-    return float(np.degrees(np.arccos(cos)))
+    cross = ra[0] * rb[1] - ra[1] * rb[0]
+    dot = ra[0] * rb[0] + ra[1] * rb[1]
+    return math.degrees(math.atan2(abs(cross), dot))
 
 
 def encode_angles(points: np.ndarray) -> FeatureVector:

@@ -8,6 +8,10 @@ Architecture, applied to a window of per-frame feature vectors:
     Linear(256 -> 128) + ReLU
     Linear(128 -> M) producing raw logits
 
+The GRU is three tensors, ``wg`` (3g x 1024), ``ug`` (3g x g) and ``bg``
+(3g) with g = 256, each stacking the update (z), reset (r) and candidate (c)
+gate blocks in that order.
+
 Everything runs in float64: exact gradient checking matters more than speed
 at this scale. Gradients come from full backpropagation through time (no
 truncation); the optimizer is Adam with bias correction. All functions are
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +44,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 WEIGHT_FORMAT = "gesturepipe-weights"
-WEIGHT_VERSION = 1
+WEIGHT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -77,50 +81,59 @@ class ModelParams:
     adam_t: int = 0
 
 
-def _tensor_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
-    """(name, shape, fan_in) for every parameter tensor, in a fixed order."""
+def _tensor_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) for every parameter tensor, in weight-file order."""
     n = config.input_dim
     h1, h2 = config.hidden_dims
     g = config.gru_hidden
     hd = config.head_dims[0]
     m = config.output_dim
-    specs = [
-        ("w1", (h1, n), n),
-        ("b1", (h1,), n),
-        ("w2", (h2, h1), h1),
-        ("b2", (h2,), h1),
+    return [
+        ("w1", (h1, n)),
+        ("b1", (h1,)),
+        ("w2", (h2, h1)),
+        ("b2", (h2,)),
+        ("wg", (3 * g, h2)),
+        ("ug", (3 * g, g)),
+        ("bg", (3 * g,)),
+        ("w3", (hd, g)),
+        ("b3", (hd,)),
+        ("w4", (m, hd)),
+        ("b4", (m,)),
     ]
-    for gate in ("z", "r", "c"):
-        specs.append((f"w{gate}g", (g, h2), g))
-        specs.append((f"u{gate}g", (g, g), g))
-        specs.append((f"b{gate}g", (g,), g))
-    specs += [
-        ("w3", (hd, g), g),
-        ("b3", (hd,), g),
-        ("w4", (m, hd), hd),
-        ("b4", (m,), hd),
-    ]
-    return specs
 
 
 def init_params(config: ModelConfig) -> ModelParams:
-    """Initialize every tensor uniformly in +-1/sqrt(fan_in) from the config seed."""
+    """Initialize every tensor uniformly in +-1/sqrt(fan_in) from the config seed.
+
+    The GRU is drawn gate by gate (z, r, c), each gate's w, u and b in turn,
+    into its rows of wg, ug and bg: the draw order of weight format v1, so a
+    seed still gives the same model.
+    """
     rng = np.random.default_rng(config.seed)
-    tensors = {}
-    for name, shape, fan_in in _tensor_specs(config):
+
+    def draw(shape, fan_in):
         bound = 1.0 / np.sqrt(fan_in)
-        tensors[name] = rng.uniform(-bound, bound, size=shape)
+        return rng.uniform(-bound, bound, size=shape)
+
+    n = config.input_dim
+    h1, h2 = config.hidden_dims
+    g = config.gru_hidden
+    hd = config.head_dims[0]
+    m = config.output_dim
+    tensors = {"w1": draw((h1, n), n), "b1": draw((h1,), n), "w2": draw((h2, h1), h1), "b2": draw((h2,), h1)}
+    wg, ug, bg = np.empty((3 * g, h2)), np.empty((3 * g, g)), np.empty(3 * g)
+    for k in range(3):
+        rows = slice(k * g, (k + 1) * g)
+        wg[rows], ug[rows], bg[rows] = draw((g, h2), g), draw((g, g), g), draw((g,), g)
+    tensors.update(wg=wg, ug=ug, bg=bg)
+    tensors.update(w3=draw((hd, g), g), b3=draw((hd,), g), w4=draw((m, hd), hd), b4=draw((m,), hd))
     zeros = {name: np.zeros_like(t) for name, t in tensors.items()}
     return ModelParams(config, tensors, copy.deepcopy(zeros), copy.deepcopy(zeros), 0)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -134,32 +147,30 @@ def _forward_batch(params: ModelParams, x: np.ndarray, need_cache: bool):
     t = params.tensors
     h1 = np.maximum(x @ t["w1"].T + t["b1"], 0.0)
     h2 = np.maximum(h1 @ t["w2"].T + t["b2"], 0.0)
+    if not need_cache:
+        h1 = None  # free it before the gate projection is allocated
 
     batch, steps, _ = x.shape
     g = params.config.gru_hidden
+    u_zr, u_c = t["ug"][: 2 * g], t["ug"][2 * g :]
+    xg = h2 @ t["wg"].T + t["bg"]
     h = np.zeros((batch, g))
-    zs = rs = cs = hs = None
+    gates = hs = None
     if need_cache:
-        zs = np.empty((steps, batch, g))
-        rs = np.empty((steps, batch, g))
-        cs = np.empty((steps, batch, g))
-        hs = np.empty((steps + 1, batch, g))
-        hs[0] = h
+        gates = np.empty((batch, steps, 3 * g))
+        hs = np.empty((batch, steps + 1, g))
+        hs[:, 0] = h
     for k in range(steps):
-        u = h2[:, k]
-        z = _sigmoid(u @ t["wzg"].T + h @ t["uzg"].T + t["bzg"])
-        r = _sigmoid(u @ t["wrg"].T + h @ t["urg"].T + t["brg"])
-        c = np.tanh(u @ t["wcg"].T + (r * h) @ t["ucg"].T + t["bcg"])
+        zr = _sigmoid(xg[:, k, : 2 * g] + h @ u_zr.T)
+        z, r = zr[:, :g], zr[:, g:]
+        c = np.tanh(xg[:, k, 2 * g :] + (r * h) @ u_c.T)
         h = (1.0 - z) * h + z * c
         if need_cache:
-            zs[k], rs[k], cs[k], hs[k + 1] = z, r, c, h
+            gates[:, k, : 2 * g], gates[:, k, 2 * g :], hs[:, k + 1] = zr, c, h
 
     h3 = np.maximum(h @ t["w3"].T + t["b3"], 0.0)
     logits = h3 @ t["w4"].T + t["b4"]
-    cache = None
-    if need_cache:
-        cache = {"x": x, "h1": h1, "h2": h2, "zs": zs, "rs": rs, "cs": cs, "hs": hs, "h3": h3}
-    return logits, cache
+    return logits, ((h1, h2, gates, hs, h3) if need_cache else None)
 
 
 def _check_window(config: ModelConfig, window: np.ndarray) -> np.ndarray:
@@ -178,76 +189,61 @@ def forward(params: ModelParams, window: np.ndarray) -> np.ndarray:
     return logits[0]
 
 
-def cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Stable cross-entropy loss and its gradient w.r.t. the logits."""
+def cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
+    """Summed stable cross-entropy and its gradient w.r.t. the logits.
+
+    ``logits`` is (B, M) with B labels; one (M,) vector with one label is the
+    B=1 case.
+    """
     logits = np.asarray(logits, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
     m = logits.shape[-1]
-    if not 0 <= int(label) < m:
-        raise LabelOutOfRange(f"label {label} outside [0, {m})")
-    shifted = logits - logits.max()
-    log_z = np.log(np.exp(shifted).sum())
-    loss = float(log_z - shifted[int(label)])
-    grad = np.exp(shifted - log_z)
-    grad[int(label)] -= 1.0
-    return loss, grad
+    if labels.min() < 0 or labels.max() >= m:
+        raise LabelOutOfRange(f"labels must lie in [0, {m})")
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    onehot = np.arange(m) == labels[..., None]
+    return float(-log_p[onehot].sum()), np.exp(log_p) - onehot
 
 
 def _backward_batch(params: ModelParams, x: np.ndarray, labels: np.ndarray):
     """Summed loss and summed gradients over a (B, T, N) batch."""
     t = params.tensors
     logits, cache = _forward_batch(params, x, need_cache=True)
-    batch, steps, _ = x.shape
+    loss_sum, dlogits = cross_entropy(logits, labels)
+    steps = x.shape[1]
+    g = params.config.gru_hidden
 
-    probs = softmax(logits)
-    idx = np.arange(batch)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    loss_sum = float((log_z - shifted[idx, labels]).sum())
-    dlogits = probs
-    dlogits[idx, labels] -= 1.0
-
-    h1, h2, h3 = cache["h1"], cache["h2"], cache["h3"]
-    zs, rs, cs, hs = cache["zs"], cache["rs"], cache["cs"], cache["hs"]
-    grads = {name: np.zeros_like(tensor) for name, tensor in t.items()}
-
+    h1, h2, gates, hs, h3 = cache
+    grads = {}
     grads["w4"] = dlogits.T @ h3
     grads["b4"] = dlogits.sum(axis=0)
     dh3 = dlogits @ t["w4"]
     da3 = dh3 * (h3 > 0.0)
-    grads["w3"] = da3.T @ hs[steps]
+    grads["w3"] = da3.T @ hs[:, steps]
     grads["b3"] = da3.sum(axis=0)
     dh = da3 @ t["w3"]
 
-    du = np.empty_like(h2)
+    # gate pre-activation gradients per step, blocks z, r, c
+    dgates = np.empty_like(gates)
+    u_zr, u_c = t["ug"][: 2 * g], t["ug"][2 * g :]
     for k in range(steps - 1, -1, -1):
-        z, r, c, h_prev = zs[k], rs[k], cs[k], hs[k]
-        u = h2[:, k]
-        dz = dh * (c - h_prev)
-        dc = dh * z
-        dh_prev = dh * (1.0 - z)
+        z, r, c, h_prev = gates[:, k, :g], gates[:, k, g : 2 * g], gates[:, k, 2 * g :], hs[:, k]
+        dac = dh * z * (1.0 - c * c)
+        drh = dac @ u_c
+        dgates[:, k, :g] = dh * (c - h_prev) * z * (1.0 - z)
+        dgates[:, k, g : 2 * g] = drh * h_prev * r * (1.0 - r)
+        dgates[:, k, 2 * g :] = dac
+        dh = dh * (1.0 - z) + drh * r + dgates[:, k, : 2 * g] @ u_zr
 
-        dac = dc * (1.0 - c * c)
-        grads["wcg"] += dac.T @ u
-        grads["ucg"] += dac.T @ (r * h_prev)
-        grads["bcg"] += dac.sum(axis=0)
-        drh = dac @ t["ucg"]
-        dr = drh * h_prev
-        dh_prev += drh * r
-
-        dar = dr * r * (1.0 - r)
-        grads["wrg"] += dar.T @ u
-        grads["urg"] += dar.T @ h_prev
-        grads["brg"] += dar.sum(axis=0)
-        dh_prev += dar @ t["urg"]
-
-        daz = dz * z * (1.0 - z)
-        grads["wzg"] += daz.T @ u
-        grads["uzg"] += daz.T @ h_prev
-        grads["bzg"] += daz.sum(axis=0)
-        dh_prev += daz @ t["uzg"]
-
-        du[:, k] = daz @ t["wzg"] + dar @ t["wrg"] + dac @ t["wcg"]
-        dh = dh_prev
+    flat = dgates.reshape(-1, 3 * g)
+    h_prev = hs[:, :-1].reshape(-1, g)
+    rh_prev = (gates[:, :, g : 2 * g] * hs[:, :-1]).reshape(-1, g)
+    grads["ug"] = np.concatenate([flat[:, : 2 * g].T @ h_prev, flat[:, 2 * g :].T @ rh_prev])
+    grads["wg"] = flat.T @ h2.reshape(-1, h2.shape[-1])
+    grads["bg"] = flat.sum(axis=0)
+    du = (flat @ t["wg"]).reshape(h2.shape)
+    del dgates, flat, h_prev, rh_prev  # free them before the dense layers' gradients
 
     da2 = du * (h2 > 0.0)
     flat_da2 = da2.reshape(-1, da2.shape[-1])
@@ -264,9 +260,7 @@ def _backward_batch(params: ModelParams, x: np.ndarray, labels: np.ndarray):
 def backward(params: ModelParams, window: np.ndarray, label: int) -> dict[str, np.ndarray]:
     """Exact gradients of cross_entropy(forward(window), label) for every tensor."""
     window = _check_window(params.config, window)
-    if not 0 <= int(label) < params.config.output_dim:
-        raise LabelOutOfRange(f"label {label} outside [0, {params.config.output_dim})")
-    _, grads = _backward_batch(params, window[None], np.asarray([int(label)]))
+    _, grads = _backward_batch(params, window[None], np.asarray([label]))
     return grads
 
 
@@ -399,7 +393,7 @@ def train(
             loss_total += loss_sum
         val_acc = accuracy(params, x_all[eval_idx], y_all[eval_idx])
         history.append(EpochStats(epoch, loss_total / len(order), val_acc))
-        if val_acc > best_acc:
+        if val_acc >= best_acc:
             best_acc = val_acc
             best_epoch = epoch
             best_params = copy.deepcopy(params)
@@ -414,7 +408,7 @@ def save_model(path: str | Path, params: ModelParams, encoding: Encoding) -> Non
     order. Adam moments are not stored; a loaded model starts a fresh
     optimizer state.
     """
-    names = [name for name, _, _ in _tensor_specs(params.config)]
+    names = [name for name, _ in _tensor_specs(params.config)]
     header = {
         "format": WEIGHT_FORMAT,
         "version": WEIGHT_VERSION,
@@ -465,7 +459,7 @@ def load_model(
         head_dims=tuple(cfg["head_dims"]),
         seed=int(cfg["seed"]),
     )
-    specs = {name: shape for name, shape, _ in _tensor_specs(config)}
+    specs = dict(_tensor_specs(config))
     tensors: dict[str, np.ndarray] = {}
     offset = 0
     for entry in header["tensors"]:

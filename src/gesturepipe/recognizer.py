@@ -98,7 +98,6 @@ class WindowState:
         self.buffer: deque[np.ndarray] = deque(maxlen=capacity)
         self.votes: deque[int] = deque(maxlen=vote_n)
         self.frames_seen = 0
-        self.last_emitted: GestureLabel | None = None
 
     def push(self, fv: FeatureVector, params: ModelParams) -> Emission | None:
         if fv.encoding is not self.encoding:
@@ -116,17 +115,11 @@ class WindowState:
         raw = int(probs.argmax())
         self.votes.append(raw)
         smoothed = majority_vote(self.votes)
-        self.last_emitted = GestureLabel(smoothed)
         return Emission(self.frames_seen, GestureLabel(raw), GestureLabel(smoothed), float(probs[raw]))
 
 
 def make_window_state(config: WindowConfig, fps: float, encoding: Encoding) -> WindowState:
     return WindowState(effective_window(config, fps), config.vote_n, config.retention, encoding)
-
-
-def push_frame(state: WindowState, fv: FeatureVector, params: ModelParams) -> Emission | None:
-    """Feed one frame into the streaming state; see WindowState.push."""
-    return state.push(fv, params)
 
 
 def classify_sequence(
@@ -138,7 +131,7 @@ def classify_sequence(
 ) -> list[tuple[int, GestureLabel, GestureLabel]]:
     """Offline replay of the streaming contract over a whole sequence.
 
-    Folds push_frame over the frames, so the outputs are identical - bit for
+    Folds WindowState.push over the frames, so the outputs are identical - bit for
     bit - to live streaming.
     """
     capacity = effective_window(config, fps)

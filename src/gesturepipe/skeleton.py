@@ -21,7 +21,6 @@ from .errors import IoError, MalformedJson, NoPerson, PipelineError, WrongArity
 log = logging.getLogger(__name__)
 
 N_KEYPOINTS = 25
-UPPER_BODY = range(9)
 
 
 class Body25(IntEnum):
@@ -71,17 +70,6 @@ class GestureLabel(IntEnum):
     LeftHandLeftCircle = 7
 
 
-@dataclass(frozen=True)
-class Keypoint:
-    x: float
-    y: float
-    confidence: float
-
-    @property
-    def missing(self) -> bool:
-        return self.confidence == 0.0
-
-
 @dataclass(frozen=True, eq=False)
 class Pose:
     """One frame of 25 keypoints as a read-only (25, 3) array of x, y, confidence."""
@@ -100,10 +88,6 @@ class Pose:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "kp", arr)
-
-    def keypoint(self, i: int) -> Keypoint:
-        x, y, c = self.kp[i]
-        return Keypoint(float(x), float(y), float(c))
 
     def present(self, i: int) -> bool:
         return bool(self.kp[i, 2] > 0.0)

@@ -11,7 +11,6 @@ from gesturepipe.augment import (
     load_depth_table,
     parse_depth_table,
     resample_speed,
-    rotate_about_vertical,
     rotate_pose,
     rotate_sequence,
 )
@@ -97,21 +96,6 @@ class TestRotatePose:
     def test_angle_bound(self):
         with pytest.raises(InvalidConfig):
             RotationSpec(91.0)
-
-
-class TestRotateAboutVertical:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.floats(min_value=-1000, max_value=1000),
-        st.floats(min_value=-1000, max_value=1000),
-        st.floats(min_value=-90, max_value=90),
-    )
-    def test_round_trip_recovers_x(self, x, z, angle):
-        # the pseudo-3D intermediate is invertible before projection
-        x1, z1 = rotate_about_vertical(x, z, angle)
-        x2, z2 = rotate_about_vertical(x1, z1, -angle)
-        assert x2 == pytest.approx(x, abs=1e-9)
-        assert z2 == pytest.approx(z, abs=1e-9)
 
 
 class TestRotateSequence:

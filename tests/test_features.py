@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,13 +27,12 @@ from test_normalize import pose_from_upper, random_nondegenerate_points
 
 
 def reference_angle(a, vertex, b):
-    """Independent oracle: plain math.acos on the normalized dot product."""
-    ax, ay = a[0] - vertex[0], a[1] - vertex[1]
-    bx, by = b[0] - vertex[0], b[1] - vertex[1]
-    na = math.hypot(ax, ay)
-    nb = math.hypot(bx, by)
-    cos = (ax * bx + ay * by) / (na * nb)
-    return math.degrees(math.acos(max(-1.0, min(1.0, cos))))
+    """Independent oracle: exact cross and dot products, then one atan2."""
+    ax, ay = Fraction(a[0]) - Fraction(vertex[0]), Fraction(a[1]) - Fraction(vertex[1])
+    bx, by = Fraction(b[0]) - Fraction(vertex[0]), Fraction(b[1]) - Fraction(vertex[1])
+    cross = ax * by - ay * bx
+    dot = ax * bx + ay * by
+    return math.degrees(math.atan2(float(abs(cross)), float(dot)))
 
 
 # An arms-out horizontal posture over a vertical torso. With the vertex at
@@ -74,15 +74,13 @@ class TestAngleAt:
     )
     def test_matches_reference(self, coords):
         a, vertex, b = (coords[0], coords[1]), (coords[2], coords[3]), (coords[4], coords[5])
-        # stay clear of the sub-normal regime where squared norms underflow;
-        # real keypoints are pixel-scale
+        # stay clear of the sub-normal regime where the cross and dot
+        # products underflow; real keypoints are pixel-scale
         if math.hypot(a[0] - vertex[0], a[1] - vertex[1]) < 1e-6:
             return
         if math.hypot(b[0] - vertex[0], b[1] - vertex[1]) < 1e-6:
             return
-        # abs tolerance loosened past 1e-9: arccos amplifies last-ulp cosine
-        # differences without bound as the rays approach parallel
-        assert angle_at(a, vertex, b) == pytest.approx(reference_angle(a, vertex, b), abs=1e-6)
+        assert angle_at(a, vertex, b) == pytest.approx(reference_angle(a, vertex, b), abs=1e-12)
 
 
 class TestEncodeCoordinates:

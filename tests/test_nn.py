@@ -23,13 +23,14 @@ def naive_forward(params, window):
     """Straightforward per-step re-implementation used as the oracle."""
     t = params.tensors
     g = params.config.gru_hidden
+    z_, r_, c_ = slice(0, g), slice(g, 2 * g), slice(2 * g, 3 * g)
     h = np.zeros(g)
     for x in window:
         h1 = np.maximum(t["w1"] @ x + t["b1"], 0.0)
         h2 = np.maximum(t["w2"] @ h1 + t["b2"], 0.0)
-        z = 1.0 / (1.0 + np.exp(-(t["wzg"] @ h2 + t["uzg"] @ h + t["bzg"])))
-        r = 1.0 / (1.0 + np.exp(-(t["wrg"] @ h2 + t["urg"] @ h + t["brg"])))
-        c = np.tanh(t["wcg"] @ h2 + t["ucg"] @ (r * h) + t["bcg"])
+        z = 1.0 / (1.0 + np.exp(-(t["wg"][z_] @ h2 + t["ug"][z_] @ h + t["bg"][z_])))
+        r = 1.0 / (1.0 + np.exp(-(t["wg"][r_] @ h2 + t["ug"][r_] @ h + t["bg"][r_])))
+        c = np.tanh(t["wg"][c_] @ h2 + t["ug"][c_] @ (r * h) + t["bg"][c_])
         h = (1.0 - z) * h + z * c
     h3 = np.maximum(t["w3"] @ h + t["b3"], 0.0)
     return t["w4"] @ h3 + t["b4"]
@@ -198,6 +199,12 @@ class TestTrain:
         result = nn.train(data, TINY, epochs=1, lr=0.1, batch_size=4, split_seed=0)
         assert result.history[0].val_accuracy == 1.0
 
+    def test_tied_validation_keeps_latest_epoch(self, rng):
+        data = [(rng.normal(size=(4, 5)), 0) for _ in range(40)]
+        result = nn.train(data, TINY, epochs=3, lr=0.1, batch_size=4, split_seed=0)
+        assert [h.val_accuracy for h in result.history] == [1.0, 1.0, 1.0]
+        assert result.best_epoch == 3
+
     def test_learns_separable_classes(self, rng):
         data = small_dataset(rng)
         result = nn.train(data, TINY, epochs=30, lr=3e-3, batch_size=8, split_seed=1)
@@ -285,6 +292,16 @@ class TestWeightFile:
         nn.save_model(a, nn.init_params(TINY), Encoding.ANGLE)
         nn.save_model(b, nn.init_params(TINY), Encoding.ANGLE)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_version_1_refused(self, tmp_path):
+        from gesturepipe.errors import MalformedJson
+
+        path = tmp_path / "weights.gpw"
+        nn.save_model(path, nn.init_params(TINY), Encoding.ANGLE)
+        header, blob = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(header.replace(b'"version": 2', b'"version": 1') + b"\n" + blob)
+        with pytest.raises(MalformedJson):
+            nn.load_model(path)
 
     def test_garbage_refused(self, tmp_path):
         path = tmp_path / "weights.gpw"

@@ -15,7 +15,6 @@ from gesturepipe.recognizer import (
     effective_window,
     majority_vote,
     make_window_state,
-    push_frame,
 )
 from gesturepipe.skeleton import GestureLabel
 
@@ -121,7 +120,7 @@ class TestWindowState:
         assert state.capacity == 6
         emission = None
         while emission is None:
-            emission = push_frame(state, angle_fv(rng), params)
+            emission = state.push(angle_fv(rng), params)
         assert isinstance(emission, Emission)
         assert isinstance(emission.raw, GestureLabel)
         assert isinstance(emission.smoothed, GestureLabel)

@@ -32,8 +32,7 @@ class TestParseOpenposeFrame:
         values = [0.0] * 75
         values[3:6] = [320.0, 180.5, 0.93]  # keypoint 1
         pose = parse_openpose_frame(make_openpose_doc(values))
-        kp = pose.keypoint(1)
-        assert (kp.x, kp.y, kp.confidence) == (320.0, 180.5, 0.93)
+        assert tuple(pose.kp[1]) == (320.0, 180.5, 0.93)
 
     def test_wrong_arity(self):
         with pytest.raises(WrongArity):
