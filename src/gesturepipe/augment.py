@@ -25,7 +25,6 @@ from .errors import (
     UnknownLabel,
 )
 from .skeleton import Body25, GestureLabel, Pose, Sequence
-from .util import round_half_away
 
 # keypoints carrying manual depth estimates, in table column order
 ARM_KEYPOINTS = tuple(range(2, 8))
@@ -113,7 +112,7 @@ def resample_speed(seq: Sequence, ratio: float) -> Sequence:
     n = len(seq.frames)
     if n < 2:
         raise TooShort("need at least 2 frames to resample")
-    out_len = max(2, round_half_away(n / ratio))
+    out_len = max(2, math.floor(n / ratio + 0.5))
     src = np.stack([f.kp for f in seq.frames])
     frames: list[Pose] = []
     for j in range(out_len):

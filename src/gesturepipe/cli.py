@@ -353,8 +353,7 @@ def cmd_stream(args) -> int:
     for pose in seq.frames:
         if args.realtime:
             time.sleep(1.0 / fps)
-        fv = features.encode_frame(pose, encoding)
-        emission = state.push(fv, params)
+        emission = state.push(features.encode_frame(pose, encoding), params)
         if emission is not None:
             emissions.append(emission)
             print(
@@ -389,7 +388,7 @@ def cmd_speed(args) -> int:
         encoding = Encoding(args.encoding)
         table = speed.default_start_positions(encoding)
     fps = args.fps if args.fps else seq.fps
-    window = [features.encode_frame(p, encoding) for p in seq.frames]
+    window = features.encode_sequence(seq, encoding)
     estimate = speed.estimate_speed(window, label, table, fps, radius=args.radius)
     print(f"period_frames={estimate.period_frames} cycles_per_second={estimate.cycles_per_second:.4f}")
     print(f"minima at frames: {list(estimate.minima_indices)}")

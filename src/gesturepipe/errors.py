@@ -25,10 +25,6 @@ class IoError(PipelineError):
 
 # --- geometry / features ---
 
-class MissingNeck(PipelineError):
-    pass
-
-
 class DegenerateExtent(PipelineError):
     pass
 

@@ -1,34 +1,45 @@
-"""Per-frame feature encodings.
+"""Feature encodings of BODY-25 keypoints.
 
-Two representations feed the classifier:
+One encoder maps (T, 25, 3) keypoints, the per-person array OpenPose emits
+stacked over T frames, to a (T, dim) float64 matrix; a single pose is the
+T = 1 case. Every frame needs all 9 upper-body keypoints (nose, neck, both
+arm chains, mid-hip). Two representations feed the classifier:
 
-* coordinate: the 9 unit-box normalized upper-body keypoints flattened to 18
-  values (x0, y0, ..., x8, y8);
+* coordinate: the 9 upper-body points after :func:`normalize_1x1` (neck at
+  the origin, bounding box exactly 1 by 1), flattened to 18 values
+  (x0, y0, ..., x8, y8);
 * angle: 5 joint angles (both elbows, both shoulders, the neck) mapped from
   [0, 180] degrees onto [0, 1].
 
-Angles are computed on neck-shifted raw keypoints rather than unit-box
-output: the anisotropic 1x1 scaling would distort them.
+Angles are taken on the raw keypoints rather than the unit-box output: they
+do not depend on position, and the anisotropic 1x1 scaling would distort
+them.
 """
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .errors import IoError, MalformedJson, MissingKeypoint, PipelineError, ZeroLengthRay
-from .normalize import N_UPPER, NormalizedPose, normalize_1x1
+from .errors import (
+    DegenerateExtent,
+    IoError,
+    MalformedJson,
+    MissingKeypoint,
+    PipelineError,
+    ZeroLengthRay,
+)
 from .skeleton import Body25, GestureLabel, Pose, Sequence
 
+N_UPPER = 9
 COORD_DIM = 18
 ANGLE_DIM = 5
 
 # (a, vertex, b) keypoint triples: elbows, shoulders, neck
 ANGLE_TRIPLES = ((2, 3, 4), (5, 6, 7), (1, 2, 3), (1, 5, 6), (0, 1, 8))
+_RAY_A, _VERTEX, _RAY_B = (list(column) for column in zip(*ANGLE_TRIPLES))
 
 
 class Encoding(str, Enum):
@@ -40,92 +51,86 @@ class Encoding(str, Enum):
         return COORD_DIM if self is Encoding.COORDINATE else ANGLE_DIM
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureVector:
-    """One frame's encoded descriptor."""
-
-    values: np.ndarray
-    encoding: Encoding
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != (self.encoding.dim,):
-            raise ValueError(
-                f"{self.encoding.value} features must have length {self.encoding.dim}, "
-                f"got shape {vals.shape}"
-            )
-        if self.encoding is Encoding.ANGLE and (np.any(vals < 0.0) or np.any(vals > 1.0)):
-            raise ValueError("angle features must lie in [0, 1]")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+def _at_frame(error: PipelineError, bad: np.ndarray) -> PipelineError:
+    """Tag ``error`` with ``frame``, the first index along axis 0 where ``bad`` is set."""
+    error.frame = int(np.argmax(bad.reshape(len(bad), -1).any(axis=1))) if bad.ndim else 0
+    return error
 
 
-def encode_coordinates(np_pose: NormalizedPose) -> FeatureVector:
-    """Flatten a fully present normalized pose into an 18-value vector."""
-    if not np_pose.present.all():
-        missing = int(np.flatnonzero(~np_pose.present)[0])
-        raise MissingKeypoint(missing)
-    return FeatureVector(np_pose.points.ravel(), Encoding.COORDINATE)
+def normalize_1x1(points: np.ndarray) -> np.ndarray:
+    """Translate the neck to the origin and scale x and y so the box is exactly 1x1.
+
+    ``points`` holds all-present upper-body points, (9, 2) for one frame or
+    (T, 9, 2) for T frames. Extents are measured over these points only, so
+    lower-body detection noise can never rescale arm geometry. Raises
+    DegenerateExtent when a frame's points have zero width or height.
+    """
+    shifted = points - points[..., Body25.NECK, None, :]
+    extent = shifted.max(axis=-2) - shifted.min(axis=-2)
+    bad = (extent == 0.0).any(axis=-1)
+    if bad.any():
+        width, height = extent.reshape(-1, 2)[np.argmax(bad)]
+        raise _at_frame(
+            DegenerateExtent(f"upper-body extent is degenerate (width={width}, height={height})"),
+            bad,
+        )
+    return shifted * (1.0 / extent)[..., None, :]
 
 
-def angle_at(a, vertex, b) -> float:
-    """Unsigned angle in degrees [0, 180] between rays vertex->a and vertex->b.
+def angle_at(a, vertex, b) -> np.ndarray:
+    """Unsigned angles in degrees [0, 180] between rays vertex->a and vertex->b.
 
-    Taken as atan2(|a x b|, a . b), which stays accurate near 0 and 180
-    degrees, where the arccos of the normalized dot product does not.
+    Points are (..., 2) arrays; leading axes broadcast. Taken as
+    atan2(|a x b|, a . b), which stays accurate near 0 and 180 degrees, where
+    the arccos of the normalized dot product does not.
     """
     vertex = np.asarray(vertex, dtype=np.float64)
     ra = np.asarray(a, dtype=np.float64) - vertex
     rb = np.asarray(b, dtype=np.float64) - vertex
-    if not ra.any() or not rb.any():
-        raise ZeroLengthRay("angle rays must have nonzero length")
-    cross = ra[0] * rb[1] - ra[1] * rb[0]
-    dot = ra[0] * rb[0] + ra[1] * rb[1]
-    return math.degrees(math.atan2(abs(cross), dot))
+    zero = ~(ra.any(axis=-1) & rb.any(axis=-1))
+    if zero.any():
+        raise _at_frame(ZeroLengthRay("angle rays must have nonzero length"), zero)
+    cross = ra[..., 0] * rb[..., 1] - ra[..., 1] * rb[..., 0]
+    dot = ra[..., 0] * rb[..., 0] + ra[..., 1] * rb[..., 1]
+    return np.degrees(np.arctan2(np.abs(cross), dot))
 
 
-def encode_angles(points: np.ndarray) -> FeatureVector:
-    """Encode 9 present 2-D upper-body points into 5 normalized joint angles."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.shape != (N_UPPER, 2):
-        raise ValueError(f"expected ({N_UPPER}, 2) points, got {pts.shape}")
-    values = np.empty(ANGLE_DIM)
-    for j, (a, vertex, b) in enumerate(ANGLE_TRIPLES):
-        values[j] = angle_at(pts[a], pts[vertex], pts[b]) / 180.0
-    return FeatureVector(values, Encoding.ANGLE)
+def _encode(kp: np.ndarray, encoding: Encoding) -> np.ndarray:
+    """Encode (T, 25, 3) keypoints into a (T, dim) matrix.
 
-
-def encode_frame(pose: Pose, encoding: Encoding) -> FeatureVector:
-    """Encode one raw pose under the given representation.
-
-    Both representations require all 9 upper-body keypoints; the first absent
-    index is reported via MissingKeypoint.
+    Raises for the earliest failing frame, whose index the error carries as
+    ``frame``: MissingKeypoint with the first absent upper-body index,
+    DegenerateExtent or ZeroLengthRay.
     """
+    upper = kp[:, :N_UPPER]
+    gaps = upper[:, :, 2] <= 0.0
+    gap_frames = gaps.any(axis=1)
+    end = int(np.argmax(gap_frames)) if gap_frames.any() else len(kp)
+    points = upper[:end, :, :2]
     if encoding is Encoding.COORDINATE:
-        return encode_coordinates(normalize_1x1(pose))
-    upper = pose.kp[:N_UPPER]
-    present = upper[:, 2] > 0.0
-    if not present.all():
-        raise MissingKeypoint(int(np.flatnonzero(~present)[0]))
-    shifted = upper[:, :2] - upper[Body25.NECK, :2]
-    return encode_angles(shifted)
+        rows = normalize_1x1(points).reshape(end, COORD_DIM)
+    else:
+        rows = angle_at(points[:, _RAY_A], points[:, _VERTEX], points[:, _RAY_B]) / 180.0
+    if end < len(kp):
+        raise _at_frame(MissingKeypoint(int(np.argmax(gaps[end]))), gap_frames)
+    return rows
+
+
+def encode_frame(pose: Pose, encoding: Encoding) -> np.ndarray:
+    """Encode one pose into a (dim,) vector: the one-frame :func:`encode_sequence`."""
+    return _encode(pose.kp[None], encoding)[0]
 
 
 def encode_sequence(seq: Sequence, encoding: Encoding) -> np.ndarray:
     """Encode every frame of a sequence into an (n_frames, dim) matrix.
 
-    Per-frame failures are re-raised with the frame index attached.
+    A failure names the earliest failing frame in its message.
     """
-    rows = np.empty((len(seq.frames), encoding.dim))
-    for i, pose in enumerate(seq.frames):
-        try:
-            rows[i] = encode_frame(pose, encoding).values
-        except MissingKeypoint as exc:
-            raise MissingKeypoint(exc.index, f"frame {i}: {exc}") from exc
-        except PipelineError as exc:
-            raise type(exc)(f"frame {i}: {exc}") from exc
-    return rows
+    try:
+        return _encode(np.stack([pose.kp for pose in seq.frames]), encoding)
+    except PipelineError as exc:
+        exc.args = (f"frame {exc.frame}: {exc}",)
+        raise
 
 
 def slice_windows(matrix: np.ndarray, window_len: int, stride: int) -> list[np.ndarray]:

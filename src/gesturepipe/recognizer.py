@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EncodingMismatch, InvalidConfig, TooShort
-from .features import Encoding, FeatureVector
+from .errors import EncodingMismatch, InvalidConfig
+from .features import Encoding
 from .nn import ModelParams, forward, softmax
 from .skeleton import GestureLabel
-from .util import round_half_away
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,7 @@ def effective_window(config: WindowConfig, fps: float) -> int:
     """
     if not fps > 0:
         raise InvalidConfig("fps must be positive")
-    return max(2, round_half_away(config.base_len * (fps / config.base_fps) / config.speed_ratio))
+    return max(2, math.floor(config.base_len * (fps / config.base_fps) / config.speed_ratio + 0.5))
 
 
 def majority_vote(votes) -> int:
@@ -99,12 +98,13 @@ class WindowState:
         self.votes: deque[int] = deque(maxlen=vote_n)
         self.frames_seen = 0
 
-    def push(self, fv: FeatureVector, params: ModelParams) -> Emission | None:
-        if fv.encoding is not self.encoding:
+    def push(self, row: np.ndarray, params: ModelParams) -> Emission | None:
+        """Append one (dim,) feature row; evaluate the window when it is due."""
+        if row.shape != (self.encoding.dim,):
             raise EncodingMismatch(
-                f"stream encodes {fv.encoding.value}, recognizer expects {self.encoding.value}"
+                f"row has shape {row.shape}, {self.encoding.value} features need ({self.encoding.dim},)"
             )
-        self.buffer.append(fv.values)
+        self.buffer.append(row.copy())
         self.frames_seen += 1
         if self.frames_seen < self.capacity:
             return None
@@ -121,28 +121,3 @@ class WindowState:
 def make_window_state(config: WindowConfig, fps: float, encoding: Encoding) -> WindowState:
     return WindowState(effective_window(config, fps), config.vote_n, config.retention, encoding)
 
-
-def classify_sequence(
-    fvs: list[FeatureVector],
-    params: ModelParams,
-    config: WindowConfig,
-    fps: float,
-    encoding: Encoding | None = None,
-) -> list[tuple[int, GestureLabel, GestureLabel]]:
-    """Offline replay of the streaming contract over a whole sequence.
-
-    Folds WindowState.push over the frames, so the outputs are identical - bit for
-    bit - to live streaming.
-    """
-    capacity = effective_window(config, fps)
-    if len(fvs) < capacity:
-        raise TooShort(f"sequence has {len(fvs)} frames, window needs {capacity}")
-    if encoding is None:
-        encoding = fvs[0].encoding
-    state = WindowState(capacity, config.vote_n, config.retention, encoding)
-    out = []
-    for fv in fvs:
-        emission = state.push(fv, params)
-        if emission is not None:
-            out.append((emission.frame_index, emission.raw, emission.smoothed))
-    return out

@@ -22,10 +22,10 @@ from .errors import (
     NotCyclic,
     TooShort,
 )
-from .features import Encoding, FeatureVector, encode_frame
+from .features import Encoding, encode_frame
 from .skeleton import GestureLabel
 
-StartPositionTable = dict[GestureLabel, FeatureVector]
+StartPositionTable = dict[GestureLabel, np.ndarray]
 
 CYCLIC_GESTURES = tuple(g for g in GestureLabel if g is not GestureLabel.StandStill)
 
@@ -37,19 +37,20 @@ class SpeedEstimate:
     minima_indices: tuple[int, ...]
 
 
-def distance_series(window: list[FeatureVector], reference: FeatureVector) -> np.ndarray:
-    """Per-frame Euclidean distance between window vectors and the reference."""
-    for fv in window:
-        if fv.encoding is not reference.encoding:
-            raise EncodingMismatch(
-                f"window encodes {fv.encoding.value}, reference {reference.encoding.value}"
-            )
-        if fv.values.shape != reference.values.shape:
-            raise LengthMismatch(
-                f"feature lengths differ: {fv.values.shape} vs {reference.values.shape}"
-            )
-    stacked = np.stack([fv.values for fv in window])
-    return np.linalg.norm(stacked - reference.values, axis=1)
+def distance_series(window, reference: np.ndarray) -> np.ndarray:
+    """Per-frame Euclidean distance between the window's rows and the reference.
+
+    ``window`` is a (T, dim) matrix or a list of T (dim,) rows.
+    """
+    try:
+        rows = np.asarray(window, dtype=np.float64)
+    except ValueError as exc:
+        raise LengthMismatch(f"window rows differ in length: {exc}") from exc
+    if rows.ndim != 2 or rows.shape[1:] != np.shape(reference):
+        raise LengthMismatch(
+            f"window of shape {rows.shape} does not match a reference of shape {np.shape(reference)}"
+        )
+    return np.linalg.norm(rows - reference, axis=1)
 
 
 def local_minima(series, radius: int) -> list[int]:
@@ -78,7 +79,7 @@ def local_minima(series, radius: int) -> list[int]:
 
 
 def estimate_speed(
-    window: list[FeatureVector],
+    window,
     label: GestureLabel,
     table: StartPositionTable,
     fps: float,
@@ -99,13 +100,16 @@ def estimate_speed(
 
 def save_start_positions(path: str | Path, table: StartPositionTable, encoding: Encoding) -> None:
     """Write a start-position table as JSON with an encoding tag."""
-    for label, fv in table.items():
-        if fv.encoding is not encoding:
-            raise EncodingMismatch(f"{label.name} start position encodes {fv.encoding.value}")
+    for label, row in table.items():
+        if np.shape(row) != (encoding.dim,):
+            raise EncodingMismatch(
+                f"{label.name} start position has shape {np.shape(row)}, "
+                f"{encoding.value} features need ({encoding.dim},)"
+            )
     doc = {
         "version": 1,
         "encoding": encoding.value,
-        "positions": {label.name: fv.values.tolist() for label, fv in table.items()},
+        "positions": {label.name: np.asarray(row).tolist() for label, row in table.items()},
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
@@ -118,11 +122,19 @@ def load_start_positions(path: str | Path) -> tuple[StartPositionTable, Encoding
         doc = json.loads(path.read_text(encoding="utf-8"))
         encoding = Encoding(doc["encoding"])
         table = {
-            GestureLabel[name]: FeatureVector(np.asarray(values, dtype=np.float64), encoding)
+            GestureLabel[name]: np.asarray(values, dtype=np.float64)
             for name, values in doc["positions"].items()
         }
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedJson(f"{path}: bad start-position file: {exc}") from exc
+    for label, row in table.items():
+        if row.shape != (encoding.dim,):
+            raise MalformedJson(
+                f"{path}: {label.name} start position has shape {row.shape}, "
+                f"{encoding.value} features need ({encoding.dim},)"
+            )
+        if encoding is Encoding.ANGLE and not np.all((row >= 0.0) & (row <= 1.0)):
+            raise MalformedJson(f"{path}: {label.name} angle start position lies outside [0, 1]")
     return table, encoding
 
 

@@ -8,21 +8,19 @@ criteria. Rotated-view test data is rendered with depths 1.35x the manual
 estimates in the shipped table: the estimates approximate the true 3-D
 structure, so test views must stress exactly that approximation gap.
 """
-import itertools
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gesturepipe import augment, cli, features, nn, recognizer, skeleton, speed, synth
-from gesturepipe.features import Encoding, encode_frame
+from gesturepipe import augment, cli, features, nn, recognizer, speed, synth
+from gesturepipe.features import Encoding, encode_frame, normalize_1x1
 from gesturepipe.recognizer import WindowConfig, WindowState, effective_window
 from gesturepipe.skeleton import GestureLabel, Pose
 
 from conftest import make_openpose_doc
 from gradcheck import max_relative_error, numeric_grads, random_tiny_setup
-from test_normalize import embed, pose_from_upper
 
 ANGLES = (15.0, -15.0, 30.0, -30.0, 45.0, -45.0)
 SPEED_RATIOS = (0.5, 0.75, 0.9, 1.1, 1.3, 2.0)
@@ -124,19 +122,19 @@ class TestA2NormalizationProperties:
             if np.ptp(pts[:, 0]) < 1e-3 or np.ptp(pts[:, 1]) < 1e-3:
                 continue
             checked += 1
-            base = normalize(pts)
-            neck_exact &= base.points[1, 0] == 0.0 and base.points[1, 1] == 0.0
+            base = normalize_1x1(pts)
+            neck_exact &= base[1, 0] == 0.0 and base[1, 1] == 0.0
             worst_box = max(
                 worst_box,
-                abs(np.ptp(base.points[:, 0]) - 1.0),
-                abs(np.ptp(base.points[:, 1]) - 1.0),
+                abs(np.ptp(base[:, 0]) - 1.0),
+                abs(np.ptp(base[:, 1]) - 1.0),
             )
-            shift = normalize(pts + rng.uniform(-1e3, 1e3, size=2))
-            worst_translate = max(worst_translate, np.abs(shift.points - base.points).max())
-            scale = normalize(pts * rng.uniform(0.01, 100.0, size=2))
-            worst_scale = max(worst_scale, np.abs(scale.points - base.points).max())
-            again = normalize(embed(base).kp[:9, :2])
-            worst_idem = max(worst_idem, np.abs(again.points - base.points).max())
+            shift = normalize_1x1(pts + rng.uniform(-1e3, 1e3, size=2))
+            worst_translate = max(worst_translate, np.abs(shift - base).max())
+            scale = normalize_1x1(pts * rng.uniform(0.01, 100.0, size=2))
+            worst_scale = max(worst_scale, np.abs(scale - base).max())
+            again = normalize_1x1(base)
+            worst_idem = max(worst_idem, np.abs(again - base).max())
         elapsed = time.monotonic() - t0
         ok = (
             neck_exact
@@ -152,12 +150,6 @@ class TestA2NormalizationProperties:
             f"1000 poses: box {worst_box:.1e}, translate {worst_translate:.1e}, "
             f"scale {worst_scale:.1e}, idempotence {worst_idem:.1e} in {elapsed:.1f}s",
         )
-
-
-def normalize(pts):
-    from gesturepipe.normalize import normalize_1x1
-
-    return normalize_1x1(pose_from_upper(pts, [True] * 9))
 
 
 class TestA3FrontalRecognition:
@@ -252,7 +244,7 @@ class TestA7SpeedEstimation:
                     seed=21,
                 )
                 seq = synth.generate(config)
-                window = [encode_frame(p, Encoding.COORDINATE) for p in seq.frames]
+                window = features.encode_sequence(seq, Encoding.COORDINATE)
                 est = speed.estimate_speed(window, config.gesture, table, fps=30.0)
                 ok &= abs(est.period_frames - period) <= tol
                 details.append(f"P{period}/{noise_frac:g}: {est.period_frames}")
@@ -312,20 +304,23 @@ class TestA9StreamingContract:
         seq = synth.generate(
             synth.SynthConfig(gesture=GestureLabel.StandStill, n_frames=130, noise_sigma=1.0, seed=10)
         )
-        fvs = [encode_frame(p, Encoding.COORDINATE) for p in seq.frames]
         config = WindowConfig()
 
-        replay = recognizer.classify_sequence(fvs, params, config, fps=30.0)
-        state = WindowState(effective_window(config, 30.0), config.vote_n, config.retention, Encoding.COORDINATE)
-        folded = []
-        for fv in fvs:
-            emission = state.push(fv, params)
-            if emission is not None:
-                folded.append((emission.frame_index, emission.raw, emission.smoothed))
+        def fold(rows):
+            state = WindowState(
+                effective_window(config, 30.0), config.vote_n, config.retention, Encoding.COORDINATE
+            )
+            emissions = (state.push(row, params) for row in rows)
+            return [(e.frame_index, e.raw, e.smoothed, e.confidence) for e in emissions if e is not None]
+
+        # a live stream of encoded frames and an offline replay of the
+        # encoded sequence's rows emit the same results, bit for bit
+        folded = fold(encode_frame(p, Encoding.COORDINATE) for p in seq.frames)
+        replay = fold(features.encode_sequence(seq, Encoding.COORDINATE))
         replay_ok = replay == folded
 
-        first_ok = replay[0][0] == 50 and [f for f, _, _ in replay] == [50, 75, 100, 125]
-        standstill_ok = all(s is GestureLabel.StandStill for _, _, s in replay)
+        first_ok = [f for f, _, _, _ in folded] == [50, 75, 100, 125]
+        standstill_ok = all(s is GestureLabel.StandStill for _, _, s, _ in folded)
 
         suppress_ok = True
         for vote_n in (3, 4, 5):
@@ -337,7 +332,7 @@ class TestA9StreamingContract:
         report(
             "A9 streaming-contract",
             replay_ok and first_ok and standstill_ok and suppress_ok,
-            f"replay bitwise-equal ({len(replay)} emissions), first at frame 50, "
+            f"replay bitwise-equal ({len(folded)} emissions), first at frame 50, "
             "constant stream stays StandStill, single aberrant vote suppressed",
         )
 

@@ -1,12 +1,9 @@
 import json
-import shutil
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from gesturepipe import cli
-from gesturepipe.features import Encoding
 from gesturepipe.skeleton import GestureLabel, read_sequence
 
 from conftest import make_openpose_doc

@@ -6,22 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gesturepipe.errors import MissingKeypoint, ZeroLengthRay
+from gesturepipe import synth
+from gesturepipe.errors import DegenerateExtent, MissingKeypoint, ZeroLengthRay
 from gesturepipe.features import (
     ANGLE_TRIPLES,
     Encoding,
-    FeatureVector,
     angle_at,
-    encode_angles,
-    encode_coordinates,
     encode_frame,
     encode_sequence,
+    normalize_1x1,
     read_feature_cache,
     slice_windows,
     write_feature_cache,
 )
-from gesturepipe.normalize import normalize_1x1
-from gesturepipe.skeleton import GestureLabel
+from gesturepipe.skeleton import GestureLabel, Sequence
 
 from test_normalize import pose_from_upper, random_nondegenerate_points
 
@@ -33,6 +31,11 @@ def reference_angle(a, vertex, b):
     cross = ax * by - ay * bx
     dot = ax * bx + ay * by
     return math.degrees(math.atan2(float(abs(cross)), float(dot)))
+
+
+def encode_angles(points):
+    """Angle features of 9 present upper-body points."""
+    return encode_frame(pose_from_upper(points), Encoding.ANGLE)
 
 
 # An arms-out horizontal posture over a vertical torso. With the vertex at
@@ -86,25 +89,24 @@ class TestAngleAt:
 class TestEncodeCoordinates:
     def test_neck_slot_is_origin(self, rng):
         pts = random_nondegenerate_points(rng)
-        out = encode_coordinates(normalize_1x1(pose_from_upper(pts, [True] * 9)))
-        assert out.encoding is Encoding.COORDINATE
-        assert out.values[2] == 0.0 and out.values[3] == 0.0
+        out = encode_frame(pose_from_upper(pts), Encoding.COORDINATE)
+        assert out.shape == (18,) and out.dtype == np.float64
+        assert out[2] == 0.0 and out[3] == 0.0
 
     def test_is_concatenation_of_points(self, rng):
         pts = random_nondegenerate_points(rng)
-        npose = normalize_1x1(pose_from_upper(pts, [True] * 9))
-        out = encode_coordinates(npose)
-        expected = [c for point in npose.points for c in point]  # independent flatten
-        assert list(out.values) == expected
-        assert len(out.values) == 18
+        unit = normalize_1x1(pts)
+        out = encode_frame(pose_from_upper(pts), Encoding.COORDINATE)
+        expected = [c for point in unit for c in point]  # independent flatten
+        assert list(out) == expected
+        assert len(out) == 18
 
     def test_missing_keypoint_rejected(self, rng):
         pts = random_nondegenerate_points(rng)
         present = [True] * 9
         present[6] = False
-        npose = normalize_1x1(pose_from_upper(pts, present))
         with pytest.raises(MissingKeypoint) as err:
-            encode_coordinates(npose)
+            encode_frame(pose_from_upper(pts, present), Encoding.COORDINATE)
         assert err.value.index == 6
 
 
@@ -112,29 +114,29 @@ class TestEncodeAngles:
     def test_straight_arm_is_one(self):
         pts = ARMS_OUT.copy()
         out = encode_angles(pts)
-        assert out.values[0] == pytest.approx(1.0, abs=1e-12)  # elbow 2-3-4 collinear
-        assert out.values[1] == pytest.approx(1.0, abs=1e-12)
+        assert out[0] == pytest.approx(1.0, abs=1e-12)  # elbow 2-3-4 collinear
+        assert out[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_right_angle_elbow_is_half(self):
         pts = ARMS_OUT.copy()
         pts[4] = (-95.0, 42.0)  # forearm straight down from the elbow
         out = encode_angles(pts)
-        assert out.values[0] == pytest.approx(0.5, abs=1e-12)
+        assert out[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_arms_out_shoulder_angles(self):
         # shoulder rays to neck and elbow are antiparallel in this posture
         out = encode_angles(ARMS_OUT)
         for j, (a, v, b) in enumerate(ANGLE_TRIPLES):
             expected = reference_angle(ARMS_OUT[a], ARMS_OUT[v], ARMS_OUT[b]) / 180.0
-            assert out.values[j] == pytest.approx(expected, abs=1e-12)
-        assert out.values[2] == pytest.approx(1.0, abs=1e-12)
-        assert out.values[3] == pytest.approx(1.0, abs=1e-12)
+            assert out[j] == pytest.approx(expected, abs=1e-12)
+        assert out[2] == pytest.approx(1.0, abs=1e-12)
+        assert out[3] == pytest.approx(1.0, abs=1e-12)
 
     def test_values_in_unit_interval(self, rng):
         for _ in range(50):
             pts = random_nondegenerate_points(rng)
             out = encode_angles(pts)
-            assert np.all(out.values >= 0.0) and np.all(out.values <= 1.0)
+            assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -150,7 +152,7 @@ class TestEncodeAngles:
         rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
         moved = (pts @ rot.T) * scale + np.array([dx, dy])
         out = encode_angles(moved)
-        np.testing.assert_allclose(out.values, base.values, atol=1e-9)
+        np.testing.assert_allclose(out, base, atol=1e-9)
 
 
 def test_coordinate_features_are_not_rotation_invariant(rng):
@@ -158,9 +160,9 @@ def test_coordinate_features_are_not_rotation_invariant(rng):
     pts = random_nondegenerate_points(rng)
     theta = math.radians(30.0)
     rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
-    base = encode_coordinates(normalize_1x1(pose_from_upper(pts, [True] * 9)))
-    turned = encode_coordinates(normalize_1x1(pose_from_upper(pts @ rot.T, [True] * 9)))
-    assert np.abs(base.values - turned.values).max() > 1e-3
+    base = encode_frame(pose_from_upper(pts), Encoding.COORDINATE)
+    turned = encode_frame(pose_from_upper(pts @ rot.T), Encoding.COORDINATE)
+    assert np.abs(base - turned).max() > 1e-3
 
 
 class TestEncodeFrame:
@@ -172,47 +174,55 @@ class TestEncodeFrame:
         with pytest.raises(MissingKeypoint) as err:
             encode_frame(pose, Encoding.ANGLE)
         assert err.value.index == 0
+        assert str(err.value) == "keypoint 0 is missing"
 
     def test_angle_path_ignores_unit_box_scaling(self, rng):
-        # angles computed on neck-shifted raw points, not the 1x1 output
+        # angles computed on the raw points, not the anisotropic 1x1 output
         pts = random_nondegenerate_points(rng)
-        pose = pose_from_upper(pts, [True] * 9)
-        direct = encode_angles(pts - pts[1])
-        via_frame = encode_frame(pose, Encoding.ANGLE)
-        np.testing.assert_array_equal(via_frame.values, direct.values)
+        pts[:, 1] *= 3.0
+        expected = [reference_angle(pts[a], pts[v], pts[b]) / 180.0 for a, v, b in ANGLE_TRIPLES]
+        via_frame = encode_frame(pose_from_upper(pts), Encoding.ANGLE)
+        np.testing.assert_allclose(via_frame, expected, rtol=0, atol=1e-12)
+        of_unit_box = encode_angles(normalize_1x1(pts))
+        assert np.abs(of_unit_box - via_frame).max() > 1e-3
+
+    @pytest.mark.parametrize("encoding", list(Encoding))
+    def test_sequence_is_stacked_frames(self, encoding):
+        seq = synth.generate(synth.SynthConfig(gesture=GestureLabel.LeftHandWave, seed=2))
+        stacked = np.stack([encode_frame(pose, encoding) for pose in seq.frames])
+        got = encode_sequence(seq, encoding)
+        assert got.shape == (len(seq), encoding.dim) and got.dtype == np.float64
+        np.testing.assert_array_equal(got, stacked)
 
     def test_sequence_encoding_reports_frame(self, rng):
-        from gesturepipe.skeleton import Sequence
-
-        good = pose_from_upper(random_nondegenerate_points(rng), [True] * 9)
+        # the earliest failing frame is reported, whatever fails after it
+        good = pose_from_upper(random_nondegenerate_points(rng))
         present = [True] * 9
         present[4] = False
         bad = pose_from_upper(random_nondegenerate_points(rng), present)
-        seq = Sequence((good, bad), fps=30.0)
-        with pytest.raises(MissingKeypoint, match="frame 1"):
-            encode_sequence(seq, Encoding.COORDINATE)
-
-    def test_sequence_encoding_tags_degenerate_frames_too(self, rng):
-        from gesturepipe.errors import DegenerateExtent
-        from gesturepipe.skeleton import Sequence
-
-        good = pose_from_upper(random_nondegenerate_points(rng), [True] * 9)
         collinear = np.zeros((9, 2))
         collinear[:, 1] = np.arange(9.0)
-        bad = pose_from_upper(collinear, [True] * 9)
-        seq = Sequence((good, bad), fps=30.0)
-        with pytest.raises(DegenerateExtent, match="frame 1"):
+        seq = Sequence((good, bad, pose_from_upper(collinear)), fps=30.0)
+        with pytest.raises(MissingKeypoint, match="^frame 1: keypoint 4 is missing$") as err:
             encode_sequence(seq, Encoding.COORDINATE)
+        assert err.value.index == 4
 
-
-class TestFeatureVectorInvariants:
-    def test_coordinate_length_enforced(self):
-        with pytest.raises(ValueError):
-            FeatureVector(np.zeros(5), Encoding.COORDINATE)
-
-    def test_angle_range_enforced(self):
-        with pytest.raises(ValueError):
-            FeatureVector(np.array([0.1, 0.2, 1.3, 0.0, 0.5]), Encoding.ANGLE)
+    def test_sequence_encoding_tags_degenerate_frames_too(self, rng):
+        good = pose_from_upper(random_nondegenerate_points(rng))
+        collinear = np.zeros((9, 2))
+        collinear[:, 1] = np.arange(9.0)
+        bad = pose_from_upper(collinear)
+        present = [True] * 9
+        present[5] = False
+        gap = pose_from_upper(random_nondegenerate_points(rng), present)
+        seq = Sequence((good, bad, gap), fps=30.0)
+        with pytest.raises(DegenerateExtent, match="^frame 1: "):
+            encode_sequence(seq, Encoding.COORDINATE)
+        coincident = random_nondegenerate_points(rng)
+        coincident[4] = coincident[3]  # zero-length forearm ray at the elbow
+        seq = Sequence((good, good, pose_from_upper(coincident), gap), fps=30.0)
+        with pytest.raises(ZeroLengthRay, match="^frame 2: "):
+            encode_sequence(seq, Encoding.ANGLE)
 
 
 class TestWindowsAndCache:

@@ -3,23 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gesturepipe.errors import DegenerateExtent, MissingNeck
-from gesturepipe.normalize import NormalizedPose, normalize_1x1
+from gesturepipe.errors import DegenerateExtent, MissingKeypoint
+from gesturepipe.features import Encoding, encode_frame, normalize_1x1
 from gesturepipe.skeleton import N_KEYPOINTS, Pose
 
 
-def pose_from_upper(points, present):
+def pose_from_upper(points, present=(True,) * 9):
     """Build a Pose from 9 upper-body (x, y) rows and presence flags."""
     kp = np.zeros((N_KEYPOINTS, 3))
     pts = np.asarray(points, dtype=float)
     kp[:9, :2] = pts
     kp[:9, 2] = np.asarray(present, dtype=float)
     return Pose(kp)
-
-
-def embed(npose: NormalizedPose) -> Pose:
-    """Reinterpret normalized points as pixel coordinates."""
-    return pose_from_upper(npose.points, npose.present)
 
 
 def random_nondegenerate_points(rng, spread=200.0):
@@ -30,52 +25,57 @@ def random_nondegenerate_points(rng, spread=200.0):
 
 
 def test_hand_computed_example():
-    # neck (2,2), point A (4,6) at slot 0, point B (0,0) at slot 2, rest missing:
-    # shifting by the neck gives (2,4), (0,0), (-2,-2); extents 4 and 6.
-    points = np.zeros((9, 2))
+    # neck (2,2), point A (4,6) at slot 0, point B (0,0) at slot 2, the rest
+    # at (3,4): shifting by the neck gives (2,4), (0,0), (-2,-2) and (1,2);
+    # extents 4 and 6.
+    points = np.full((9, 2), (3.0, 4.0))
     points[0] = (4.0, 6.0)
     points[1] = (2.0, 2.0)
     points[2] = (0.0, 0.0)
-    present = [True, True, True] + [False] * 6
-    out = normalize_1x1(pose_from_upper(points, present))
-    assert out.points[1] == pytest.approx((0.0, 0.0), abs=0)
-    assert out.points[0] == pytest.approx((0.5, 2.0 / 3.0), abs=1e-12)
-    assert out.points[2] == pytest.approx((-0.5, -1.0 / 3.0), abs=1e-12)
-    assert list(out.present) == present
+    out = normalize_1x1(points)
+    assert out[1] == pytest.approx((0.0, 0.0), abs=0)
+    assert out[0] == pytest.approx((0.5, 2.0 / 3.0), abs=1e-12)
+    assert out[2] == pytest.approx((-0.5, -1.0 / 3.0), abs=1e-12)
+    for row in out[3:]:
+        assert row == pytest.approx((0.25, 1.0 / 3.0), abs=1e-12)
 
 
 def test_already_normalized_input_is_fixed_point(rng):
     pts = random_nondegenerate_points(rng)
-    once = normalize_1x1(pose_from_upper(pts, [True] * 9))
-    twice = normalize_1x1(embed(once))
-    np.testing.assert_allclose(twice.points, once.points, atol=1e-12)
+    once = normalize_1x1(pts)
+    twice = normalize_1x1(once)
+    np.testing.assert_allclose(twice, once, atol=1e-12)
 
 
 def test_vertical_line_degenerate():
     points = np.zeros((9, 2))
     points[:, 1] = np.arange(9.0)  # all on x = 0
     with pytest.raises(DegenerateExtent):
-        normalize_1x1(pose_from_upper(points, [True] * 9))
+        normalize_1x1(points)
 
 
 def test_missing_neck():
+    # the neck anchors the 1x1 box; without it both encodings report keypoint 1
     points = np.arange(18.0).reshape(9, 2)
     present = [True] * 9
     present[1] = False
-    with pytest.raises(MissingNeck):
-        normalize_1x1(pose_from_upper(points, present))
+    for encoding in Encoding:
+        with pytest.raises(MissingKeypoint) as err:
+            encode_frame(pose_from_upper(points, present), encoding)
+        assert err.value.index == 1
+        assert str(err.value) == "keypoint 1 is missing"
 
 
 def test_missing_points_excluded_from_extent(rng):
+    # lower-body keypoints, missing or present, never reach the 1x1 box
     pts = random_nondegenerate_points(rng)
-    present = [True] * 9
-    present[4] = False
-    out = normalize_1x1(pose_from_upper(pts, present))
-    assert not out.present[4]
-    assert np.all(out.points[4] == 0.0)
-    kept = out.points[out.present]
-    assert np.ptp(kept[:, 0]) == pytest.approx(1.0, abs=1e-9)
-    assert np.ptp(kept[:, 1]) == pytest.approx(1.0, abs=1e-9)
+    kp = pose_from_upper(pts).kp.copy()
+    kp[9:, :2] = rng.uniform(-1e4, 1e4, size=(16, 2))
+    kp[9:, 2] = rng.choice([0.0, 0.7], size=16)
+    out = encode_frame(Pose(kp), Encoding.COORDINATE).reshape(9, 2)
+    np.testing.assert_array_equal(out, normalize_1x1(pts))
+    assert np.ptp(out[:, 0]) == pytest.approx(1.0, abs=1e-9)
+    assert np.ptp(out[:, 1]) == pytest.approx(1.0, abs=1e-9)
 
 
 coord = st.floats(min_value=-500.0, max_value=500.0, allow_nan=False)
@@ -87,10 +87,10 @@ def test_unit_box_and_neck_pin(points):
     pts = np.asarray(points)
     if np.ptp(pts[:, 0]) < 1e-3 or np.ptp(pts[:, 1]) < 1e-3:
         return
-    out = normalize_1x1(pose_from_upper(pts, [True] * 9))
-    assert out.points[1, 0] == 0.0 and out.points[1, 1] == 0.0
-    assert np.ptp(out.points[:, 0]) == pytest.approx(1.0, abs=1e-9)
-    assert np.ptp(out.points[:, 1]) == pytest.approx(1.0, abs=1e-9)
+    out = normalize_1x1(pts)
+    assert out[1, 0] == 0.0 and out[1, 1] == 0.0
+    assert np.ptp(out[:, 0]) == pytest.approx(1.0, abs=1e-9)
+    assert np.ptp(out[:, 1]) == pytest.approx(1.0, abs=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -103,9 +103,9 @@ def test_translation_invariance(points, dx, dy):
     pts = np.asarray(points)
     if np.ptp(pts[:, 0]) < 1e-3 or np.ptp(pts[:, 1]) < 1e-3:
         return
-    base = normalize_1x1(pose_from_upper(pts, [True] * 9))
-    moved = normalize_1x1(pose_from_upper(pts + np.array([dx, dy]), [True] * 9))
-    np.testing.assert_allclose(moved.points, base.points, atol=1e-9)
+    base = normalize_1x1(pts)
+    moved = normalize_1x1(pts + np.array([dx, dy]))
+    np.testing.assert_allclose(moved, base, atol=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -118,9 +118,9 @@ def test_anisotropic_scale_invariance(points, a, b):
     pts = np.asarray(points)
     if np.ptp(pts[:, 0]) < 1e-3 or np.ptp(pts[:, 1]) < 1e-3:
         return
-    base = normalize_1x1(pose_from_upper(pts, [True] * 9))
-    scaled = normalize_1x1(pose_from_upper(pts * np.array([a, b]), [True] * 9))
-    np.testing.assert_allclose(scaled.points, base.points, atol=1e-9)
+    base = normalize_1x1(pts)
+    scaled = normalize_1x1(pts * np.array([a, b]))
+    np.testing.assert_allclose(scaled, base, atol=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -129,6 +129,6 @@ def test_idempotence(points):
     pts = np.asarray(points)
     if np.ptp(pts[:, 0]) < 1e-3 or np.ptp(pts[:, 1]) < 1e-3:
         return
-    once = normalize_1x1(pose_from_upper(pts, [True] * 9))
-    twice = normalize_1x1(embed(once))
-    np.testing.assert_allclose(twice.points, once.points, atol=1e-9)
+    once = normalize_1x1(pts)
+    twice = normalize_1x1(once)
+    np.testing.assert_allclose(twice, once, atol=1e-9)

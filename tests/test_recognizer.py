@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from gesturepipe import nn
-from gesturepipe.errors import EncodingMismatch, InvalidConfig, TooShort
-from gesturepipe.features import Encoding, FeatureVector
+from gesturepipe.errors import EncodingMismatch, InvalidConfig
+from gesturepipe.features import Encoding
 from gesturepipe.recognizer import (
     Emission,
     WindowConfig,
     WindowState,
-    classify_sequence,
     effective_window,
     majority_vote,
     make_window_state,
@@ -21,8 +20,8 @@ from gesturepipe.skeleton import GestureLabel
 MODEL = nn.ModelConfig(input_dim=5, output_dim=8, hidden_dims=(6, 6), gru_hidden=4, head_dims=(4,), seed=3)
 
 
-def angle_fv(rng):
-    return FeatureVector(rng.uniform(0, 1, 5), Encoding.ANGLE)
+def angle_row(rng):
+    return rng.uniform(0, 1, 5)
 
 
 class TestEffectiveWindow:
@@ -94,14 +93,14 @@ class TestWindowState:
         params = nn.init_params(MODEL)
         state = WindowState(capacity=10, vote_n=3, retention=0.5, encoding=Encoding.ANGLE)
         for i in range(9):
-            assert state.push(angle_fv(rng), params) is None
+            assert state.push(angle_row(rng), params) is None
 
     def test_first_emission_at_capacity_then_cadence(self, rng):
         params = nn.init_params(MODEL)
         state = WindowState(capacity=10, vote_n=3, retention=0.5, encoding=Encoding.ANGLE)
         emitted = []
         for i in range(1, 31):
-            emission = state.push(angle_fv(rng), params)
+            emission = state.push(angle_row(rng), params)
             if emission is not None:
                 emitted.append((i, emission.frame_index))
         assert [idx for _, idx in emitted] == [10, 15, 20, 25, 30]
@@ -112,7 +111,18 @@ class TestWindowState:
         params = nn.init_params(MODEL)
         state = WindowState(capacity=4, vote_n=3, retention=0.5, encoding=Encoding.COORDINATE)
         with pytest.raises(EncodingMismatch):
-            state.push(angle_fv(rng), params)
+            state.push(angle_row(rng), params)
+        with pytest.raises(EncodingMismatch):
+            state.push(np.zeros((1, 18)), params)
+        assert state.frames_seen == 0
+
+    def test_push_keeps_a_copy(self, rng):
+        params = nn.init_params(MODEL)
+        state = WindowState(capacity=4, vote_n=3, retention=0.5, encoding=Encoding.ANGLE)
+        row = angle_row(rng)
+        state.push(row, params)
+        row[:] = -1.0
+        assert np.all(state.buffer[0] >= 0.0)
 
     def test_emission_fields(self, rng):
         params = nn.init_params(MODEL)
@@ -120,35 +130,11 @@ class TestWindowState:
         assert state.capacity == 6
         emission = None
         while emission is None:
-            emission = state.push(angle_fv(rng), params)
+            emission = state.push(angle_row(rng), params)
         assert isinstance(emission, Emission)
         assert isinstance(emission.raw, GestureLabel)
         assert isinstance(emission.smoothed, GestureLabel)
         assert 0.0 < emission.confidence <= 1.0
-
-
-class TestClassifySequence:
-    def test_replay_equivalence_is_bitwise(self, rng):
-        params = nn.init_params(MODEL)
-        fvs = [angle_fv(rng) for _ in range(40)]
-        config = WindowConfig(base_len=12, vote_n=3)
-        got = classify_sequence(fvs, params, config, fps=30.0)
-
-        state = WindowState(
-            effective_window(config, 30.0), config.vote_n, config.retention, Encoding.ANGLE
-        )
-        expected = []
-        for fv in fvs:
-            emission = state.push(fv, params)
-            if emission is not None:
-                expected.append((emission.frame_index, emission.raw, emission.smoothed))
-        assert got == expected
-
-    def test_too_short(self, rng):
-        params = nn.init_params(MODEL)
-        fvs = [angle_fv(rng) for _ in range(10)]
-        with pytest.raises(TooShort):
-            classify_sequence(fvs, params, WindowConfig(base_len=12), fps=30.0)
 
     def test_smoothing_suppresses_isolated_flicker(self, rng, monkeypatch):
         # force raw predictions with one aberrant value and check the
@@ -164,7 +150,7 @@ class TestClassifySequence:
         state = WindowState(capacity=4, vote_n=3, retention=0.5, encoding=Encoding.ANGLE)
         smoothed = []
         for _ in range(14):
-            emission = state.push(angle_fv(rng), params)
+            emission = state.push(angle_row(rng), params)
             if emission is not None:
                 smoothed.append(int(emission.smoothed))
         assert 5 not in smoothed

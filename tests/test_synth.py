@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from gesturepipe.errors import InvalidConfig, MissingKeypoint, MissingNeck
+from gesturepipe.errors import InvalidConfig, MissingKeypoint
 from gesturepipe.features import Encoding, encode_frame
-from gesturepipe.normalize import normalize_1x1
 from gesturepipe.skeleton import GestureLabel
 from gesturepipe.synth import (
     JitterSpec,
@@ -86,7 +85,7 @@ class TestGenerate:
         jitter = JitterSpec(period=(8, 20), noise_frac=(0.0, 0.02))
         for seq in generate_dataset(2, base, jitter):
             for pose in seq.frames:
-                normalize_1x1(pose)
+                encode_frame(pose, Encoding.COORDINATE)
 
     def test_invalid_configs(self):
         with pytest.raises(InvalidConfig):
@@ -145,7 +144,7 @@ class TestDropKeypoints:
             assert fa == fb
         dropped = sum(1 for f in a.frames for i in range(9) if not f.present(i))
         assert dropped > 0
-        with pytest.raises((MissingKeypoint, MissingNeck)):
+        with pytest.raises(MissingKeypoint):
             for frame in a.frames:
                 encode_frame(frame, Encoding.COORDINATE)
 
