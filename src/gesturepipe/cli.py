@@ -350,9 +350,11 @@ def cmd_stream(args) -> int:
     state = recognizer.make_window_state(config, fps, encoding)
     print(f"window capacity: {state.capacity} frames, re-evaluating every {state.cadence}")
     emissions = []
-    for pose in seq.frames:
+    paced_from = time.monotonic()
+    for i, pose in enumerate(seq.frames):
         if args.realtime:
-            time.sleep(1.0 / fps)
+            # frame i is due (i + 1) / fps in; a deadline keeps evaluations from adding drift
+            time.sleep(max(0.0, paced_from + (i + 1) / fps - time.monotonic()))
         emission = state.push(features.encode_frame(pose, encoding), params)
         if emission is not None:
             emissions.append(emission)

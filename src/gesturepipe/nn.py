@@ -12,6 +12,12 @@ The GRU is three tensors, ``wg`` (3g x 1024), ``ug`` (3g x g) and ``bg``
 (3g) with g = 256, each stacking the update (z), reset (r) and candidate (c)
 gate blocks in that order.
 
+The forward has two halves: ``forward_frames`` (dense1, dense2 and the GRU
+input projection, each frame on its own) and ``forward_recurrent`` (the GRU
+time loop and the head). Training, ``predict_batch`` and ``forward`` compose
+them; a stream keeps each frame's gate inputs between evaluations
+(``recognizer.WindowState``).
+
 Everything runs in float64: exact gradient checking matters more than speed
 at this scale. Gradients come from full backpropagation through time (no
 truncation); the optimizer is Adam with bias correction. All functions are
@@ -142,18 +148,26 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return ex / ex.sum(axis=-1, keepdims=True)
 
 
-def _forward_batch(params: ModelParams, x: np.ndarray, need_cache: bool):
-    """Run the network over a (B, T, N) batch; returns (logits, cache)."""
+def forward_frames(params: ModelParams, x: np.ndarray, need_cache: bool = False):
+    """The per-frame half: dense1, dense2 and the GRU input projection map
+    (..., T, N) rows to (..., T, 3g) gate inputs, each row from its own row
+    alone. Returns (gate inputs, cache); the cache is (h1, h2)."""
     t = params.tensors
     h1 = np.maximum(x @ t["w1"].T + t["b1"], 0.0)
     h2 = np.maximum(h1 @ t["w2"].T + t["b2"], 0.0)
     if not need_cache:
         h1 = None  # free it before the gate projection is allocated
+    xg = h2 @ t["wg"].T + t["bg"]
+    return xg, ((h1, h2) if need_cache else None)
 
-    batch, steps, _ = x.shape
+
+def forward_recurrent(params: ModelParams, xg: np.ndarray, need_cache: bool = False):
+    """The recurrent half: the GRU time loop and the head map (B, T, 3g) gate
+    inputs to (B, M) logits. Returns (logits, cache); the cache is (gates, hs, h3)."""
+    t = params.tensors
+    batch, steps, _ = xg.shape
     g = params.config.gru_hidden
     u_zr, u_c = t["ug"][: 2 * g], t["ug"][2 * g :]
-    xg = h2 @ t["wg"].T + t["bg"]
     h = np.zeros((batch, g))
     gates = hs = None
     if need_cache:
@@ -170,7 +184,14 @@ def _forward_batch(params: ModelParams, x: np.ndarray, need_cache: bool):
 
     h3 = np.maximum(h @ t["w3"].T + t["b3"], 0.0)
     logits = h3 @ t["w4"].T + t["b4"]
-    return logits, ((h1, h2, gates, hs, h3) if need_cache else None)
+    return logits, ((gates, hs, h3) if need_cache else None)
+
+
+def _forward_batch(params: ModelParams, x: np.ndarray, need_cache: bool):
+    """Run the network over a (B, T, N) batch; returns (logits, cache)."""
+    xg, dense = forward_frames(params, x, need_cache)
+    logits, recurrent = forward_recurrent(params, xg, need_cache)
+    return logits, ((*dense, *recurrent) if need_cache else None)
 
 
 def _check_window(config: ModelConfig, window: np.ndarray) -> np.ndarray:

@@ -5,6 +5,11 @@ Once the buffer fills, the model runs on its contents; afterwards it re-runs
 every ceil((1 - retention) * capacity) frames, so half the window carries
 over between evaluations by default. Raw predictions feed a majority vote
 over the last few outputs, which suppresses single-frame flicker.
+
+A window state keeps each frame's gate inputs (``nn.forward_frames``) in a
+ring beside the raw rows: an evaluation projects the frames pushed since the
+last one in one matrix product, then runs the recurrent half (``forward``).
+With another parameters object than the last, it re-projects the window.
 """
 from __future__ import annotations
 
@@ -14,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EncodingMismatch, InvalidConfig
+from .errors import EncodingMismatch, InvalidConfig, ShapeMismatch
 from .features import Encoding
-from .nn import ModelParams, forward, softmax
+from .nn import ModelParams, forward_frames, forward_recurrent, softmax
 from .skeleton import GestureLabel
 
 
@@ -64,6 +69,11 @@ def majority_vote(votes) -> int:
     raise ValueError("empty vote history")
 
 
+def forward(params: ModelParams, gate_rows: np.ndarray) -> np.ndarray:
+    """(M,) logits of one window from its (T, 3g) gate inputs: nn.forward's recurrent half."""
+    return forward_recurrent(params, gate_rows[None])[0][0]
+
+
 @dataclass(frozen=True)
 class Emission:
     """One recognizer output.
@@ -80,10 +90,12 @@ class Emission:
 
 
 class WindowState:
-    """Ring buffer of recent feature vectors plus the recent-vote history.
+    """Ring buffers of recent feature rows and of their gate-input rows, plus
+    the recent-vote history.
 
     Single-writer: one stream owns one state. Model parameters are read-only
-    snapshots passed per push, so they can be swapped between evaluations.
+    snapshots passed per push, so they can be swapped between evaluations;
+    a new snapshot is a new object, which makes the gate-input rows stale.
     """
 
     def __init__(self, capacity: int, vote_n: int, retention: float, encoding: Encoding):
@@ -94,7 +106,10 @@ class WindowState:
         self.capacity = capacity
         self.cadence = math.ceil((1.0 - retention) * capacity)
         self.encoding = encoding
-        self.buffer: deque[np.ndarray] = deque(maxlen=capacity)
+        self.buffer = np.zeros((capacity, encoding.dim))  # frame i in slot i % capacity
+        self.gate_rows: np.ndarray | None = None  # (capacity, 3g), slotted like buffer
+        self.gate_params: ModelParams | None = None  # the params that projected gate_rows
+        self.projected = 0  # frames_seen at the last projection
         self.votes: deque[int] = deque(maxlen=vote_n)
         self.frames_seen = 0
 
@@ -104,18 +119,34 @@ class WindowState:
             raise EncodingMismatch(
                 f"row has shape {row.shape}, {self.encoding.value} features need ({self.encoding.dim},)"
             )
-        self.buffer.append(row.copy())
+        self.buffer[self.frames_seen % self.capacity] = row
         self.frames_seen += 1
         if self.frames_seen < self.capacity:
             return None
         if (self.frames_seen - self.capacity) % self.cadence != 0:
             return None
-        logits = forward(params, np.stack(self.buffer))
+        logits = forward(params, self._window_gate_rows(params))
         probs = softmax(logits)
         raw = int(probs.argmax())
         self.votes.append(raw)
         smoothed = majority_vote(self.votes)
         return Emission(self.frames_seen, GestureLabel(raw), GestureLabel(smoothed), float(probs[raw]))
+
+    def _window_gate_rows(self, params: ModelParams) -> np.ndarray:
+        """The window's (capacity, 3g) gate inputs, oldest first, projecting what ``params`` has not."""
+        stale = params is not self.gate_params
+        if stale and params.config.input_dim != self.encoding.dim:
+            raise ShapeMismatch(f"model takes {params.config.input_dim} features, rows have {self.encoding.dim}")
+        # at least two rows: numpy runs one row as a matrix-vector product,
+        # whose sums round otherwise than the matrix product over a window
+        count = self.capacity if stale else max(self.frames_seen - self.projected, 2)
+        window = np.arange(self.frames_seen - self.capacity, self.frames_seen) % self.capacity
+        xg, _ = forward_frames(params, self.buffer[window[-count:]])
+        if stale:
+            self.gate_rows, self.gate_params = np.empty((self.capacity, xg.shape[1])), params
+        self.gate_rows[window[-count:]] = xg
+        self.projected = self.frames_seen
+        return self.gate_rows[window]
 
 
 def make_window_state(config: WindowConfig, fps: float, encoding: Encoding) -> WindowState:

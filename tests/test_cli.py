@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from gesturepipe import cli
+from gesturepipe import cli, recognizer
 from gesturepipe.skeleton import GestureLabel, read_sequence
 
 from conftest import make_openpose_doc
@@ -239,6 +239,49 @@ class TestStream:
         )
         assert rc == 0
         assert "window capacity: 10 frames" in capsys.readouterr().out
+
+
+    def test_realtime_replay_keeps_the_stream_clock(self, synth_dir, trained_dir, monkeypatch):
+        # a fake clock that sleeps and pushes advance: each frame costs 10 ms
+        # and frame 5 a slow 100 ms, three frame periods at 30 fps
+        fps, now, sleeps, pushed_at = 30.0, [100.0], [], []
+        cost = lambda i: 0.1 if i == 5 else 0.01
+
+        class FakeTime:
+            monotonic = staticmethod(lambda: now[0])
+
+            @staticmethod
+            def sleep(seconds):
+                assert seconds >= 0.0
+                sleeps.append(seconds)
+                now[0] += seconds
+
+        push = recognizer.WindowState.push
+
+        def timed_push(self, row, params):
+            pushed_at.append(now[0])
+            now[0] += cost(len(pushed_at) - 1)
+            return push(self, row, params)
+
+        monkeypatch.setattr(cli, "time", FakeTime)
+        monkeypatch.setattr(recognizer.WindowState, "push", timed_push)
+        seq_file = synth_dir / data_files(synth_dir)[0]
+        rc = run(
+            "stream", seq_file, "--weights", trained_dir / "weights.gpw",
+            "--base-len", "20", "--fps", fps, "--realtime",
+        )
+        assert rc == 0
+        n = len(pushed_at)
+        assert n == 40
+        # frame i is pushed when it is due, (i + 1) / fps in, or when the
+        # frame before it is done, if that is later
+        due = [100.0 + (i + 1) / fps for i in range(n)]
+        expected = [due[0]]
+        for i in range(1, n):
+            expected.append(max(due[i], expected[-1] + cost(i - 1)))
+        assert pushed_at == pytest.approx(expected, abs=1e-9)
+        assert expected[10] == due[10]  # the slow frame's delay has been caught up
+        assert sum(sleeps) + sum(cost(i) for i in range(n - 1)) == pytest.approx(n / fps, abs=1e-9)
 
 
 class TestSpeed:

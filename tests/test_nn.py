@@ -62,6 +62,22 @@ class TestForward:
         with pytest.raises(ShapeMismatch):
             nn.forward(params, np.zeros((4, 6)))
 
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_halves_compose_to_forward(self, rng, batch):
+        params = nn.init_params(TINY)
+        x = rng.normal(size=(batch, 8, 5))
+        xg, _ = nn.forward_frames(params, x)
+        logits, _ = nn.forward_recurrent(params, xg)
+        probs = nn.softmax(logits)
+        pred, conf = nn.predict_batch(params, x)
+        np.testing.assert_array_equal(pred, probs.argmax(axis=1))
+        np.testing.assert_array_equal(conf, probs.max(axis=1))
+        if batch == 1:
+            np.testing.assert_array_equal(logits[0], nn.forward(params, x[0]))
+        # a frame's gate inputs do not depend on the frames projected with it
+        for b in range(batch):
+            np.testing.assert_array_equal(nn.forward_frames(params, x[b, 5:])[0], xg[b, 5:])
+
     def test_init_is_seeded(self):
         a = nn.init_params(TINY)
         b = nn.init_params(TINY)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gesturepipe import nn
-from gesturepipe.errors import EncodingMismatch, InvalidConfig
+from gesturepipe.errors import EncodingMismatch, InvalidConfig, ShapeMismatch
 from gesturepipe.features import Encoding
 from gesturepipe.recognizer import (
     Emission,
@@ -123,6 +123,49 @@ class TestWindowState:
         state.push(row, params)
         row[:] = -1.0
         assert np.all(state.buffer[0] >= 0.0)
+
+    @pytest.mark.parametrize("capacity,retention", [(10, 0.5), (10, 0.95), (10, 0.01), (7, 0.3), (6, 0.75), (2, 0.5)])
+    def test_emissions_equal_full_forward(self, rng, monkeypatch, capacity, retention):
+        params = nn.init_params(MODEL)
+        projected = []
+
+        def counted(p, rows, need_cache=False):
+            projected.append(len(rows))
+            return nn.forward_frames(p, rows, need_cache)
+
+        monkeypatch.setattr("gesturepipe.recognizer.forward_frames", counted)
+        state = WindowState(capacity=capacity, vote_n=3, retention=retention, encoding=Encoding.ANGLE)
+        rows = rng.uniform(0, 1, (40, 5))
+        evaluations = 0
+        for i, row in enumerate(rows, start=1):
+            emission = state.push(row, params)
+            if emission is not None:
+                probs = nn.softmax(nn.forward(params, rows[i - capacity : i]))
+                assert emission.raw == probs.argmax()
+                assert emission.confidence == probs.max()
+                evaluations += 1
+        assert evaluations == 1 + (40 - capacity) // state.cadence
+        # each frame goes through the per-frame layers once, two rows at least
+        assert projected == [capacity] + [max(state.cadence, 2)] * (evaluations - 1)
+
+    def test_swapped_params_reproject_the_window(self, rng):
+        a = nn.init_params(MODEL)
+        b = nn.init_params(nn.ModelConfig(**{**MODEL.__dict__, "seed": 4}))
+        state = WindowState(capacity=10, vote_n=3, retention=0.5, encoding=Encoding.ANGLE)
+        rows = rng.uniform(0, 1, (20, 5))
+        for row in rows[:15]:  # evaluations at frames 10 and 15 with a
+            state.push(row, a)
+        emission = [state.push(row, b) for row in rows[15:]][-1]
+        probs = nn.softmax(nn.forward(b, rows[10:]))
+        assert emission.raw == probs.argmax()
+        assert emission.confidence == probs.max()
+
+    def test_model_of_another_width_refused(self, rng):
+        params = nn.init_params(nn.ModelConfig(**{**MODEL.__dict__, "input_dim": 18}))
+        state = WindowState(capacity=2, vote_n=3, retention=0.5, encoding=Encoding.ANGLE)
+        state.push(angle_row(rng), params)
+        with pytest.raises(ShapeMismatch):
+            state.push(angle_row(rng), params)
 
     def test_emission_fields(self, rng):
         params = nn.init_params(MODEL)
