@@ -19,16 +19,18 @@ them; a stream keeps each frame's gate inputs between evaluations
 (``recognizer.WindowState``).
 
 Everything runs in float64: exact gradient checking matters more than speed
-at this scale. Gradients come from full backpropagation through time (no
-truncation); the optimizer is Adam with bias correction. All functions are
-deterministic given the seeds, and batch gradients are plain sums over the
-batch, so duplicating a sample exactly doubles its gradient.
+at this scale. The weights, the two Adam moments and a gradient are each one
+flat vector with named views per tensor; ``adam_step`` updates in place.
+Gradients come from full backpropagation through time (no truncation); the
+optimizer is Adam with bias correction. All functions are deterministic given
+the seeds, and batch gradients are plain sums over the batch, so duplicating a
+sample exactly doubles its gradient.
 """
 from __future__ import annotations
 
-import copy
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +50,8 @@ from .features import Encoding
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_BLOCK = 32768  # adam_step's block: w, m, v, g and two scratch rows of 256 KB fit a 2 MB L2
+PREDICT_CHUNK = 16  # windows per forward in predict_batch, which bounds the memory in flight
 
 WEIGHT_FORMAT = "gesturepipe-weights"
 WEIGHT_VERSION = 2
@@ -68,6 +72,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("input_dim", "output_dim", "gru_hidden", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.input_dim < 1 or self.output_dim < 1:
             raise ValueError("input_dim and output_dim must be positive")
         if len(self.hidden_dims) != 2 or len(self.head_dims) != 1:
@@ -78,13 +84,23 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
-    """All weights plus Adam moment buffers and the step counter."""
+    """All weights plus Adam moment buffers and the step counter. ``weights``, ``adam_m`` and
+    ``adam_v`` are flat vectors in ``_tensor_specs`` order, ``tensors`` names views of ``weights``,
+    and ``adam_step`` updates all three in place."""
 
     config: ModelConfig
-    tensors: dict[str, np.ndarray]
-    adam_m: dict[str, np.ndarray]
-    adam_v: dict[str, np.ndarray]
+    weights: np.ndarray
+    adam_m: np.ndarray
+    adam_v: np.ndarray
     adam_t: int = 0
+
+    def __post_init__(self):
+        self.tensors = _views(self.config, self.weights)
+
+    @classmethod
+    def zeros(cls, config: ModelConfig) -> ModelParams:
+        size = sum(math.prod(shape) for _, shape in _tensor_specs(config))
+        return cls(config, np.zeros(size), np.zeros(size), np.zeros(size), 0)
 
 
 def _tensor_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -109,6 +125,15 @@ def _tensor_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     ]
 
 
+def _views(config: ModelConfig, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Named views of ``flat``, a vector laid out in ``_tensor_specs`` order."""
+    views, start = {}, 0
+    for name, shape in _tensor_specs(config):
+        stop = start + math.prod(shape)
+        views[name], start = flat[start:stop].reshape(shape), stop
+    return views
+
+
 def init_params(config: ModelConfig) -> ModelParams:
     """Initialize every tensor uniformly in +-1/sqrt(fan_in) from the config seed.
 
@@ -122,20 +147,17 @@ def init_params(config: ModelConfig) -> ModelParams:
         bound = 1.0 / np.sqrt(fan_in)
         return rng.uniform(-bound, bound, size=shape)
 
-    n = config.input_dim
-    h1, h2 = config.hidden_dims
-    g = config.gru_hidden
-    hd = config.head_dims[0]
-    m = config.output_dim
-    tensors = {"w1": draw((h1, n), n), "b1": draw((h1,), n), "w2": draw((h2, h1), h1), "b2": draw((h2,), h1)}
-    wg, ug, bg = np.empty((3 * g, h2)), np.empty((3 * g, g)), np.empty(3 * g)
+    params = ModelParams.zeros(config)
+    t = params.tensors
+    n, (h1, h2), g, hd = config.input_dim, config.hidden_dims, config.gru_hidden, config.head_dims[0]
+    for name, fan_in in (("w1", n), ("b1", n), ("w2", h1), ("b2", h1)):
+        t[name][...] = draw(t[name].shape, fan_in)
     for k in range(3):
         rows = slice(k * g, (k + 1) * g)
-        wg[rows], ug[rows], bg[rows] = draw((g, h2), g), draw((g, g), g), draw((g,), g)
-    tensors.update(wg=wg, ug=ug, bg=bg)
-    tensors.update(w3=draw((hd, g), g), b3=draw((hd,), g), w4=draw((m, hd), hd), b4=draw((m,), hd))
-    zeros = {name: np.zeros_like(t) for name, t in tensors.items()}
-    return ModelParams(config, tensors, copy.deepcopy(zeros), copy.deepcopy(zeros), 0)
+        t["wg"][rows], t["ug"][rows], t["bg"][rows] = draw((g, h2), g), draw((g, g), g), draw((g,), g)
+    for name, fan_in in (("w3", g), ("b3", g), ("w4", hd), ("b4", hd)):
+        t[name][...] = draw(t[name].shape, fan_in)
+    return params
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -228,7 +250,7 @@ def cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
 
 
 def _backward_batch(params: ModelParams, x: np.ndarray, labels: np.ndarray):
-    """Summed loss and summed gradients over a (B, T, N) batch."""
+    """Summed loss and summed gradients, views of one flat vector, over a (B, T, N) batch."""
     t = params.tensors
     logits, cache = _forward_batch(params, x, need_cache=True)
     loss_sum, dlogits = cross_entropy(logits, labels)
@@ -236,13 +258,13 @@ def _backward_batch(params: ModelParams, x: np.ndarray, labels: np.ndarray):
     g = params.config.gru_hidden
 
     h1, h2, gates, hs, h3 = cache
-    grads = {}
-    grads["w4"] = dlogits.T @ h3
-    grads["b4"] = dlogits.sum(axis=0)
+    grads = _views(params.config, np.empty_like(params.weights))
+    np.matmul(dlogits.T, h3, out=grads["w4"])
+    dlogits.sum(axis=0, out=grads["b4"])
     dh3 = dlogits @ t["w4"]
     da3 = dh3 * (h3 > 0.0)
-    grads["w3"] = da3.T @ hs[:, steps]
-    grads["b3"] = da3.sum(axis=0)
+    np.matmul(da3.T, hs[:, steps], out=grads["w3"])
+    da3.sum(axis=0, out=grads["b3"])
     dh = da3 @ t["w3"]
 
     # gate pre-activation gradients per step, blocks z, r, c
@@ -260,21 +282,22 @@ def _backward_batch(params: ModelParams, x: np.ndarray, labels: np.ndarray):
     flat = dgates.reshape(-1, 3 * g)
     h_prev = hs[:, :-1].reshape(-1, g)
     rh_prev = (gates[:, :, g : 2 * g] * hs[:, :-1]).reshape(-1, g)
-    grads["ug"] = np.concatenate([flat[:, : 2 * g].T @ h_prev, flat[:, 2 * g :].T @ rh_prev])
-    grads["wg"] = flat.T @ h2.reshape(-1, h2.shape[-1])
-    grads["bg"] = flat.sum(axis=0)
+    np.matmul(flat[:, : 2 * g].T, h_prev, out=grads["ug"][: 2 * g])
+    np.matmul(flat[:, 2 * g :].T, rh_prev, out=grads["ug"][2 * g :])
+    np.matmul(flat.T, h2.reshape(-1, h2.shape[-1]), out=grads["wg"])
+    flat.sum(axis=0, out=grads["bg"])
     du = (flat @ t["wg"]).reshape(h2.shape)
     del dgates, flat, h_prev, rh_prev  # free them before the dense layers' gradients
 
     da2 = du * (h2 > 0.0)
     flat_da2 = da2.reshape(-1, da2.shape[-1])
-    grads["w2"] = flat_da2.T @ h1.reshape(-1, h1.shape[-1])
-    grads["b2"] = flat_da2.sum(axis=0)
+    np.matmul(flat_da2.T, h1.reshape(-1, h1.shape[-1]), out=grads["w2"])
+    flat_da2.sum(axis=0, out=grads["b2"])
     dh1 = da2 @ t["w2"]
     da1 = dh1 * (h1 > 0.0)
     flat_da1 = da1.reshape(-1, da1.shape[-1])
-    grads["w1"] = flat_da1.T @ x.reshape(-1, x.shape[-1])
-    grads["b1"] = flat_da1.sum(axis=0)
+    np.matmul(flat_da1.T, x.reshape(-1, x.shape[-1]), out=grads["w1"])
+    flat_da1.sum(axis=0, out=grads["b1"])
     return loss_sum, grads
 
 
@@ -286,7 +309,11 @@ def backward(params: ModelParams, window: np.ndarray, label: int) -> dict[str, n
 
 
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray], lr: float) -> ModelParams:
-    """One Adam update; returns new params with moments and step advanced."""
+    """One Adam update of ``params`` in place; returns ``params``, moments and step advanced.
+
+    All checks finish before the first write, so a rejected step changes nothing. Each tensor
+    is updated in blocks of ``ADAM_BLOCK`` by the operations of the textbook formula, in order.
+    """
     if not lr > 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
     for name, tensor in params.tensors.items():
@@ -294,21 +321,31 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], lr: float) -> M
         if g is None or g.shape != tensor.shape:
             got = None if g is None else g.shape
             raise ShapeMismatch(f"gradient for {name}: expected {tensor.shape}, got {got}")
-        if not np.all(np.isfinite(g)):
+        g = g.reshape(-1)
+        if not all(np.isfinite(g[lo : lo + ADAM_BLOCK]).all() for lo in range(0, g.size, ADAM_BLOCK)):
             raise NonFiniteGradient(f"gradient for {name} contains NaN or Inf")
 
     t = params.adam_t + 1
     bias1 = 1.0 - ADAM_BETA1**t
     bias2 = 1.0 - ADAM_BETA2**t
-    new_tensors, new_m, new_v = {}, {}, {}
-    for name, w in params.tensors.items():
-        g = grads[name]
-        m = ADAM_BETA1 * params.adam_m[name] + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * params.adam_v[name] + (1.0 - ADAM_BETA2) * g * g
-        new_tensors[name] = w - lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
-        new_m[name] = m
-        new_v[name] = v
-    return ModelParams(params.config, new_tensors, new_m, new_v, t)
+    moments = _views(params.config, params.adam_m), _views(params.config, params.adam_v)
+    x, y = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
+    for name, tensor in params.tensors.items():
+        vectors = [a.reshape(-1) for a in (tensor, moments[0][name], moments[1][name], grads[name])]
+        for lo in range(0, tensor.size, ADAM_BLOCK):
+            w, m, v, g = (a[lo : lo + ADAM_BLOCK] for a in vectors)
+            xb, yb = x[: g.size], y[: g.size]
+            # m = b1 * m + (1 - b1) * g; v = b2 * v + (1 - b2) * g * g
+            # w = w - lr * (m / bias1) / (sqrt(v / bias2) + eps)
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=xb)
+            v *= ADAM_BETA2
+            v += np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=xb), g, out=xb)
+            np.multiply(np.divide(m, bias1, out=xb), lr, out=xb)
+            np.add(np.sqrt(np.divide(v, bias2, out=yb), out=yb), ADAM_EPS, out=yb)
+            w -= np.divide(xb, yb, out=xb)
+    params.adam_t = t
+    return params
 
 
 @dataclass(frozen=True)
@@ -349,8 +386,11 @@ def _stack_dataset(dataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def predict_batch(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Argmax labels and their softmax confidences for a (B, T, N) batch."""
-    logits, _ = _forward_batch(params, np.asarray(x, dtype=np.float64), need_cache=False)
+    """Argmax labels and softmax confidences for a (B, T, N) batch, ``PREDICT_CHUNK`` windows at a time."""
+    x = np.asarray(x, dtype=np.float64)
+    logits = np.empty((len(x), params.config.output_dim))
+    for start in range(0, len(x), PREDICT_CHUNK):
+        logits[start : start + PREDICT_CHUNK], _ = _forward_batch(params, x[start : start + PREDICT_CHUNK], False)
     probs = softmax(logits)
     pred = probs.argmax(axis=1)
     return pred, probs[np.arange(len(pred)), pred]
@@ -401,23 +441,21 @@ def train(
     params = init_params(config)
     shuffle_rng = np.random.default_rng([split_seed, config.seed, 1])
     history: list[EpochStats] = []
-    best_params = copy.deepcopy(params)
-    best_acc = -1.0
-    best_epoch = 0
+    best_params, best_acc, best_epoch = None, -1.0, 0  # epoch 1 always replaces them
     for epoch in range(1, epochs + 1):
         order = train_idx[shuffle_rng.permutation(len(train_idx))]
         loss_total = 0.0
         for start in range(0, len(order), batch_size):
             batch = order[start : start + batch_size]
             loss_sum, grads = _backward_batch(params, x_all[batch], y_all[batch])
-            params = adam_step(params, grads, lr)
+            adam_step(params, grads, lr)
             loss_total += loss_sum
         val_acc = accuracy(params, x_all[eval_idx], y_all[eval_idx])
         history.append(EpochStats(epoch, loss_total / len(order), val_acc))
         if val_acc >= best_acc:
-            best_acc = val_acc
-            best_epoch = epoch
-            best_params = copy.deepcopy(params)
+            best_acc, best_epoch = val_acc, epoch
+            best_params = ModelParams(config, params.weights.copy(), params.adam_m.copy(), params.adam_v.copy(),
+                                      params.adam_t)
     return TrainResult(best_params, history, best_epoch, train_idx, val_idx, test_idx)
 
 
@@ -429,25 +467,16 @@ def save_model(path: str | Path, params: ModelParams, encoding: Encoding) -> Non
     order. Adam moments are not stored; a loaded model starts a fresh
     optimizer state.
     """
-    names = [name for name, _ in _tensor_specs(params.config)]
     header = {
         "format": WEIGHT_FORMAT,
         "version": WEIGHT_VERSION,
         "encoding": encoding.value,
-        "config": {
-            "input_dim": params.config.input_dim,
-            "output_dim": params.config.output_dim,
-            "hidden_dims": list(params.config.hidden_dims),
-            "gru_hidden": params.config.gru_hidden,
-            "head_dims": list(params.config.head_dims),
-            "seed": params.config.seed,
-        },
-        "tensors": [{"name": n, "shape": list(params.tensors[n].shape)} for n in names],
+        "config": asdict(params.config),
+        "tensors": [{"name": n, "shape": list(t.shape)} for n, t in params.tensors.items()],
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        for name in names:
-            fh.write(np.ascontiguousarray(params.tensors[name], dtype="<f8").tobytes())
+        fh.write(params.weights.astype("<f8", copy=False))
 
 
 def load_model(
@@ -471,32 +500,20 @@ def load_model(
         raise EncodingMismatch(
             f"{path}: model encodes {encoding.value}, expected {expect_encoding.value}"
         )
-    cfg = header["config"]
-    config = ModelConfig(
-        input_dim=int(cfg["input_dim"]),
-        output_dim=int(cfg["output_dim"]),
-        hidden_dims=tuple(cfg["hidden_dims"]),
-        gru_hidden=int(cfg["gru_hidden"]),
-        head_dims=tuple(cfg["head_dims"]),
-        seed=int(cfg["seed"]),
-    )
-    specs = dict(_tensor_specs(config))
-    tensors: dict[str, np.ndarray] = {}
+    config = ModelConfig(**{f.name: header["config"][f.name] for f in fields(ModelConfig)})
+    params = ModelParams.zeros(config)
     offset = 0
     for entry in header["tensors"]:
         name, shape = entry["name"], tuple(entry["shape"])
-        if name not in specs or specs[name] != shape:
+        if name not in params.tensors or params.tensors[name].shape != shape:
             raise ShapeMismatch(f"{path}: tensor {name} {shape} does not fit the config")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = count * 8
-        if offset + nbytes > len(blob):
+        count = params.tensors[name].size
+        if offset + 8 * count > len(blob):
             raise MalformedJson(f"{path}: truncated tensor data at {name}")
-        tensors[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape).astype(np.float64)
-        offset += nbytes
-    if set(tensors) != set(specs):
+        params.tensors[name][...] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
+        offset += 8 * count
+    if {entry["name"] for entry in header["tensors"]} != set(params.tensors):
         raise MalformedJson(f"{path}: weight file is missing tensors")
     if offset != len(blob):
         raise MalformedJson(f"{path}: trailing bytes after tensor data")
-    zeros = {name: np.zeros_like(t) for name, t in tensors.items()}
-    params = ModelParams(config, tensors, copy.deepcopy(zeros), copy.deepcopy(zeros), 0)
     return params, encoding

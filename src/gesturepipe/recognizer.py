@@ -9,7 +9,7 @@ over the last few outputs, which suppresses single-frame flicker.
 A window state keeps each frame's gate inputs (``nn.forward_frames``) in a
 ring beside the raw rows: an evaluation projects the frames pushed since the
 last one in one matrix product, then runs the recurrent half (``forward``).
-With another parameters object than the last, it re-projects the window.
+A new parameters object or Adam step (``adam_t``) re-projects the window.
 """
 from __future__ import annotations
 
@@ -93,9 +93,9 @@ class WindowState:
     """Ring buffers of recent feature rows and of their gate-input rows, plus
     the recent-vote history.
 
-    Single-writer: one stream owns one state. Model parameters are read-only
-    snapshots passed per push, so they can be swapped between evaluations;
-    a new snapshot is a new object, which makes the gate-input rows stale.
+    Single-writer: one stream owns one state. Parameters are passed per push and
+    may be swapped, or stepped in place by ``nn.adam_step``, between evaluations:
+    gate-input rows are keyed on the object and its ``adam_t``, not on weights.
     """
 
     def __init__(self, capacity: int, vote_n: int, retention: float, encoding: Encoding):
@@ -108,7 +108,7 @@ class WindowState:
         self.encoding = encoding
         self.buffer = np.zeros((capacity, encoding.dim))  # frame i in slot i % capacity
         self.gate_rows: np.ndarray | None = None  # (capacity, 3g), slotted like buffer
-        self.gate_params: ModelParams | None = None  # the params that projected gate_rows
+        self.gate_key: tuple = (None, 0)  # the params object that projected gate_rows, and its adam_t then
         self.projected = 0  # frames_seen at the last projection
         self.votes: deque[int] = deque(maxlen=vote_n)
         self.frames_seen = 0
@@ -134,7 +134,7 @@ class WindowState:
 
     def _window_gate_rows(self, params: ModelParams) -> np.ndarray:
         """The window's (capacity, 3g) gate inputs, oldest first, projecting what ``params`` has not."""
-        stale = params is not self.gate_params
+        stale = self.gate_key[0] is not params or self.gate_key[1] != params.adam_t
         if stale and params.config.input_dim != self.encoding.dim:
             raise ShapeMismatch(f"model takes {params.config.input_dim} features, rows have {self.encoding.dim}")
         # at least two rows: numpy runs one row as a matrix-vector product,
@@ -143,7 +143,7 @@ class WindowState:
         window = np.arange(self.frames_seen - self.capacity, self.frames_seen) % self.capacity
         xg, _ = forward_frames(params, self.buffer[window[-count:]])
         if stale:
-            self.gate_rows, self.gate_params = np.empty((self.capacity, xg.shape[1])), params
+            self.gate_rows, self.gate_key = np.empty((self.capacity, xg.shape[1])), (params, params.adam_t)
         self.gate_rows[window[-count:]] = xg
         self.projected = self.frames_seen
         return self.gate_rows[window]

@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from gesturepipe.features import Encoding
 from gradcheck import max_relative_error, numeric_grads, random_tiny_setup
 
 TINY = nn.ModelConfig(input_dim=5, output_dim=3, hidden_dims=(8, 8), gru_hidden=4, head_dims=(4,), seed=7)
+# w2 spans more than one Adam block and ends in a partial one
+BLOCKS = nn.ModelConfig(input_dim=5, output_dim=3, hidden_dims=(200, 190), gru_hidden=7, head_dims=(4,), seed=7)
 
 
 def naive_forward(params, window):
@@ -77,6 +81,17 @@ class TestForward:
         # a frame's gate inputs do not depend on the frames projected with it
         for b in range(batch):
             np.testing.assert_array_equal(nn.forward_frames(params, x[b, 5:])[0], xg[b, 5:])
+
+    def test_predict_batch_forwards_in_chunks(self, rng, monkeypatch):
+        params = nn.init_params(TINY)
+        x = rng.normal(size=(2 * nn.PREDICT_CHUNK + 5, 8, 5))
+        probs = nn.softmax(nn.forward_recurrent(params, nn.forward_frames(params, x)[0])[0])
+        seen, forward_batch = [], nn._forward_batch
+        monkeypatch.setattr(nn, "_forward_batch", lambda p, xb, cache: seen.append(len(xb)) or forward_batch(p, xb, cache))
+        pred, conf = nn.predict_batch(params, x)
+        assert max(seen) <= nn.PREDICT_CHUNK and sum(seen) == len(x)
+        np.testing.assert_array_equal(pred, probs.argmax(axis=1))
+        np.testing.assert_allclose(conf, probs.max(axis=1), rtol=0, atol=1e-12)
 
     def test_init_is_seeded(self):
         a = nn.init_params(TINY)
@@ -154,14 +169,31 @@ class TestBackward:
             nn.backward(params, rng.normal(size=(4, 5)), 3)
 
 
+def reference_adam(w, m, v, t, grads, lr):
+    """Adam as whole-tensor expressions: new dicts of weights and moments, and the step."""
+    t += 1
+    bias1 = 1.0 - nn.ADAM_BETA1**t
+    bias2 = 1.0 - nn.ADAM_BETA2**t
+    new_w, new_m, new_v = {}, {}, {}
+    for name, g in grads.items():
+        new_m[name] = nn.ADAM_BETA1 * m[name] + (1.0 - nn.ADAM_BETA1) * g
+        new_v[name] = nn.ADAM_BETA2 * v[name] + (1.0 - nn.ADAM_BETA2) * g * g
+        new_w[name] = w[name] - lr * (new_m[name] / bias1) / (np.sqrt(new_v[name] / bias2) + nn.ADAM_EPS)
+    return new_w, new_m, new_v, t
+
+
+def state_of(params):
+    return params.weights.copy(), params.adam_m.copy(), params.adam_v.copy(), params.adam_t
+
+
 class TestAdamStep:
     def test_zero_gradients_leave_fresh_params_unchanged(self):
         params = nn.init_params(TINY)
+        before = params.weights.copy()
         zero = {name: np.zeros_like(t) for name, t in params.tensors.items()}
         stepped = nn.adam_step(params, zero, 1e-3)
         assert stepped.adam_t == 1
-        for name in params.tensors:
-            np.testing.assert_array_equal(stepped.tensors[name], params.tensors[name])
+        np.testing.assert_array_equal(stepped.weights, before)
 
     def test_constant_gradient_update_magnitude_approaches_lr(self):
         params = nn.init_params(TINY)
@@ -189,13 +221,62 @@ class TestAdamStep:
         with pytest.raises(ShapeMismatch):
             nn.adam_step(params, grads, 1e-3)
 
-    def test_original_params_not_mutated(self, rng):
+    def test_updates_in_place_and_returns_same_object(self, rng):
         params = nn.init_params(TINY)
-        before = {n: t.copy() for n, t in params.tensors.items()}
+        weights, w1 = params.weights, params.tensors["w1"]
+        before = w1.copy()
         grads = {name: rng.normal(size=t.shape) for name, t in params.tensors.items()}
-        nn.adam_step(params, grads, 1e-2)
-        for name in before:
-            np.testing.assert_array_equal(params.tensors[name], before[name])
+        assert nn.adam_step(params, grads, 1e-2) is params
+        assert params.weights is weights and params.tensors["w1"] is w1
+        assert params.adam_t == 1
+        assert np.all(w1 != before)
+
+    @pytest.mark.parametrize("fault", ["nan_in_last_element", "missing_tensor", "zero_lr", "negative_lr"])
+    def test_rejected_step_leaves_state_unchanged(self, rng, fault):
+        params = nn.init_params(BLOCKS)
+        nn.adam_step(params, {name: rng.normal(size=t.shape) for name, t in params.tensors.items()}, 1e-2)
+        before = state_of(params)
+        grads = {name: rng.normal(size=t.shape) for name, t in params.tensors.items()}
+        lr = {"zero_lr": 0.0, "negative_lr": -1e-3}.get(fault, 1e-2)
+        if fault == "nan_in_last_element":
+            grads["b4"][-1] = np.nan
+        if fault == "missing_tensor":
+            del grads["b4"]
+        with pytest.raises((NonFiniteGradient, ShapeMismatch, ValueError)):
+            nn.adam_step(params, grads, lr)
+        for got, want in zip(state_of(params), before):
+            np.testing.assert_array_equal(got, want)
+
+    def test_matches_reference_bit_for_bit(self, rng):
+        params = nn.init_params(BLOCKS)
+        sizes = [t.size for t in params.tensors.values()]
+        assert max(sizes) > nn.ADAM_BLOCK and all(size % nn.ADAM_BLOCK for size in sizes)
+        w = {name: t.copy() for name, t in params.tensors.items()}
+        m = {name: np.zeros_like(t) for name, t in w.items()}
+        v = {name: np.zeros_like(t) for name, t in w.items()}
+        t = 0
+        for _ in range(5):
+            grads = {name: rng.normal(size=x.shape) for name, x in w.items()}
+            w, m, v, t = reference_adam(w, m, v, t, grads, 1e-2)
+            nn.adam_step(params, grads, 1e-2)
+        assert params.adam_t == t
+        for name in w:
+            np.testing.assert_array_equal(params.tensors[name], w[name])
+            np.testing.assert_array_equal(nn._views(BLOCKS, params.adam_m)[name], m[name])
+            np.testing.assert_array_equal(nn._views(BLOCKS, params.adam_v)[name], v[name])
+
+    def test_peak_allocation_is_a_fraction_of_the_parameters(self, rng):
+        config = nn.ModelConfig(input_dim=50, hidden_dims=(1024, 512), gru_hidden=256, head_dims=(128,))
+        params = nn.init_params(config)
+        assert params.weights.size >= 1_000_000
+        grads = {name: rng.normal(size=t.shape) for name, t in params.tensors.items()}
+        tracemalloc.start()
+        try:
+            nn.adam_step(params, grads, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < params.weights.nbytes / 8
 
 
 def small_dataset(rng, n=40, t=6, classes=3):
@@ -234,6 +315,15 @@ class TestTrain:
         assert a.history == b.history
         for name in a.params.tensors:
             np.testing.assert_array_equal(a.params.tensors[name], b.params.tensors[name])
+
+    def test_best_epoch_equals_a_run_stopped_there(self, rng):
+        data = small_dataset(rng)
+        full = nn.train(data, TINY, epochs=6, lr=0.1, batch_size=8, split_seed=1)
+        assert full.best_epoch < 6
+        stopped = nn.train(data, TINY, epochs=full.best_epoch, lr=0.1, batch_size=8, split_seed=1)
+        assert stopped.best_epoch == full.best_epoch
+        for got, want in zip(state_of(full.params), state_of(stopped.params)):
+            np.testing.assert_array_equal(got, want)
 
     def test_split_is_60_10_30(self):
         train_idx, val_idx, test_idx = nn.split_dataset(320, split_seed=0)
@@ -295,6 +385,23 @@ class TestWeightFile:
         for name in result.params.tensors:
             np.testing.assert_array_equal(loaded.tensors[name], result.params.tensors[name])
         assert loaded.adam_t == 0
+
+    def test_header_in_another_order_loads_the_same_tensors(self, tmp_path):
+        params = nn.init_params(TINY)
+        path = tmp_path / "weights.gpw"
+        nn.save_model(path, params, Encoding.ANGLE)
+        header_line, blob = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        chunks, offset = {}, 0
+        for entry in header["tensors"]:
+            size = 8 * math.prod(entry["shape"])
+            chunks[entry["name"]], offset = blob[offset : offset + size], offset + size
+        header["tensors"].reverse()
+        body = b"".join(chunks[entry["name"]] for entry in header["tensors"])
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        loaded, _ = nn.load_model(path)
+        for name, tensor in params.tensors.items():
+            np.testing.assert_array_equal(loaded.tensors[name], tensor)
 
     def test_encoding_mismatch_refused(self, tmp_path):
         params = nn.init_params(TINY)

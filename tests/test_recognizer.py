@@ -160,6 +160,19 @@ class TestWindowState:
         assert emission.raw == probs.argmax()
         assert emission.confidence == probs.max()
 
+    def test_params_stepped_in_place_reproject_the_window(self, rng):
+        params = nn.init_params(MODEL)
+        state = WindowState(capacity=10, vote_n=3, retention=0.5, encoding=Encoding.ANGLE)
+        rows = rng.uniform(0, 1, (20, 5))
+        for row in rows[:10]:
+            state.push(row, params)
+        grads = {name: rng.normal(size=t.shape) for name, t in params.tensors.items()}
+        assert nn.adam_step(params, grads, 0.1) is params
+        emission = [state.push(row, params) for row in rows[10:15]][-1]
+        probs = nn.softmax(nn.forward(params, rows[5:15]))
+        assert emission.raw == probs.argmax()
+        assert emission.confidence == probs.max()
+
     def test_model_of_another_width_refused(self, rng):
         params = nn.init_params(nn.ModelConfig(**{**MODEL.__dict__, "input_dim": 18}))
         state = WindowState(capacity=2, vote_n=3, retention=0.5, encoding=Encoding.ANGLE)
