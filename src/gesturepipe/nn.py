@@ -14,9 +14,10 @@ gate blocks in that order.
 
 The forward has two halves: ``forward_frames`` (dense1, dense2 and the GRU
 input projection, each frame on its own) and ``forward_recurrent`` (the GRU
-time loop and the head). Training, ``predict_batch`` and ``forward`` compose
-them; a stream keeps each frame's gate inputs between evaluations
-(``recognizer.WindowState``).
+time loop and the head). The per-frame half runs each layer as one matrix
+product over all B·T rows. Training, ``predict_batch`` and ``forward``
+compose the halves; a stream keeps each frame's gate inputs between
+evaluations (``recognizer.WindowState``).
 
 Everything runs in float64: exact gradient checking matters more than speed
 at this scale. The weights, the two Adam moments and a gradient are each one
@@ -170,17 +171,25 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return ex / ex.sum(axis=-1, keepdims=True)
 
 
+def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarray:
+    """``x @ w.T + b``, then ReLU if asked, with bias and ReLU applied in place on the product."""
+    h = x @ w.T
+    h += b
+    return np.maximum(h, 0.0, out=h) if relu else h
+
+
 def forward_frames(params: ModelParams, x: np.ndarray, need_cache: bool = False):
     """The per-frame half: dense1, dense2 and the GRU input projection map
     (..., T, N) rows to (..., T, 3g) gate inputs, each row from its own row
-    alone. Returns (gate inputs, cache); the cache is (h1, h2)."""
+    alone, each layer one product over all B·T rows. Returns (gate inputs,
+    cache); the cache is (h1, h2), each (B·T, width)."""
     t = params.tensors
-    h1 = np.maximum(x @ t["w1"].T + t["b1"], 0.0)
-    h2 = np.maximum(h1 @ t["w2"].T + t["b2"], 0.0)
+    h1 = _dense(x.reshape(-1, x.shape[-1]), t["w1"], t["b1"], relu=True)
+    h2 = _dense(h1, t["w2"], t["b2"], relu=True)
     if not need_cache:
         h1 = None  # free it before the gate projection is allocated
-    xg = h2 @ t["wg"].T + t["bg"]
-    return xg, ((h1, h2) if need_cache else None)
+    xg = _dense(h2, t["wg"], t["bg"], relu=False)
+    return xg.reshape(*x.shape[:-1], -1), ((h1, h2) if need_cache else None)
 
 
 def forward_recurrent(params: ModelParams, xg: np.ndarray, need_cache: bool = False):
@@ -204,8 +213,8 @@ def forward_recurrent(params: ModelParams, xg: np.ndarray, need_cache: bool = Fa
         if need_cache:
             gates[:, k, : 2 * g], gates[:, k, 2 * g :], hs[:, k + 1] = zr, c, h
 
-    h3 = np.maximum(h @ t["w3"].T + t["b3"], 0.0)
-    logits = h3 @ t["w4"].T + t["b4"]
+    h3 = _dense(h, t["w3"], t["b3"], relu=True)
+    logits = _dense(h3, t["w4"], t["b4"], relu=False)
     return logits, ((gates, hs, h3) if need_cache else None)
 
 
@@ -261,8 +270,8 @@ def _backward_batch(params: ModelParams, x: np.ndarray, labels: np.ndarray):
     grads = _views(params.config, np.empty_like(params.weights))
     np.matmul(dlogits.T, h3, out=grads["w4"])
     dlogits.sum(axis=0, out=grads["b4"])
-    dh3 = dlogits @ t["w4"]
-    da3 = dh3 * (h3 > 0.0)
+    da3 = dlogits @ t["w4"]
+    np.multiply(da3, h3 > 0.0, out=da3)
     np.matmul(da3.T, hs[:, steps], out=grads["w3"])
     da3.sum(axis=0, out=grads["b3"])
     dh = da3 @ t["w3"]
@@ -284,28 +293,19 @@ def _backward_batch(params: ModelParams, x: np.ndarray, labels: np.ndarray):
     rh_prev = (gates[:, :, g : 2 * g] * hs[:, :-1]).reshape(-1, g)
     np.matmul(flat[:, : 2 * g].T, h_prev, out=grads["ug"][: 2 * g])
     np.matmul(flat[:, 2 * g :].T, rh_prev, out=grads["ug"][2 * g :])
-    np.matmul(flat.T, h2.reshape(-1, h2.shape[-1]), out=grads["wg"])
+    np.matmul(flat.T, h2, out=grads["wg"])
     flat.sum(axis=0, out=grads["bg"])
-    du = (flat @ t["wg"]).reshape(h2.shape)
+    da2 = flat @ t["wg"]
     del dgates, flat, h_prev, rh_prev  # free them before the dense layers' gradients
 
-    da2 = du * (h2 > 0.0)
-    flat_da2 = da2.reshape(-1, da2.shape[-1])
-    np.matmul(flat_da2.T, h1.reshape(-1, h1.shape[-1]), out=grads["w2"])
-    flat_da2.sum(axis=0, out=grads["b2"])
-    dh1 = da2 @ t["w2"]
-    da1 = dh1 * (h1 > 0.0)
-    flat_da1 = da1.reshape(-1, da1.shape[-1])
-    np.matmul(flat_da1.T, x.reshape(-1, x.shape[-1]), out=grads["w1"])
-    flat_da1.sum(axis=0, out=grads["b1"])
+    np.multiply(da2, h2 > 0.0, out=da2)
+    np.matmul(da2.T, h1, out=grads["w2"])
+    da2.sum(axis=0, out=grads["b2"])
+    da1 = da2 @ t["w2"]
+    np.multiply(da1, h1 > 0.0, out=da1)
+    np.matmul(da1.T, x.reshape(-1, x.shape[-1]), out=grads["w1"])
+    da1.sum(axis=0, out=grads["b1"])
     return loss_sum, grads
-
-
-def backward(params: ModelParams, window: np.ndarray, label: int) -> dict[str, np.ndarray]:
-    """Exact gradients of cross_entropy(forward(window), label) for every tensor."""
-    window = _check_window(params.config, window)
-    _, grads = _backward_batch(params, window[None], np.asarray([label]))
-    return grads
 
 
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray], lr: float) -> ModelParams:

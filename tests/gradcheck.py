@@ -4,6 +4,11 @@ import numpy as np
 from gesturepipe import nn
 
 
+def window_grads(params, window, label):
+    """Analytic gradients for one (T, N) window: the B=1 case of the batch backward."""
+    return nn._backward_batch(params, window[None], np.array([label]))[1]
+
+
 def numeric_grads(params, window, label, eps=1e-4):
     """Central-difference gradient of cross_entropy(forward(...)) per tensor.
 

@@ -20,7 +20,7 @@ from gesturepipe.recognizer import WindowConfig, WindowState, effective_window
 from gesturepipe.skeleton import GestureLabel, Pose
 
 from conftest import make_openpose_doc
-from gradcheck import max_relative_error, numeric_grads, random_tiny_setup
+from gradcheck import max_relative_error, numeric_grads, random_tiny_setup, window_grads
 
 ANGLES = (15.0, -15.0, 30.0, -30.0, 45.0, -45.0)
 SPEED_RATIOS = (0.5, 0.75, 0.9, 1.1, 1.3, 2.0)
@@ -99,7 +99,7 @@ class TestA1GradientCorrectness:
         worst = 0.0
         for _ in range(10):
             params, window, label = random_tiny_setup(rng)
-            analytic = nn.backward(params, window, label)
+            analytic = window_grads(params, window, label)
             numeric = numeric_grads(params, window, label, eps=1e-4)
             worst = max(worst, max_relative_error(analytic, numeric))
         elapsed = time.monotonic() - t0
@@ -152,6 +152,7 @@ class TestA2NormalizationProperties:
         )
 
 
+@pytest.mark.slow
 class TestA3FrontalRecognition:
     def test_a3(self, coord_model):
         t0 = time.monotonic()
@@ -167,6 +168,7 @@ class TestA3FrontalRecognition:
         )
 
 
+@pytest.mark.slow
 class TestA4RotatedViewRobustness:
     def test_a4(self, coord_model, augmented_model, test_seqs):
         t0 = time.monotonic()
@@ -194,6 +196,7 @@ class TestA4RotatedViewRobustness:
         )
 
 
+@pytest.mark.slow
 class TestA5SpeedInsensitivity:
     def test_a5(self, angle_model, test_seqs):
         t0 = time.monotonic()
@@ -296,6 +299,7 @@ class TestA8RotationGeometry:
         )
 
 
+@pytest.mark.slow  # streams through the A3 model, so it trains it
 class TestA9StreamingContract:
     def test_a9(self, coord_model):
         result, _ = coord_model
