@@ -20,11 +20,10 @@ from .errors import (
     IoError,
     MissingKeypoint,
     NonPositiveRatio,
-    PipelineError,
     TooShort,
     UnknownLabel,
 )
-from .skeleton import Body25, GestureLabel, Pose, Sequence
+from .skeleton import Body25, GestureLabel, Sequence
 
 # keypoints carrying manual depth estimates, in table column order
 ARM_KEYPOINTS = tuple(range(2, 8))
@@ -47,55 +46,41 @@ class RotationSpec:
             raise InvalidConfig(f"|angle_deg| must be <= 90, got {self.angle_deg}")
 
 
-def rotate_pose(pose: Pose, depths, spec: RotationSpec) -> Pose:
-    """Rotate one pose about the vertical axis through the neck and reproject.
-
-    ``depths`` holds six relative depths for keypoints 2..7 as fractions of
-    the pose's shoulder width (pixel distance between keypoints 2 and 5);
-    positive is farther from the camera. All other keypoints rotate with
-    depth 0. y coordinates and confidences pass through untouched.
-    """
-    depths = tuple(float(d) for d in depths)
-    if len(depths) != len(ARM_KEYPOINTS):
-        raise InvalidConfig(f"expected {len(ARM_KEYPOINTS)} depths, got {len(depths)}")
-    if not pose.present(Body25.NECK):
-        raise MissingKeypoint(int(Body25.NECK))
-    for i in ARM_KEYPOINTS:
-        if not pose.present(i):
-            raise MissingKeypoint(i)
-
-    kp = np.array(pose.kp)
-    neck_x = kp[Body25.NECK, 0]
-    shoulder_w = math.hypot(
-        kp[Body25.R_SHOULDER, 0] - kp[Body25.L_SHOULDER, 0],
-        kp[Body25.R_SHOULDER, 1] - kp[Body25.L_SHOULDER, 1],
-    )
-    theta = math.radians(spec.angle_deg)
-    c, s = math.cos(theta), math.sin(theta)
-
-    z = np.zeros(kp.shape[0])
-    z[list(ARM_KEYPOINTS)] = np.asarray(depths) * shoulder_w
-    present = kp[:, 2] > 0.0
-    x_rel = kp[present, 0] - neck_x
-    kp[present, 0] = neck_x + x_rel * c - z[present] * s
-    return Pose(kp)
-
-
 def rotate_sequence(seq: Sequence, table: DepthTable, spec: RotationSpec) -> Sequence:
-    """Rotate every frame with the depth row of the sequence's label."""
+    """Rotate every frame about the vertical axis through its neck and reproject.
+
+    The label's table row holds six relative depths for keypoints 2..7, as
+    fractions of each frame's shoulder width (pixel distance between
+    keypoints 2 and 5); positive is farther from the camera. All other
+    keypoints rotate with depth 0; y, confidences and missing keypoints pass
+    through untouched. MissingKeypoint names the first frame lacking the
+    neck or an arm keypoint.
+    """
     if seq.label is None or seq.label not in table:
         name = seq.label.name if seq.label is not None else "<unlabeled>"
         raise UnknownLabel(f"no depth row for {name}")
-    depths = table[seq.label]
-    frames = []
-    for i, pose in enumerate(seq.frames):
-        try:
-            frames.append(rotate_pose(pose, depths, spec))
-        except MissingKeypoint as exc:
-            raise MissingKeypoint(exc.index, f"frame {i}: {exc}") from exc
-        except PipelineError as exc:
-            raise type(exc)(f"frame {i}: {exc}") from exc
-    return Sequence(tuple(frames), seq.fps, label=seq.label, view_angle_deg=spec.angle_deg)
+    depths = np.array([float(d) for d in table[seq.label]])
+    if len(depths) != len(ARM_KEYPOINTS):
+        raise InvalidConfig(f"expected {len(ARM_KEYPOINTS)} depths, got {len(depths)}")
+    needed = [int(Body25.NECK), *ARM_KEYPOINTS]
+    missing = seq.kp[:, needed, 2] <= 0.0
+    if missing.any():
+        t, k = np.argwhere(missing)[0]
+        raise MissingKeypoint(needed[k], f"frame {t}: keypoint {needed[k]} is missing")
+
+    kp = np.array(seq.kp)
+    neck_x = kp[:, Body25.NECK, 0, None]
+    # math.hypot, not np.hypot: the two differ in the last bit for some inputs
+    shoulder = kp[:, Body25.R_SHOULDER, :2] - kp[:, Body25.L_SHOULDER, :2]
+    shoulder_w = np.array([math.hypot(dx, dy) for dx, dy in shoulder.tolist()])
+    theta = math.radians(spec.angle_deg)
+    c, s = math.cos(theta), math.sin(theta)
+
+    z = np.zeros(kp.shape[:2])
+    z[:, ARM_KEYPOINTS] = depths * shoulder_w[:, None]
+    x = kp[:, :, 0]
+    kp[:, :, 0] = np.where(kp[:, :, 2] > 0.0, neck_x + (x - neck_x) * c - z * s, x)
+    return Sequence(kp, seq.fps, label=seq.label, view_angle_deg=spec.angle_deg)
 
 
 def resample_speed(seq: Sequence, ratio: float) -> Sequence:
@@ -105,29 +90,24 @@ def resample_speed(seq: Sequence, ratio: float) -> Sequence:
     output frame j samples source position t = j * (n - 1) / (out - 1), with
     non-integer positions linearly interpolated per keypoint. Interpolated
     confidence is the minimum of the two neighbors, so a keypoint missing on
-    either side stays missing.
+    either side stays missing. Integer positions copy their frame exactly.
     """
     if not ratio > 0:
         raise NonPositiveRatio(f"speed ratio must be positive, got {ratio}")
-    n = len(seq.frames)
+    n = len(seq)
     if n < 2:
         raise TooShort("need at least 2 frames to resample")
     out_len = max(2, math.floor(n / ratio + 0.5))
-    src = np.stack([f.kp for f in seq.frames])
-    frames: list[Pose] = []
-    for j in range(out_len):
-        t = j * (n - 1) / (out_len - 1)
-        i0 = int(math.floor(t))
-        alpha = t - i0
-        if alpha == 0.0:
-            frames.append(seq.frames[i0])
-            continue
-        a, b = src[i0], src[i0 + 1]
-        conf = np.minimum(a[:, 2], b[:, 2])
-        xy = a[:, :2] + alpha * (b[:, :2] - a[:, :2])
-        xy[conf == 0.0] = 0.0
-        frames.append(Pose(np.column_stack([xy, conf])))
-    return Sequence(tuple(frames), seq.fps, label=seq.label, view_angle_deg=seq.view_angle_deg)
+    t = np.arange(out_len) * (n - 1) / (out_len - 1)
+    i0 = np.floor(t).astype(np.intp)
+    alpha = t - i0
+    a, b = seq.kp[i0], seq.kp[np.minimum(i0 + 1, n - 1)]
+    conf = np.minimum(a[:, :, 2], b[:, :, 2])
+    xy = a[:, :, :2] + alpha[:, None, None] * (b[:, :, :2] - a[:, :, :2])
+    xy[conf == 0.0] = 0.0
+    out = np.concatenate([xy, conf[:, :, None]], axis=2)
+    out[alpha == 0.0] = a[alpha == 0.0]
+    return Sequence(out, seq.fps, label=seq.label, view_angle_deg=seq.view_angle_deg)
 
 
 def parse_depth_table(text: str) -> DepthTable:

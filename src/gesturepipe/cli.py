@@ -51,21 +51,17 @@ def _parse_floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
 def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
-                    inputs: list, outputs: list, seeds: dict, started: float) -> None:
+                    inputs: list, outputs: list, seeds: dict) -> None:
     doc = {
         "command": command,
-        "flags": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
+        "flags": {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "started")},
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
         "seeds": seeds,
         "version": __version__,
-        "started_utc": _utc_now(),
-        "duration_s": round(time.monotonic() - started, 3),
+        "started_utc": args.started[0],
+        "duration_s": round(time.monotonic() - args.started[1], 3),
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "manifest.jsonl", "a", encoding="utf-8") as fh:
@@ -103,7 +99,6 @@ def _windows_from_sequences(seqs, encoding: Encoding, window: int, stride: int):
 # --- synth ---
 
 def cmd_synth(args) -> int:
-    started = time.monotonic()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     base = synth.SynthConfig(
@@ -132,28 +127,26 @@ def cmd_synth(args) -> int:
         skeleton.write_sequence(path, seq)
         outputs.append(path)
     print(f"wrote {len(outputs)} sequences to {out_dir}")
-    _write_manifest(out_dir, "synth", args, [], outputs, {"seed": args.seed}, started)
+    _write_manifest(out_dir, "synth", args, [], outputs, {"seed": args.seed})
     return 0
 
 
 # --- ingest ---
 
 def cmd_ingest(args) -> int:
-    started = time.monotonic()
     label = GestureLabel[args.label] if args.label else None
     seq = skeleton.load_sequence(args.input, args.fps, label=label, view_angle_deg=args.view_angle)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     skeleton.write_sequence(out, seq)
     print(f"ingested {len(seq)} frames -> {out}")
-    _write_manifest(out.parent, "ingest", args, [args.input], [out], {}, started)
+    _write_manifest(out.parent, "ingest", args, [args.input], [out], {})
     return 0
 
 
 # --- augment ---
 
 def cmd_augment(args) -> int:
-    started = time.monotonic()
     in_dir = Path(args.input)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -181,14 +174,13 @@ def cmd_augment(args) -> int:
             skeleton.write_sequence(dst, resampled)
             outputs.append(dst)
     print(f"wrote {len(outputs)} sequences to {out_dir}")
-    _write_manifest(out_dir, "augment", args, [in_dir], outputs, {}, started)
+    _write_manifest(out_dir, "augment", args, [in_dir], outputs, {})
     return 0
 
 
 # --- train ---
 
 def cmd_train(args) -> int:
-    started = time.monotonic()
     encoding = Encoding(args.encoding)
     window = args.window
     stride = args.stride if args.stride else window
@@ -249,7 +241,7 @@ def cmd_train(args) -> int:
     _write_manifest(
         out_dir, "train", args, [args.data or args.cache],
         [weights_path, history_path],
-        {"seed": args.seed, "split_seed": args.split_seed}, started,
+        {"seed": args.seed, "split_seed": args.split_seed},
     )
     return 0
 
@@ -263,7 +255,6 @@ def _row_sort_key(key):
 
 
 def cmd_eval(args) -> int:
-    started = time.monotonic()
     params, encoding = nn.load_model(args.weights)
     seqs = [seq for _, seq in _read_sequence_dir(Path(args.data))]
     window = args.window
@@ -329,14 +320,13 @@ def cmd_eval(args) -> int:
         print(f"  {tag}: {np.mean(vals):.4f} (n={len(vals)})")
     overall = float((pred == y).mean())
     print(f"overall accuracy: {overall:.4f} (n={len(y)})")
-    _write_manifest(out_dir, "eval", args, [args.weights, args.data], [confusion_path], {}, started)
+    _write_manifest(out_dir, "eval", args, [args.weights, args.data], [confusion_path], {})
     return 0
 
 
 # --- stream ---
 
 def cmd_stream(args) -> int:
-    started = time.monotonic()
     params, encoding = nn.load_model(args.weights)
     seq = skeleton.read_sequence(args.sequence)
     fps = args.fps if args.fps else seq.fps
@@ -351,11 +341,11 @@ def cmd_stream(args) -> int:
     print(f"window capacity: {state.capacity} frames, re-evaluating every {state.cadence}")
     emissions = []
     paced_from = time.monotonic()
-    for i, pose in enumerate(seq.frames):
+    for i, kp in enumerate(seq.kp):
         if args.realtime:
             # frame i is due (i + 1) / fps in; a deadline keeps evaluations from adding drift
             time.sleep(max(0.0, paced_from + (i + 1) / fps - time.monotonic()))
-        emission = state.push(features.encode_frame(pose, encoding), params)
+        emission = state.push(features.encode_frame(kp, encoding), params)
         if emission is not None:
             emissions.append(emission)
             print(
@@ -369,14 +359,13 @@ def cmd_stream(args) -> int:
             fh.write("frame_index,raw,smoothed,confidence\n")
             for e in emissions:
                 fh.write(f"{e.frame_index},{e.raw.name},{e.smoothed.name},{e.confidence!r}\n")
-        _write_manifest(out.parent, "stream", args, [args.sequence, args.weights], [out], {}, started)
+        _write_manifest(out.parent, "stream", args, [args.sequence, args.weights], [out], {})
     return 0
 
 
 # --- speed ---
 
 def cmd_speed(args) -> int:
-    started = time.monotonic()
     seq = skeleton.read_sequence(args.sequence)
     if args.label:
         label = GestureLabel[args.label]
@@ -409,7 +398,7 @@ def cmd_speed(args) -> int:
             + "\n",
             encoding="utf-8",
         )
-        _write_manifest(out.parent, "speed", args, [args.sequence], [out], {}, started)
+        _write_manifest(out.parent, "speed", args, [args.sequence], [out], {})
     return 0
 
 
@@ -514,6 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # when the command started, for its manifest line
+    args.started = datetime.now(timezone.utc).isoformat(timespec="seconds"), time.monotonic()
     try:
         return args.func(args)
     except NonFiniteGradient as exc:

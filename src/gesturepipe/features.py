@@ -116,9 +116,9 @@ def _encode(kp: np.ndarray, encoding: Encoding) -> np.ndarray:
     return rows
 
 
-def encode_frame(pose: Pose, encoding: Encoding) -> np.ndarray:
-    """Encode one pose into a (dim,) vector: the one-frame :func:`encode_sequence`."""
-    return _encode(pose.kp[None], encoding)[0]
+def encode_frame(pose: Pose | np.ndarray, encoding: Encoding) -> np.ndarray:
+    """Encode one pose or (25, 3) keypoint array: the one-frame :func:`encode_sequence`."""
+    return _encode(np.asarray(pose)[None], encoding)[0]
 
 
 def encode_sequence(seq: Sequence, encoding: Encoding) -> np.ndarray:
@@ -127,7 +127,7 @@ def encode_sequence(seq: Sequence, encoding: Encoding) -> np.ndarray:
     A failure names the earliest failing frame in its message.
     """
     try:
-        return _encode(np.stack([pose.kp for pose in seq.frames]), encoding)
+        return _encode(seq.kp, encoding)
     except PipelineError as exc:
         exc.args = (f"frame {exc.frame}: {exc}",)
         raise

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from enum import IntEnum
 from pathlib import Path
 
@@ -70,59 +71,81 @@ class GestureLabel(IntEnum):
     LeftHandLeftCircle = 7
 
 
+def _keypoint_frames(frames) -> np.ndarray:
+    """T frames, as (25, 3) arrays, nested lists or poses, in a new read-only
+    float64 (T, 25, 3) array, checked once: a ValueError names the first frame
+    of another shape, with a non-finite value or with a confidence outside
+    [0, 1], by its index among the frames, and carries that index as ``frame``.
+    """
+    if not len(frames):
+        raise ValueError("a sequence needs at least one frame")
+    try:
+        kp = np.array(frames, dtype=np.float64)
+    except (TypeError, ValueError):
+        kp = np.empty(0)
+    if kp.shape[1:] != (N_KEYPOINTS, 3):
+        t = next((i for i, f in enumerate(frames) if np.shape(f) != (N_KEYPOINTS, 3)), 0)
+        error = ValueError(f"frame {t}: a pose must have shape ({N_KEYPOINTS}, 3)")
+    elif not (np.isfinite(kp).all() and kp[..., 2].min() >= 0.0 and kp[..., 2].max() <= 1.0):
+        conf, finite = kp[..., 2], np.isfinite(kp).all(axis=2)
+        t, k = np.argwhere(~finite | (conf < 0.0) | (conf > 1.0))[0]
+        what = "a confidence outside [0, 1]" if finite[t, k] else "a non-finite value"
+        error = ValueError(f"frame {t}: keypoint {k} has {what}")
+    else:
+        kp.setflags(write=False)
+        return kp
+    error.frame = int(t)
+    raise error
+
+
 @dataclass(frozen=True, eq=False)
 class Pose:
-    """One frame of 25 keypoints as a read-only (25, 3) array of x, y, confidence."""
+    """One frame of 25 keypoints as a read-only (25, 3) array of x, y, confidence,
+    checked as a one-frame sequence."""
 
     kp: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.kp, dtype=np.float64)
-        if arr.shape != (N_KEYPOINTS, 3):
-            raise ValueError(f"pose must have shape ({N_KEYPOINTS}, 3), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("pose contains non-finite values")
-        conf = arr[:, 2]
-        if np.any(conf < 0.0) or np.any(conf > 1.0):
-            raise ValueError("keypoint confidence outside [0, 1]")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "kp", arr)
+        object.__setattr__(self, "kp", _keypoint_frames((self.kp,))[0])
 
-    def present(self, i: int) -> bool:
-        return bool(self.kp[i, 2] > 0.0)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Pose) and np.array_equal(self.kp, other.kp)
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.kp, dtype=dtype, copy=copy)
 
 
 @dataclass(frozen=True, eq=False)
 class Sequence:
-    """An ordered run of poses captured at a fixed frame rate."""
+    """T frames at a fixed frame rate as one read-only (T, 25, 3) float64 array
+    ``kp``, copied and checked once from what :func:`_keypoint_frames` takes."""
 
-    frames: tuple[Pose, ...]
+    kp: np.ndarray
     fps: float
     label: GestureLabel | None = None
     view_angle_deg: float | None = None
 
     def __post_init__(self):
-        frames = tuple(self.frames)
-        if not frames:
-            raise ValueError("sequence must contain at least one frame")
+        object.__setattr__(self, "kp", _keypoint_frames(self.kp))
         if not self.fps > 0:
             raise ValueError("fps must be positive")
-        object.__setattr__(self, "frames", frames)
+
+    @cached_property
+    def frames(self) -> tuple[Pose, ...]:
+        """One pose per frame, each a view of its row of ``kp``: no copy, no second check."""
+        poses = tuple(object.__new__(Pose) for _ in self.kp)
+        for pose, row in zip(poses, self.kp):
+            object.__setattr__(pose, "kp", row)
+        return poses
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self.kp)
 
 
-def parse_openpose_frame(json_text: str) -> Pose:
-    """Parse one OpenPose per-frame output document into the first person's Pose.
+def parse_openpose_frame(json_text: str) -> np.ndarray:
+    """Parse one OpenPose per-frame output document into the first person's keypoints.
 
     The document carries a ``people`` array whose entries hold
     ``pose_keypoints_2d``: 75 numbers laid out as x, y, confidence triples in
     BODY-25 order. Multi-person frames use the first entry and log a warning.
+    The (25, 3) array is not range-checked; :func:`load_sequence` checks all frames.
     """
     try:
         doc = json.loads(json_text)
@@ -143,8 +166,7 @@ def parse_openpose_frame(json_text: str) -> Pose:
     if len(raw) != 3 * N_KEYPOINTS:
         raise WrongArity(f"expected {3 * N_KEYPOINTS} keypoint values, got {len(raw)}")
     try:
-        arr = np.asarray(raw, dtype=np.float64).reshape(N_KEYPOINTS, 3)
-        return Pose(arr)
+        return np.asarray(raw, dtype=np.float64).reshape(N_KEYPOINTS, 3)
     except (TypeError, ValueError) as exc:
         raise MalformedJson(f"bad keypoint values: {exc}") from exc
 
@@ -181,7 +203,12 @@ def load_sequence(
             frames.append(parse_openpose_frame(text))
         except PipelineError as exc:
             raise type(exc)(f"frame {i} ({name}): {exc}") from exc
-    return Sequence(tuple(frames), fps, label=label, view_angle_deg=view_angle_deg)
+    try:
+        return Sequence(frames, fps, label=label, view_angle_deg=view_angle_deg)
+    except ValueError as exc:
+        if not hasattr(exc, "frame"):
+            raise
+        raise MalformedJson(f"{exc} ({texts[exc.frame][0]})") from exc
 
 
 def write_sequence(path: str | Path, seq: Sequence) -> None:
@@ -198,8 +225,8 @@ def write_sequence(path: str | Path, seq: Sequence) -> None:
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(meta) + "\n")
-        for pose in seq.frames:
-            fh.write(json.dumps({"kp": pose.kp.tolist()}) + "\n")
+        for frame in seq.kp:
+            fh.write(json.dumps({"kp": frame.tolist()}) + "\n")
 
 
 def read_sequence(path: str | Path) -> Sequence:
@@ -218,14 +245,16 @@ def read_sequence(path: str | Path) -> Sequence:
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedJson(f"{path}: bad metadata line: {exc}") from exc
     frames = []
-    for i, line in enumerate(lines[1:]):
+    for line in lines[1:]:
         if not line.strip():
             continue
         try:
-            doc = json.loads(line)
-            frames.append(Pose(np.asarray(doc["kp"], dtype=np.float64)))
+            frames.append(np.asarray(json.loads(line)["kp"], dtype=np.float64))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise MalformedJson(f"{path}: frame {i}: {exc}") from exc
+            raise MalformedJson(f"{path}: frame {len(frames)}: {exc}") from exc
     if not frames:
         raise IoError(f"{path} has no frames")
-    return Sequence(tuple(frames), fps, label=label, view_angle_deg=view)
+    try:
+        return Sequence(frames, fps, label=label, view_angle_deg=view)
+    except ValueError as exc:
+        raise MalformedJson(f"{path}: {exc}") from exc

@@ -149,5 +149,5 @@ def default_start_positions(encoding: Encoding) -> StartPositionTable:
     for gesture in CYCLIC_GESTURES:
         config = synth.SynthConfig(gesture=gesture, n_frames=1, noise_sigma=0.0, seed=0)
         seq = synth.generate(config)
-        table[gesture] = encode_frame(seq.frames[0], encoding)
+        table[gesture] = encode_frame(seq.kp[0], encoding)
     return table

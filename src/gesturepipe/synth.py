@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidConfig
-from .skeleton import N_KEYPOINTS, GestureLabel, Pose, Sequence
+from .skeleton import N_KEYPOINTS, GestureLabel, Sequence
 
 # body proportions as fractions of the shoulder width
 NOSE_RAISE = 0.35
@@ -186,19 +186,16 @@ def _upper_body_points(gesture: GestureLabel, frame: int, period: int, scale: fl
 def generate(config: SynthConfig) -> Sequence:
     """Generate one labeled synthetic sequence."""
     rng = np.random.default_rng(config.seed)
-    frames = []
-    for t in range(config.n_frames):
-        pts = _upper_body_points(
-            config.gesture, t, config.period_frames, config.subject_scale
-        )
-        pts = pts + np.asarray(config.offset)
-        if config.noise_sigma > 0.0:
-            pts = pts + rng.normal(0.0, config.noise_sigma, size=pts.shape)
-        kp = np.zeros((N_KEYPOINTS, 3))
-        kp[:9, :2] = pts
-        kp[:9, 2] = 1.0
-        frames.append(Pose(kp))
-    return Sequence(tuple(frames), config.fps, label=config.gesture, view_angle_deg=0.0)
+    pts = np.stack([
+        _upper_body_points(config.gesture, t, config.period_frames, config.subject_scale)
+        for t in range(config.n_frames)
+    ]) + np.asarray(config.offset)
+    if config.noise_sigma > 0.0:
+        pts = pts + rng.normal(0.0, config.noise_sigma, size=pts.shape)
+    kp = np.zeros((config.n_frames, N_KEYPOINTS, 3))
+    kp[:, :9, :2] = pts
+    kp[:, :9, 2] = 1.0
+    return Sequence(kp, config.fps, label=config.gesture, view_angle_deg=0.0)
 
 
 def generate_dataset(per_class: int, base: SynthConfig, jitter: JitterSpec) -> list[Sequence]:
@@ -233,11 +230,6 @@ def drop_keypoints(seq: Sequence, prob: float, seed: int) -> Sequence:
     if not 0.0 <= prob <= 1.0:
         raise InvalidConfig("drop probability must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    frames = []
-    for pose in seq.frames:
-        kp = np.array(pose.kp)
-        present = kp[:, 2] > 0.0
-        drop = present & (rng.random(kp.shape[0]) < prob)
-        kp[drop] = 0.0
-        frames.append(Pose(kp))
-    return Sequence(tuple(frames), seq.fps, label=seq.label, view_angle_deg=seq.view_angle_deg)
+    kp = np.array(seq.kp)
+    kp[(kp[:, :, 2] > 0.0) & (rng.random(kp.shape[:2]) < prob)] = 0.0
+    return Sequence(kp, seq.fps, label=seq.label, view_angle_deg=seq.view_angle_deg)

@@ -17,7 +17,7 @@ import pytest
 from gesturepipe import augment, cli, features, nn, recognizer, speed, synth
 from gesturepipe.features import Encoding, encode_frame, normalize_1x1
 from gesturepipe.recognizer import WindowConfig, WindowState, effective_window
-from gesturepipe.skeleton import GestureLabel, Pose
+from gesturepipe.skeleton import GestureLabel, Pose, Sequence
 
 from conftest import make_openpose_doc
 from gradcheck import max_relative_error, numeric_grads, random_tiny_setup, window_grads
@@ -267,13 +267,18 @@ class TestA8RotationGeometry:
         kp[:, 2] = 1.0
         pose = Pose(kp)
         depths = (0.0, 0.1, -0.1, 0.0, 0.1, -0.1)
+        table = {GestureLabel.StandStill: depths}
 
-        identity = augment.rotate_pose(pose, depths, augment.RotationSpec(0.0))
+        def rotate(pose, angle):
+            seq = Sequence((pose,), 30.0, label=GestureLabel.StandStill)
+            return augment.rotate_sequence(seq, table, augment.RotationSpec(angle)).frames[0]
+
+        identity = rotate(pose, 0.0)
         identity_ok = np.abs(identity.kp - pose.kp).max() <= 1e-12
 
         y_ok = True
         for angle in (-90.0, -45.0, -12.5, 17.0, 30.0, 60.0, 90.0):
-            out = augment.rotate_pose(pose, depths, augment.RotationSpec(angle))
+            out = rotate(pose, angle)
             y_ok &= np.array_equal(out.kp[:, 1], pose.kp[:, 1])
 
         # worked example: keypoint 3, depth row above, 30 degrees
@@ -288,7 +293,7 @@ class TestA8RotationGeometry:
         kp[3, :2] = (400.0 + 0.2 * w, 170.0)
         for i in (0, 4, 6, 7, 8):
             kp[i, :2] = (420.0, 100.0 + 5 * i)
-        out = augment.rotate_pose(Pose(kp), depths, augment.RotationSpec(30.0))
+        out = rotate(Pose(kp), 30.0)
         oracle = 0.2 * w * math.cos(math.radians(30.0)) - 0.1 * w * math.sin(math.radians(30.0))
         example_ok = abs((out.kp[3, 0] - 400.0) - oracle) <= 1e-12
 

@@ -11,7 +11,6 @@ from gesturepipe.augment import (
     load_depth_table,
     parse_depth_table,
     resample_speed,
-    rotate_pose,
     rotate_sequence,
 )
 from gesturepipe.errors import (
@@ -33,10 +32,32 @@ def full_pose(rng):
     return random_pose(rng, present_mask=[True] * 25)
 
 
+def rotate_pose(pose, depths, angle):
+    """One pose rotated as a one-frame sequence under a table holding ``depths``."""
+    seq = Sequence((pose,), fps=30.0, label=GestureLabel.StandStill)
+    table = {GestureLabel.StandStill: tuple(depths)}
+    return rotate_sequence(seq, table, RotationSpec(angle)).frames[0]
+
+
+def reference_rotate_frame(kp, depths, angle):
+    """The per-frame rotation, written out one frame at a time."""
+    kp = np.array(kp)
+    neck_x = kp[1, 0]
+    shoulder_w = math.hypot(kp[2, 0] - kp[5, 0], kp[2, 1] - kp[5, 1])
+    theta = math.radians(angle)
+    c, s = math.cos(theta), math.sin(theta)
+    z = np.zeros(25)
+    z[2:8] = np.asarray(depths) * shoulder_w
+    present = kp[:, 2] > 0.0
+    x_rel = kp[present, 0] - neck_x
+    kp[present, 0] = neck_x + x_rel * c - z[present] * s
+    return kp
+
+
 class TestRotatePose:
     def test_zero_angle_is_identity(self, rng):
         pose = full_pose(rng)
-        out = rotate_pose(pose, STANDSTILL_DEPTHS, RotationSpec(0.0))
+        out = rotate_pose(pose, STANDSTILL_DEPTHS, 0.0)
         np.testing.assert_allclose(out.kp[:, 0], pose.kp[:, 0], atol=1e-12)
         np.testing.assert_array_equal(out.kp[:, 1:], pose.kp[:, 1:])
 
@@ -45,7 +66,7 @@ class TestRotatePose:
         kp = np.array(pose.kp)
         kp[10, 0] = kp[1, 0] + 1.0  # depth 0 keypoint one pixel right of the neck
         pose = Pose(kp)
-        out = rotate_pose(pose, STANDSTILL_DEPTHS, RotationSpec(90.0))
+        out = rotate_pose(pose, STANDSTILL_DEPTHS, 90.0)
         assert out.kp[10, 0] - out.kp[1, 0] == pytest.approx(0.0, abs=1e-12)
         assert out.kp[10, 1] == kp[10, 1]
 
@@ -62,7 +83,7 @@ class TestRotatePose:
         for i in (0, 4, 6, 7, 8):
             kp[i, :2] = (310.0, 90.0 + 10 * i)
         pose = Pose(kp)
-        out = rotate_pose(pose, STANDSTILL_DEPTHS, RotationSpec(30.0))
+        out = rotate_pose(pose, STANDSTILL_DEPTHS, 30.0)
         expected = 0.2 * w * math.cos(math.radians(30.0)) - 0.1 * w * math.sin(math.radians(30.0))
         assert out.kp[3, 0] - 300.0 == pytest.approx(expected, abs=1e-12)
 
@@ -70,7 +91,7 @@ class TestRotatePose:
     @given(st.floats(min_value=-90, max_value=90), st.integers(0, 2**32 - 1))
     def test_y_coordinates_preserved_bitwise(self, angle, seed):
         pose = full_pose(np.random.default_rng(seed))
-        out = rotate_pose(pose, STANDSTILL_DEPTHS, RotationSpec(angle))
+        out = rotate_pose(pose, STANDSTILL_DEPTHS, angle)
         np.testing.assert_array_equal(out.kp[:, 1], pose.kp[:, 1])
         np.testing.assert_array_equal(out.kp[:, 2], pose.kp[:, 2])
 
@@ -79,19 +100,19 @@ class TestRotatePose:
         mask[4] = False
         pose = random_pose(rng, present_mask=mask)
         with pytest.raises(MissingKeypoint) as err:
-            rotate_pose(pose, STANDSTILL_DEPTHS, RotationSpec(15.0))
+            rotate_pose(pose, STANDSTILL_DEPTHS, 15.0)
         assert err.value.index == 4
 
     def test_missing_keypoints_left_untouched(self, rng):
         mask = [True] * 25
         mask[20] = False
         pose = random_pose(rng, present_mask=mask)
-        out = rotate_pose(pose, STANDSTILL_DEPTHS, RotationSpec(45.0))
+        out = rotate_pose(pose, STANDSTILL_DEPTHS, 45.0)
         np.testing.assert_array_equal(out.kp[20], pose.kp[20])
 
     def test_wrong_depth_count(self, rng):
         with pytest.raises(InvalidConfig):
-            rotate_pose(full_pose(rng), (0.0, 0.1), RotationSpec(15.0))
+            rotate_pose(full_pose(rng), (0.0, 0.1), 15.0)
 
     def test_angle_bound(self):
         with pytest.raises(InvalidConfig):
@@ -140,6 +161,31 @@ class TestRotateSequence:
         with pytest.raises(MissingKeypoint, match="frame 1"):
             rotate_sequence(seq, default_depth_table(), RotationSpec(15.0))
 
+    def test_error_names_the_first_failing_frame(self, rng):
+        frames = []
+        for missing in (None, None, 6, 1, 3):
+            mask = [True] * 25
+            if missing is not None:
+                mask[missing] = False
+            frames.append(random_pose(rng, present_mask=mask))
+        seq = Sequence(tuple(frames), fps=30.0, label=GestureLabel.StandStill)
+        with pytest.raises(MissingKeypoint, match="frame 2: keypoint 6") as err:
+            rotate_sequence(seq, default_depth_table(), RotationSpec(15.0))
+        assert err.value.index == 6
+
+    @pytest.mark.parametrize("angle", [-90.0, -45.0, -30.0, -15.0, 15.0, 30.0, 45.0, 90.0])
+    def test_matches_per_frame_reference_bitwise(self, rng, angle):
+        # enough frames that a shoulder width off in its last bit (np.hypot) shows
+        frames = [full_pose(rng).kp for _ in range(300)]
+        mask = [True] * 25
+        mask[0] = mask[12] = False  # missing non-arm keypoints stay put
+        frames.append(random_pose(rng, present_mask=mask).kp)
+        seq = Sequence(frames, fps=30.0, label=GestureLabel.LeftHandWave)
+        depths = default_depth_table()[GestureLabel.LeftHandWave]
+        out = rotate_sequence(seq, default_depth_table(), RotationSpec(angle))
+        expected = np.stack([reference_rotate_frame(kp, depths, angle) for kp in frames])
+        assert np.array_equal(out.kp, expected)
+
 
 def naive_resample(seq, ratio):
     """Independent straightforward resampler used as the oracle."""
@@ -165,13 +211,50 @@ def naive_resample(seq, ratio):
     return frames
 
 
+def reference_resample(seq, ratio):
+    """The per-frame resampler, one output frame at a time."""
+    n = len(seq)
+    out_len = max(2, math.floor(n / ratio + 0.5))
+    frames = []
+    for j in range(out_len):
+        t = j * (n - 1) / (out_len - 1)
+        i0 = int(math.floor(t))
+        alpha = t - i0
+        if alpha == 0.0:
+            frames.append(seq.kp[i0])
+            continue
+        a, b = seq.kp[i0], seq.kp[i0 + 1]
+        conf = np.minimum(a[:, 2], b[:, 2])
+        xy = a[:, :2] + alpha * (b[:, :2] - a[:, :2])
+        xy[conf == 0.0] = 0.0
+        frames.append(np.column_stack([xy, conf]))
+    return np.stack(frames)
+
+
 class TestResampleSpeed:
+    @pytest.mark.parametrize("ratio", [0.5, 0.7, 1.0, 2.0, 3.0])
+    def test_matches_per_frame_reference_bitwise(self, rng, ratio):
+        frames = []
+        for i in range(31):
+            mask = [True] * 25
+            mask[(3 * i) % 25] = mask[7] = i % 4 != 0  # confidence-0 neighbours
+            frames.append(random_pose(rng, present_mask=mask))
+        seq = Sequence(tuple(frames), fps=30.0)
+        out = resample_speed(seq, ratio)
+        expected = reference_resample(seq, ratio)
+        assert out.kp.shape == expected.shape
+        assert np.array_equal(out.kp, expected)
+        # positions that land on a source frame copy it exactly
+        n = len(expected)
+        for j in range(n):
+            t = j * (len(seq) - 1) / (n - 1)
+            if t == int(t):
+                assert np.array_equal(out.kp[j], seq.kp[int(t)])
+
     def test_identity_ratio_is_bitwise(self):
         seq = generate(SynthConfig(gesture=GestureLabel.RightHandWave, n_frames=30, period_frames=10))
         out = resample_speed(seq, 1.0)
-        assert len(out) == len(seq)
-        for a, b in zip(out.frames, seq.frames):
-            assert a == b
+        assert np.array_equal(out.kp, seq.kp)
 
     def test_double_speed_matches_oracle(self):
         seq = generate(
@@ -200,7 +283,7 @@ class TestResampleSpeed:
         kp[7] = 0.0
         b = Pose(kp)
         out = resample_speed(Sequence((a, b), fps=30.0), 0.5)
-        assert not out.frames[1].present(7)
+        assert out.kp[1, 7, 2] == 0.0
         assert np.all(out.frames[1].kp[7] == 0.0)
 
     @pytest.mark.parametrize("ratio", [0.5, 0.75, 0.9, 1.0, 1.1, 1.3, 2.0])

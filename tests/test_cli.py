@@ -1,4 +1,5 @@
 import json
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -341,3 +342,25 @@ class TestManifest:
             doc = json.loads(line)
             assert doc["command"] == "synth"
             assert "duration_s" in doc and "started_utc" in doc
+
+    def test_started_utc_is_the_command_start(self, tmp_path, monkeypatch):
+        class Clock:
+            wall = datetime(2026, 1, 1, tzinfo=timezone.utc)
+
+            @classmethod
+            def now(cls, tz):
+                return cls.wall.astimezone(tz)
+
+        monkeypatch.setattr(cli, "datetime", Clock)
+        generate_dataset = cli.synth.generate_dataset
+
+        def slow_generate_dataset(*args):
+            Clock.wall += timedelta(hours=1)  # an hour passes while the command runs
+            return generate_dataset(*args)
+
+        monkeypatch.setattr(cli.synth, "generate_dataset", slow_generate_dataset)
+        out = tmp_path / "m"
+        assert run("synth", "--out", out, "--per-class", "1", "--frames", "10",
+                   "--period-min", "8", "--period-max", "8") == 0
+        doc = json.loads((out / "manifest.jsonl").read_text())
+        assert doc["started_utc"] == "2026-01-01T00:00:00+00:00"

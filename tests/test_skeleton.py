@@ -20,8 +20,9 @@ from conftest import make_openpose_doc, random_pose
 
 class TestParseOpenposeFrame:
     def test_all_zero_values_mean_all_missing(self):
-        pose = parse_openpose_frame(make_openpose_doc())
-        assert not any(pose.present(i) for i in range(N_KEYPOINTS))
+        kp = parse_openpose_frame(make_openpose_doc())
+        assert kp.shape == (N_KEYPOINTS, 3)
+        assert not (kp[:, 2] > 0.0).any()
 
     def test_no_person(self):
         doc = json.dumps({"people": []})
@@ -31,8 +32,8 @@ class TestParseOpenposeFrame:
     def test_known_triple_round_trips(self):
         values = [0.0] * 75
         values[3:6] = [320.0, 180.5, 0.93]  # keypoint 1
-        pose = parse_openpose_frame(make_openpose_doc(values))
-        assert tuple(pose.kp[1]) == (320.0, 180.5, 0.93)
+        kp = parse_openpose_frame(make_openpose_doc(values))
+        assert tuple(kp[1]) == (320.0, 180.5, 0.93)
 
     def test_wrong_arity(self):
         with pytest.raises(WrongArity):
@@ -49,8 +50,8 @@ class TestParseOpenposeFrame:
     def test_multi_person_takes_first_and_warns(self, caplog):
         values = [1.0] * 75
         with caplog.at_level("WARNING"):
-            pose = parse_openpose_frame(make_openpose_doc(values, n_people=3))
-        assert pose.present(0)
+            kp = parse_openpose_frame(make_openpose_doc(values, n_people=3))
+        assert kp[0, 2] > 0.0
         assert any("3 people" in r.message for r in caplog.records)
 
 
@@ -113,6 +114,15 @@ class TestLoadSequence:
         with pytest.raises(MalformedJson, match="frame 2"):
             load_sequence(path, fps=30.0)
 
+    def test_reports_first_frame_with_bad_values(self, tmp_path):
+        good = make_openpose_doc()
+        values = [0.0] * 75
+        values[5] = 1.5  # keypoint 1 confidence
+        path = tmp_path / "frames.jsonl"
+        path.write_text(good + "\n\n" + good + "\n" + make_openpose_doc(values) + "\n")
+        with pytest.raises(MalformedJson, match=r"frame 2: keypoint 1 .*\(line 3\)"):
+            load_sequence(path, fps=30.0)
+
     def test_jsonl_roundtrip(self, tmp_path):
         values = [1.0] * 75
         path = tmp_path / "frames.jsonl"
@@ -155,6 +165,16 @@ class TestSequenceFileFormat:
             fh.write('{"kp": [[1, 2]]}\n')
         with pytest.raises(MalformedJson, match="frame 1"):
             read_sequence(path)
+        # blank lines are not frames: a bad frame 1 after one stays frame 1
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], "", *lines[1:]]) + "\n")
+        with pytest.raises(MalformedJson, match="frame 1"):
+            read_sequence(path)
+        kp = np.array(seq.kp)
+        kp[0, 4, 2] = -0.5
+        path.write_text("\n".join([lines[0], lines[1], "", json.dumps({"kp": kp[0].tolist()})]))
+        with pytest.raises(MalformedJson, match="frame 1: keypoint 4 has a confidence outside"):
+            read_sequence(path)
 
 
 class TestSequenceInvariants:
@@ -165,3 +185,39 @@ class TestSequenceInvariants:
     def test_nonpositive_fps_rejected(self, rng):
         with pytest.raises(ValueError):
             Sequence((random_pose(rng),), fps=0.0)
+
+    def test_poses_lists_and_arrays_hold_equal_keypoints(self, rng):
+        poses = tuple(random_pose(rng) for _ in range(4))
+        kp = np.stack([p.kp for p in poses])
+        for frames in (poses, [p.kp for p in poses], [p.kp.tolist() for p in poses], kp):
+            seq = Sequence(frames, fps=30.0)
+            assert seq.kp.dtype == np.float64
+            assert np.array_equal(seq.kp, kp)
+            assert not seq.kp.flags.writeable
+        assert not np.shares_memory(Sequence(kp, fps=30.0).kp, kp)
+
+    def test_frames_are_read_only_views_of_kp(self, rng):
+        seq = Sequence(np.stack([random_pose(rng).kp for _ in range(3)]), fps=30.0)
+        frames = seq.frames
+        assert frames is seq.frames
+        assert len(frames) == len(seq) == 3
+        for t, pose in enumerate(frames):
+            assert isinstance(pose, Pose)
+            assert np.shares_memory(pose.kp, seq.kp)
+            assert np.array_equal(pose.kp, seq.kp[t])
+            with pytest.raises(ValueError):
+                pose.kp[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [((4, 0), "keypoint 4 has a non-finite value"), ((7, 2), "keypoint 7 has a confidence")],
+    )
+    def test_check_names_the_first_bad_frame(self, rng, bad, message):
+        kp = np.stack([random_pose(rng).kp for _ in range(5)])
+        kp[3][bad] = np.inf if bad[1] == 0 else 1.5
+        kp[4][bad] = np.nan
+        with pytest.raises(ValueError, match=f"frame 3: {message}") as err:
+            Sequence(kp, fps=30.0)
+        assert err.value.frame == 3
+        with pytest.raises(ValueError, match="frame 2: a pose must have shape"):
+            Sequence([*kp[:2], kp[2, :24], kp[3]], fps=30.0)

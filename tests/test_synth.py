@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -29,8 +31,7 @@ def mirror_about(x_axis, pose_kp):
 class TestGenerate:
     def test_standstill_is_static(self):
         seq = generate(SynthConfig(gesture=GestureLabel.StandStill, n_frames=10, noise_sigma=0.0))
-        for frame in seq.frames[1:]:
-            assert frame == seq.frames[0]
+        assert np.array_equal(seq.kp, np.broadcast_to(seq.kp[0], seq.kp.shape))
 
     @pytest.mark.parametrize("gesture", CIRCLES)
     def test_cycle_closure(self, gesture):
@@ -39,9 +40,17 @@ class TestGenerate:
 
     def test_seeded_determinism(self):
         cfg = SynthConfig(gesture=GestureLabel.LeftHandWave, n_frames=20, period_frames=10, noise_sigma=2.0, seed=5)
-        a, b = generate(cfg), generate(cfg)
-        for fa, fb in zip(a.frames, b.frames):
-            assert fa == fb
+        assert np.array_equal(generate(cfg).kp, generate(cfg).kp)
+
+    def test_noise_matches_per_frame_draws(self):
+        cfg = SynthConfig(gesture=GestureLabel.RightHandRightCircle, n_frames=25, period_frames=12,
+                          noise_sigma=1.5, seed=11)
+        clean = generate(replace(cfg, noise_sigma=0.0))
+        rng = np.random.default_rng(cfg.seed)
+        for pose_kp, clean_kp in zip(generate(cfg).kp, clean.kp):
+            noise = rng.normal(0.0, cfg.noise_sigma, size=(9, 2))
+            assert np.array_equal(pose_kp[:9, :2], clean_kp[:9, :2] + noise)
+            assert np.array_equal(pose_kp[9:], clean_kp[9:])
 
     def test_metadata(self):
         seq = generate(SynthConfig(gesture=GestureLabel.CallToPass, n_frames=8, period_frames=8, fps=25.0))
@@ -51,9 +60,8 @@ class TestGenerate:
 
     def test_lower_body_missing_upper_present(self):
         seq = generate(SynthConfig(gesture=GestureLabel.StandStill, n_frames=2))
-        pose = seq.frames[0]
-        assert all(pose.present(i) for i in range(9))
-        assert not any(pose.present(i) for i in range(9, 25))
+        assert (seq.kp[:, :9, 2] > 0.0).all()
+        assert not (seq.kp[:, 9:, 2] > 0.0).any()
 
     def test_mirror_symmetry_of_circle_pair(self):
         left = generate(
@@ -78,7 +86,7 @@ class TestGenerate:
             SynthConfig(gesture=GestureLabel.LeftHandLeftCircle, n_frames=period, period_frames=period, noise_sigma=0.0)
         )
         for t in range(period):
-            assert ccw.frames[t] == cw.frames[(period - t) % period]
+            assert np.array_equal(ccw.kp[t], cw.kp[(period - t) % period])
 
     def test_every_pose_normalizes(self):
         base = SynthConfig(gesture=GestureLabel.StandStill, n_frames=30, seed=11)
@@ -113,8 +121,7 @@ class TestGenerateDataset:
             offset_y=(180.0, 180.0), noise_frac=(0.0, 0.0),
         )
         seqs = [s for s in generate_dataset(2, base, jitter) if s.label is GestureLabel.LeftHandWave]
-        for fa, fb in zip(seqs[0].frames, seqs[1].frames):
-            assert fa == fb
+        assert np.array_equal(seqs[0].kp, seqs[1].kp)
 
     def test_wave_and_standstill_wrist_heights_separate(self):
         base = SynthConfig(gesture=GestureLabel.StandStill, n_frames=40, seed=3)
@@ -140,13 +147,24 @@ class TestDropKeypoints:
         seq = generate(SynthConfig(gesture=GestureLabel.RightHandWave, n_frames=40, period_frames=10, seed=4))
         a = drop_keypoints(seq, 0.3, seed=9)
         b = drop_keypoints(seq, 0.3, seed=9)
-        for fa, fb in zip(a.frames, b.frames):
-            assert fa == fb
-        dropped = sum(1 for f in a.frames for i in range(9) if not f.present(i))
+        assert np.array_equal(a.kp, b.kp)
+        dropped = int((a.kp[:, :9, 2] == 0.0).sum())
         assert dropped > 0
         with pytest.raises(MissingKeypoint):
             for frame in a.frames:
                 encode_frame(frame, Encoding.COORDINATE)
+
+    def test_matches_per_frame_draws(self):
+        seq = drop_keypoints(
+            generate(SynthConfig(gesture=GestureLabel.CallToPass, n_frames=30, period_frames=10)),
+            0.2, seed=1,
+        )
+        out = drop_keypoints(seq, 0.25, seed=6)
+        rng = np.random.default_rng(6)
+        for before, after in zip(seq.kp, out.kp):
+            kp = np.array(before)
+            kp[(kp[:, 2] > 0.0) & (rng.random(25) < 0.25)] = 0.0
+            assert np.array_equal(after, kp)
 
     def test_probability_bounds(self):
         seq = generate(SynthConfig(gesture=GestureLabel.RightHandWave, n_frames=4, period_frames=4))
