@@ -6,7 +6,10 @@ resampled copies, ``train`` fits the classifier, ``eval`` scores a test set,
 ``stream`` replays a sequence through the streaming recognizer, and ``speed``
 measures a cyclic gesture's period.
 
-Exit codes: 0 success, 2 bad flags, 3 data errors, 4 numeric failure.
+Exit codes: 0 success, 2 bad flags, 3 data errors, 4 numeric failure. Bad
+flags include a number out of range: ``ingest --fps``, ``--window``,
+``--epochs``, ``--batch``, ``--lr`` and ``--radius`` must be positive, and
+``--stride`` must not be negative (0 means the window length).
 Every command that writes files also appends one JSON line describing the
 run to ``manifest.jsonl`` beside its outputs.
 """
@@ -47,6 +50,18 @@ from .features import Encoding
 from .skeleton import GestureLabel
 
 
+def _positive(kind, zero_ok: bool = False):
+    """An argparse type: ``kind`` of the text, refused unless above zero (or zero, if ``zero_ok``)."""
+    def parse(text: str):
+        value = kind(text)
+        if not (value > 0 or zero_ok and value == 0):
+            raise argparse.ArgumentTypeError(f"must be {'at least 0' if zero_ok else 'positive'}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its "invalid int value" message
+    return parse
+
+
 def _parse_floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
@@ -78,22 +93,24 @@ def _read_sequence_dir(path: Path) -> list[tuple[Path, skeleton.Sequence]]:
 
 
 def _windows_from_sequences(seqs, encoding: Encoding, window: int, stride: int):
-    """Encode sequences and cut them into labeled windows.
+    """Encode sequences and cut them into labeled windows, one every ``stride``
+    frames, or every ``window`` frames when ``stride`` is 0.
 
-    Returns (dataset, meta) where dataset holds (matrix, label) pairs and
-    meta holds (label, view_angle_deg) per window for eval grouping.
+    Returns (x, y, angles): the (n, window, dim) windows, their (n,) labels,
+    and an (n,) object array of the view angle (a float or None) of the
+    sequence each window came from, for eval grouping.
     """
-    dataset, meta = [], []
+    parts, labels, angles = [], [], []
     for seq in seqs:
         if seq.label is None:
             raise IoError("sequence has no label; cannot use it for training/eval")
-        matrix = features.encode_sequence(seq, encoding)
-        for win in features.slice_windows(matrix, window, stride):
-            dataset.append((win, seq.label))
-            meta.append((seq.label, seq.view_angle_deg))
-    if not dataset:
+        windows = features.slice_windows(features.encode_sequence(seq, encoding), window, stride or window)
+        parts.append(windows)
+        labels += [int(seq.label)] * len(windows)
+        angles += [seq.view_angle_deg] * len(windows)
+    if not labels:
         raise IoError(f"no sequence is long enough for a {window}-frame window")
-    return dataset, meta
+    return np.concatenate(parts), np.asarray(labels), np.array(angles, dtype=object)
 
 
 # --- synth ---
@@ -182,25 +199,20 @@ def cmd_augment(args) -> int:
 
 def cmd_train(args) -> int:
     encoding = Encoding(args.encoding)
-    window = args.window
-    stride = args.stride if args.stride else window
 
     if args.cache and Path(args.cache).is_file():
-        cached, cache_enc = features.read_feature_cache(args.cache)
+        x, y, cache_enc = features.read_feature_cache(args.cache)
         if cache_enc is not encoding:
             raise EncodingMismatch(
                 f"cache encodes {cache_enc.value}, --encoding is {encoding.value}"
             )
-        dataset = [(m, l) for m, l in cached if l is not None]
-        if not dataset:
-            raise IoError(f"{args.cache} holds no labeled windows")
     elif args.data is None:
         raise IoError("pass --data, or --cache pointing at an existing feature cache")
     else:
         seqs = [seq for _, seq in _read_sequence_dir(Path(args.data))]
-        dataset, _ = _windows_from_sequences(seqs, encoding, window, stride)
+        x, y, _ = _windows_from_sequences(seqs, encoding, args.window, args.stride)
         if args.cache:
-            features.write_feature_cache(args.cache, dataset, encoding)
+            features.write_feature_cache(args.cache, x, y, encoding)
 
     hidden = tuple(int(v) for v in args.hidden_dims.split(","))
     config = nn.ModelConfig(
@@ -212,7 +224,8 @@ def cmd_train(args) -> int:
         seed=args.seed,
     )
     result = nn.train(
-        dataset,
+        x,
+        y,
         config,
         epochs=args.epochs,
         lr=args.lr,
@@ -233,9 +246,8 @@ def cmd_train(args) -> int:
     best = max(row.val_accuracy for row in result.history)
     test_acc = float("nan")
     if len(result.test_idx):
-        test_set = [dataset[i] for i in result.test_idx]
-        test_acc = nn.evaluate(result.params, test_set)
-    print(f"windows: {len(dataset)}  best epoch: {result.best_epoch}")
+        test_acc = nn.accuracy(result.params, x[result.test_idx], y[result.test_idx])
+    print(f"windows: {len(x)}  best epoch: {result.best_epoch}")
     print(f"validation accuracy: {best:.4f}")
     print(f"held-out test accuracy: {test_acc:.4f}")
     _write_manifest(
@@ -257,39 +269,25 @@ def _row_sort_key(key):
 def cmd_eval(args) -> int:
     params, encoding = nn.load_model(args.weights)
     seqs = [seq for _, seq in _read_sequence_dir(Path(args.data))]
-    window = args.window
-    stride = args.stride if args.stride else window
-    dataset, meta = _windows_from_sequences(seqs, encoding, window, stride)
-
-    x = np.stack([m for m, _ in dataset])
-    y = np.asarray([int(l) for _, l in dataset])
+    x, y, angles = _windows_from_sequences(seqs, encoding, args.window, args.stride)
     pred, _ = nn.predict_batch(params, x)
+    correct = pred == y
 
     labels = list(GestureLabel)
-    rows: dict[tuple, np.ndarray] = {}
-    totals: dict[tuple, int] = {}
-    for (label, angle), p in zip(meta, pred):
-        key = (label, angle)
-        if key not in rows:
-            rows[key] = np.zeros(len(labels))
-            totals[key] = 0
-        rows[key][int(p)] += 1
-        totals[key] += 1
+    groups = sorted(dict.fromkeys(zip(map(GestureLabel, y.tolist()), angles)), key=_row_sort_key)
+    masks = [(y == label) & (angles == angle) for label, angle in groups]
+    rates = [np.bincount(pred[mask], minlength=len(labels)) / mask.sum() for mask in masks]
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     confusion_path = out_dir / "confusion.csv"
-    ordered = sorted(rows, key=_row_sort_key)
     with open(confusion_path, "w", encoding="utf-8") as fh:
         fh.write("true_label,view_angle_deg,n," + ",".join(l.name for l in labels) + "\n")
-        for key in ordered:
-            label, angle = key
-            n = totals[key]
-            rates = rows[key] / n
+        for (label, angle), mask, row in zip(groups, masks, rates):
             angle_cell = "" if angle is None else f"{angle:g}"
             fh.write(
-                f"{label.name},{angle_cell},{n},"
-                + ",".join(f"{r:.4f}" for r in rates)
+                f"{label.name},{angle_cell},{mask.sum()},"
+                + ",".join(f"{r:.4f}" for r in row)
                 + "\n"
             )
 
@@ -299,26 +297,21 @@ def cmd_eval(args) -> int:
         print(f"  c{i} = {l.name}")
     header = f"{'true label @ view':>32} " + " ".join(f"{'c' + str(i):>5}" for i in range(len(labels)))
     print(header)
-    for key in ordered:
-        label, angle = key
-        rates = rows[key] / totals[key]
+    for (label, angle), row in zip(groups, rates):
         tag = f"{label.name}@{angle:+g}" if angle not in (None, 0.0) else label.name
-        print(f"{tag:>32} " + " ".join(f"{r:5.2f}" for r in rates))
+        print(f"{tag:>32} " + " ".join(f"{r:5.2f}" for r in row))
 
     print("per-class accuracy:")
     for label in labels:
         mask = y == int(label)
         if mask.any():
-            print(f"  {label.name}: {float((pred[mask] == y[mask]).mean()):.4f}")
-    by_angle: dict[float | None, list[int]] = {}
-    for (label, angle), p, t in zip(meta, pred, y):
-        by_angle.setdefault(angle, []).append(int(p == t))
+            print(f"  {label.name}: {float(correct[mask].mean()):.4f}")
     print("per-angle accuracy:")
-    for angle in sorted(by_angle, key=lambda a: (a is not None, a)):
-        vals = by_angle[angle]
+    for angle in sorted(dict.fromkeys(angles), key=lambda a: (a is not None, a)):
+        mask = angles == angle
         tag = "frontal" if angle in (None, 0.0) else f"{angle:+g} deg"
-        print(f"  {tag}: {np.mean(vals):.4f} (n={len(vals)})")
-    overall = float((pred == y).mean())
+        print(f"  {tag}: {correct[mask].mean():.4f} (n={mask.sum()})")
+    overall = float(correct.mean())
     print(f"overall accuracy: {overall:.4f} (n={len(y)})")
     _write_manifest(out_dir, "eval", args, [args.weights, args.data], [confusion_path], {})
     return 0
@@ -431,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="convert OpenPose JSON output to a sequence file")
     p.add_argument("input", help="directory of per-frame *.json files, or a JSONL file")
-    p.add_argument("--fps", type=float, required=True)
+    p.add_argument("--fps", type=_positive(float), required=True)
     p.add_argument("--label", choices=[g.name for g in GestureLabel], default=None)
     p.add_argument("--view-angle", type=float, default=None)
     p.add_argument("--out", required=True, help="output sequence file")
@@ -453,11 +446,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", default=None,
                    help="feature cache JSONL; read if it exists, else written after encoding")
     p.add_argument("--encoding", required=True, choices=[e.value for e in Encoding])
-    p.add_argument("--window", type=int, default=50)
-    p.add_argument("--stride", type=int, default=0, help="window stride (default: window length)")
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch", type=int, default=16)
+    p.add_argument("--window", type=_positive(int), default=50)
+    p.add_argument("--stride", type=_positive(int, zero_ok=True), default=0,
+                   help="window stride (default: window length)")
+    p.add_argument("--epochs", type=_positive(int), default=30)
+    p.add_argument("--lr", type=_positive(float), default=1e-3)
+    p.add_argument("--batch", type=_positive(int), default=16)
     p.add_argument("--seed", type=int, default=0, help="weight init seed")
     p.add_argument("--split-seed", type=int, default=0, help="60/10/30 split seed")
     p.add_argument("--hidden-dims", default="2048,1024")
@@ -469,8 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="confusion matrix and accuracy on a test set")
     p.add_argument("--weights", required=True)
     p.add_argument("--data", required=True, help="directory of labeled sequence files")
-    p.add_argument("--window", type=int, default=50)
-    p.add_argument("--stride", type=int, default=0)
+    p.add_argument("--window", type=_positive(int), default=50)
+    p.add_argument("--stride", type=_positive(int, zero_ok=True), default=0)
     p.add_argument("--out", required=True, help="output directory for confusion.csv")
     p.set_defaults(func=cmd_eval)
 
@@ -495,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--encoding", choices=[e.value for e in Encoding], default="coordinate",
                    help="encoding for the built-in references")
     p.add_argument("--fps", type=float, default=None)
-    p.add_argument("--radius", type=int, default=2)
+    p.add_argument("--radius", type=_positive(int), default=2)
     p.add_argument("--out", default=None, help="optional JSON result file")
     p.set_defaults(func=cmd_speed)
     return parser

@@ -133,41 +133,44 @@ def encode_sequence(seq: Sequence, encoding: Encoding) -> np.ndarray:
         raise
 
 
-def slice_windows(matrix: np.ndarray, window_len: int, stride: int) -> list[np.ndarray]:
-    """Cut a feature matrix into (window_len, dim) windows at the given stride."""
+def slice_windows(matrix: np.ndarray, window_len: int, stride: int) -> np.ndarray:
+    """Cut a (T, dim) feature matrix into (n, window_len, dim) windows, one
+    starting every ``stride`` frames: a read-only strided view of ``matrix``,
+    with n = 0 when T < window_len."""
     if window_len < 1 or stride < 1:
         raise ValueError("window_len and stride must be positive")
-    return [
-        matrix[start : start + window_len]
-        for start in range(0, matrix.shape[0] - window_len + 1, stride)
-    ]
+    n = max(0, (len(matrix) - window_len) // stride + 1)
+    return np.lib.stride_tricks.as_strided(
+        matrix, (n, window_len, *matrix.shape[1:]), (stride * matrix.strides[0], *matrix.strides),
+        writeable=False,
+    )
 
 
-def write_feature_cache(
-    path: str | Path,
-    windows: list[tuple[np.ndarray, GestureLabel | None]],
-    encoding: Encoding,
-) -> None:
-    """Cache encoded windows to JSONL, one {label, encoding, frames} object per line."""
+def write_feature_cache(path: str | Path, x: np.ndarray, y: np.ndarray, encoding: Encoding) -> None:
+    """Cache (n, T, dim) windows ``x`` with their (n,) labels ``y`` to JSONL, one
+    {label, encoding, frames} object per window."""
     with open(path, "w", encoding="utf-8") as fh:
-        for matrix, label in windows:
+        for matrix, label in zip(x, y):
             doc = {
-                "label": label.name if label is not None else None,
+                "label": GestureLabel(int(label)).name,
                 "encoding": encoding.value,
                 "frames": np.asarray(matrix, dtype=np.float64).tolist(),
             }
             fh.write(json.dumps(doc) + "\n")
 
 
-def read_feature_cache(
-    path: str | Path,
-) -> tuple[list[tuple[np.ndarray, GestureLabel | None]], Encoding]:
-    """Read a cache written by :func:`write_feature_cache`."""
+def read_feature_cache(path: str | Path) -> tuple[np.ndarray, np.ndarray, Encoding]:
+    """Read a cache written by :func:`write_feature_cache` as (x, y, encoding).
+
+    Windows with a null label are skipped. Raises MalformedJson naming the
+    first window whose encoding or (frames, dim) shape differs from the first
+    window's, and IoError when no window has a label.
+    """
     path = Path(path)
     if not path.is_file():
         raise IoError(f"{path} does not exist")
-    windows: list[tuple[np.ndarray, GestureLabel | None]] = []
-    encoding: Encoding | None = None
+    windows, labels = [], []
+    first: tuple[Encoding, tuple[int, ...]] | None = None
     for i, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
         if not line.strip():
             continue
@@ -180,11 +183,15 @@ def read_feature_cache(
             raise MalformedJson(f"{path}: window {i}: {exc}") from exc
         if matrix.ndim != 2 or matrix.shape[1] != enc.dim:
             raise MalformedJson(f"{path}: window {i}: bad frame matrix shape {matrix.shape}")
-        if encoding is None:
-            encoding = enc
-        elif enc is not encoding:
+        if first is None:
+            first = enc, matrix.shape
+        elif enc is not first[0]:
             raise MalformedJson(f"{path}: window {i}: mixed encodings in cache")
-        windows.append((matrix, label))
-    if encoding is None:
-        raise IoError(f"{path} has no windows")
-    return windows, encoding
+        elif matrix.shape != first[1]:
+            raise MalformedJson(f"{path}: window {i}: shape {matrix.shape} differs from {first[1]}")
+        if label is not None:
+            windows.append(matrix)
+            labels.append(int(label))
+    if not labels:
+        raise IoError(f"{path} holds no labeled windows")
+    return np.stack(windows), np.asarray(labels), first[0]

@@ -373,18 +373,6 @@ def split_dataset(n: int, split_seed: int) -> tuple[np.ndarray, np.ndarray, np.n
     return perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :]
 
 
-def _stack_dataset(dataset) -> tuple[np.ndarray, np.ndarray]:
-    if not dataset:
-        raise EmptyDataset("dataset is empty")
-    windows, labels = zip(*dataset)
-    shapes = {np.asarray(w).shape for w in windows}
-    if len(shapes) != 1 or len(next(iter(shapes))) != 2:
-        raise InconsistentShapes(f"windows must share one (frames, dim) shape, got {sorted(shapes)}")
-    x = np.stack([np.asarray(w, dtype=np.float64) for w in windows])
-    y = np.asarray([int(l) for l in labels])
-    return x, y
-
-
 def predict_batch(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Argmax labels and softmax confidences for a (B, T, N) batch, ``PREDICT_CHUNK`` windows at a time."""
     x = np.asarray(x, dtype=np.float64)
@@ -397,18 +385,14 @@ def predict_batch(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def accuracy(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
+    """Share of the (B, T, N) windows ``x`` whose predicted label is their label in ``y``."""
     pred, _ = predict_batch(params, x)
     return float((pred == y).mean())
 
 
-def evaluate(params: ModelParams, dataset) -> float:
-    """Accuracy over a list of (window, label) pairs."""
-    x, y = _stack_dataset(dataset)
-    return accuracy(params, x, y)
-
-
 def train(
-    dataset,
+    x: np.ndarray,
+    y: np.ndarray,
     config: ModelConfig,
     epochs: int = 30,
     lr: float = 1e-3,
@@ -417,25 +401,25 @@ def train(
 ) -> TrainResult:
     """Minibatch-train on a 60/10/30 split; returns the best-validation params.
 
-    ``dataset`` is a list of (window, label) pairs with one shared (T, N)
-    window shape. The split, the per-epoch shuffles, and the weight init are
-    all seeded, so identical inputs reproduce identical histories bit for
-    bit. When the validation slice is empty (tiny datasets) the training
-    slice stands in for epoch selection.
+    ``x`` holds n windows as an (n, T, N) array and ``y`` their n labels. The
+    split, the per-epoch shuffles, and the weight init are all seeded, so
+    identical inputs reproduce identical histories bit for bit. When the
+    validation slice is empty (tiny datasets) the training slice stands in for
+    epoch selection.
     """
-    x_all, y_all = _stack_dataset(dataset)
-    if x_all.shape[2] != config.input_dim:
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y)
+    if x.ndim != 3 or x.shape[2] != config.input_dim or y.shape != x.shape[:1]:
         raise InconsistentShapes(
-            f"windows have dim {x_all.shape[2]} but config.input_dim is {config.input_dim}"
+            f"need (n, frames, {config.input_dim}) windows and n labels, got {x.shape} and {y.shape}"
         )
-    if y_all.min() < 0 or y_all.max() >= config.output_dim:
+    if len(x) == 0:
+        raise EmptyDataset("dataset is empty")
+    if y.min() < 0 or y.max() >= config.output_dim:
         raise LabelOutOfRange(f"labels must lie in [0, {config.output_dim})")
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be positive")
 
-    train_idx, val_idx, test_idx = split_dataset(len(x_all), split_seed)
-    if len(train_idx) == 0:
-        raise EmptyDataset("60% training slice is empty")
+    train_idx, val_idx, test_idx = split_dataset(len(x), split_seed)
     eval_idx = val_idx if len(val_idx) else train_idx
 
     params = init_params(config)
@@ -447,10 +431,10 @@ def train(
         loss_total = 0.0
         for start in range(0, len(order), batch_size):
             batch = order[start : start + batch_size]
-            loss_sum, grads = _backward_batch(params, x_all[batch], y_all[batch])
+            loss_sum, grads = _backward_batch(params, x[batch], y[batch])
             adam_step(params, grads, lr)
             loss_total += loss_sum
-        val_acc = accuracy(params, x_all[eval_idx], y_all[eval_idx])
+        val_acc = accuracy(params, x[eval_idx], y[eval_idx])
         history.append(EpochStats(epoch, loss_total / len(order), val_acc))
         if val_acc >= best_acc:
             best_acc, best_epoch = val_acc, epoch

@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    EncodingMismatch,
     InsufficientMinima,
     IoError,
     LengthMismatch,
@@ -96,22 +95,6 @@ def estimate_speed(
         )
     period = minima[1] - minima[0]
     return SpeedEstimate(period, fps / period, tuple(minima))
-
-
-def save_start_positions(path: str | Path, table: StartPositionTable, encoding: Encoding) -> None:
-    """Write a start-position table as JSON with an encoding tag."""
-    for label, row in table.items():
-        if np.shape(row) != (encoding.dim,):
-            raise EncodingMismatch(
-                f"{label.name} start position has shape {np.shape(row)}, "
-                f"{encoding.value} features need ({encoding.dim},)"
-            )
-    doc = {
-        "version": 1,
-        "encoding": encoding.value,
-        "positions": {label.name: np.asarray(row).tolist() for label, row in table.items()},
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def load_start_positions(path: str | Path) -> tuple[StartPositionTable, Encoding]:

@@ -37,12 +37,10 @@ def report(name: str, ok: bool, detail: str = ""):
 
 
 def build_windows(seqs, encoding, window=50, stride=50):
-    dataset = []
-    for seq in seqs:
-        matrix = features.encode_sequence(seq, encoding)
-        for win in features.slice_windows(matrix, window, stride):
-            dataset.append((win, seq.label))
-    return dataset
+    """(x, y): every sequence's windows, stacked, and their labels."""
+    parts = [features.slice_windows(features.encode_sequence(s, encoding), window, stride) for s in seqs]
+    y = np.concatenate([np.full(len(part), int(s.label)) for part, s in zip(parts, seqs)])
+    return np.concatenate(parts), y
 
 
 @pytest.fixture(scope="module")
@@ -60,11 +58,11 @@ def test_seqs():
 @pytest.fixture(scope="module")
 def coord_model(frontal_seqs):
     t0 = time.monotonic()
-    dataset = build_windows(frontal_seqs, Encoding.COORDINATE)
+    x, y = build_windows(frontal_seqs, Encoding.COORDINATE)
     config = nn.ModelConfig(input_dim=18, output_dim=8, seed=0)
-    result = nn.train(dataset, config, epochs=5, lr=1e-3, batch_size=16, split_seed=0)
+    result = nn.train(x, y, config, epochs=5, lr=1e-3, batch_size=16, split_seed=0)
     durations["coord_model"] = time.monotonic() - t0
-    return result, dataset
+    return result, x, y
 
 
 @pytest.fixture(scope="module")
@@ -75,9 +73,9 @@ def augmented_model(frontal_seqs):
     for angle in ANGLES:
         for s in frontal_seqs:
             seqs.append(augment.rotate_sequence(s, table, augment.RotationSpec(angle)))
-    dataset = build_windows(seqs, Encoding.COORDINATE)
+    x, y = build_windows(seqs, Encoding.COORDINATE)
     config = nn.ModelConfig(input_dim=18, output_dim=8, seed=0)
-    result = nn.train(dataset, config, epochs=3, lr=1e-3, batch_size=16, split_seed=0)
+    result = nn.train(x, y, config, epochs=3, lr=1e-3, batch_size=16, split_seed=0)
     durations["augmented_model"] = time.monotonic() - t0
     return result
 
@@ -85,9 +83,9 @@ def augmented_model(frontal_seqs):
 @pytest.fixture(scope="module")
 def angle_model(frontal_seqs):
     t0 = time.monotonic()
-    dataset = build_windows(frontal_seqs, Encoding.ANGLE)
+    x, y = build_windows(frontal_seqs, Encoding.ANGLE)
     config = nn.ModelConfig(input_dim=5, output_dim=8, seed=0)
-    result = nn.train(dataset, config, epochs=10, lr=1e-3, batch_size=16, split_seed=0)
+    result = nn.train(x, y, config, epochs=10, lr=1e-3, batch_size=16, split_seed=0)
     durations["angle_model"] = time.monotonic() - t0
     return result
 
@@ -156,14 +154,13 @@ class TestA2NormalizationProperties:
 class TestA3FrontalRecognition:
     def test_a3(self, coord_model):
         t0 = time.monotonic()
-        result, dataset = coord_model
-        test_set = [dataset[i] for i in result.test_idx]
-        acc = nn.evaluate(result.params, test_set)
+        result, x, y = coord_model
+        acc = nn.accuracy(result.params, x[result.test_idx], y[result.test_idx])
         elapsed = durations["coord_model"] + (time.monotonic() - t0)
         report(
             "A3 frontal-recognition",
             acc >= 0.95 and elapsed < 900.0,
-            f"held-out accuracy {acc:.4f} on {len(test_set)} windows "
+            f"held-out accuracy {acc:.4f} on {len(result.test_idx)} windows "
             f"(320 sequences, 60/10/30 split) in {elapsed:.0f}s",
         )
 
@@ -172,7 +169,7 @@ class TestA3FrontalRecognition:
 class TestA4RotatedViewRobustness:
     def test_a4(self, coord_model, augmented_model, test_seqs):
         t0 = time.monotonic()
-        frontal_result, _ = coord_model
+        frontal_result, _, _ = coord_model
         table = augment.default_depth_table()
         true_table = {g: tuple(TEST_DEPTH_SCALE * d for d in row) for g, row in table.items()}
         aug_ok = True
@@ -181,9 +178,9 @@ class TestA4RotatedViewRobustness:
         for angle in ANGLES:
             spec = augment.RotationSpec(angle)
             rotated = [augment.rotate_sequence(s, true_table, spec) for s in test_seqs]
-            ds = build_windows(rotated, Encoding.COORDINATE)
-            frontal_acc = nn.evaluate(frontal_result.params, ds)
-            aug_acc = nn.evaluate(augmented_model.params, ds)
+            x, y = build_windows(rotated, Encoding.COORDINATE)
+            frontal_acc = nn.accuracy(frontal_result.params, x, y)
+            aug_acc = nn.accuracy(augmented_model.params, x, y)
             aug_ok &= aug_acc >= 0.85
             if abs(angle) >= 30.0:
                 dominance_ok &= aug_acc > frontal_acc
@@ -200,15 +197,15 @@ class TestA4RotatedViewRobustness:
 class TestA5SpeedInsensitivity:
     def test_a5(self, angle_model, test_seqs):
         t0 = time.monotonic()
-        baseline_ds = build_windows(test_seqs, Encoding.ANGLE, window=50, stride=50)
-        baseline = nn.evaluate(angle_model.params, baseline_ds)
+        x, y = build_windows(test_seqs, Encoding.ANGLE, window=50, stride=50)
+        baseline = nn.accuracy(angle_model.params, x, y)
         ok = True
         lines = [f"1.0x {baseline:.3f}"]
         for ratio in SPEED_RATIOS:
             window = effective_window(WindowConfig(speed_ratio=ratio), fps=30.0)
             resampled = [augment.resample_speed(s, ratio) for s in test_seqs]
-            ds = build_windows(resampled, Encoding.ANGLE, window=window, stride=window)
-            acc = nn.evaluate(angle_model.params, ds)
+            x, y = build_windows(resampled, Encoding.ANGLE, window=window, stride=window)
+            acc = nn.accuracy(angle_model.params, x, y)
             ok &= abs(acc - baseline) <= 0.05
             lines.append(f"{ratio}x W{window} {acc:.3f}")
         elapsed = durations["angle_model"] + (time.monotonic() - t0)
@@ -307,7 +304,7 @@ class TestA8RotationGeometry:
 @pytest.mark.slow  # streams through the A3 model, so it trains it
 class TestA9StreamingContract:
     def test_a9(self, coord_model):
-        result, _ = coord_model
+        result, _, _ = coord_model
         params = result.params
 
         seq = synth.generate(

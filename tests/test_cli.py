@@ -54,6 +54,27 @@ class TestHelp:
             run("train", "--no-such-flag")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("ingest", "in", "--out", "o.jsonl", "--fps", "0"),
+        ("ingest", "in", "--out", "o.jsonl", "--fps", "-30"),
+        ("train", "--out", "m", *TRAIN_FLAGS, "--window", "0"),
+        ("train", "--out", "m", *TRAIN_FLAGS, "--stride", "-1"),
+        ("train", "--out", "m", *TRAIN_FLAGS, "--epochs", "0"),
+        ("train", "--out", "m", *TRAIN_FLAGS, "--batch", "0"),
+        ("train", "--out", "m", *TRAIN_FLAGS, "--lr", "0"),
+        ("train", "--out", "m", *TRAIN_FLAGS, "--lr", "nan"),
+        ("eval", "--weights", "w", "--data", "d", "--out", "e", "--window", "0"),
+        ("eval", "--weights", "w", "--data", "d", "--out", "e", "--stride", "-1"),
+        ("speed", "seq.jsonl", "--radius", "0"),
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+    def test_out_of_range_number_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: must be" in err
+        assert "Traceback" not in err
+
 
 class TestSynth:
     def test_writes_per_class_files_and_manifest(self, synth_dir):

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gesturepipe import synth
-from gesturepipe.errors import DegenerateExtent, MissingKeypoint, ZeroLengthRay
+from gesturepipe.errors import DegenerateExtent, IoError, MalformedJson, MissingKeypoint, ZeroLengthRay
 from gesturepipe.features import (
     ANGLE_TRIPLES,
     Encoding,
@@ -232,16 +233,50 @@ class TestWindowsAndCache:
         assert [w[0, 0] for w in wins] == [0, 6, 12]
         assert all(w.shape == (4, 2) for w in wins)
 
+    @pytest.mark.parametrize("n_frames, window_len, stride", [(3, 4, 1), (4, 4, 3), (11, 4, 3)])
+    def test_slice_windows_are_the_per_start_slices(self, n_frames, window_len, stride):
+        m = np.arange(2.0 * n_frames).reshape(n_frames, 2)
+        starts = range(0, n_frames - window_len + 1, stride)
+        want = np.array([m[s : s + window_len] for s in starts]).reshape(-1, window_len, 2)
+        got = slice_windows(m, window_len, stride)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+    def write_cache(self, path, rng, labels, shapes=None):
+        shapes = shapes or [(5, 18)] * len(labels)
+        x = [rng.normal(size=shape) for shape in shapes]
+        path.write_text("".join(
+            json.dumps({"label": label, "encoding": "coordinate", "frames": m.tolist()}) + "\n"
+            for m, label in zip(x, labels)
+        ))
+        return x
+
     def test_cache_round_trip(self, tmp_path, rng):
-        wins = [
-            (rng.normal(size=(5, 18)), GestureLabel.CallToPass),
-            (rng.normal(size=(5, 18)), None),
-        ]
+        x = rng.normal(size=(2, 5, 18))
+        y = np.array([GestureLabel.CallToPass, GestureLabel.StandStill])
         path = tmp_path / "cache.jsonl"
-        write_feature_cache(path, wins, Encoding.COORDINATE)
-        loaded, encoding = read_feature_cache(path)
+        write_feature_cache(path, x, y, Encoding.COORDINATE)
+        got_x, got_y, encoding = read_feature_cache(path)
         assert encoding is Encoding.COORDINATE
-        assert loaded[0][1] is GestureLabel.CallToPass
-        assert loaded[1][1] is None
-        for (m0, _), (m1, _) in zip(wins, loaded):
-            np.testing.assert_array_equal(m0, m1)
+        np.testing.assert_array_equal(got_x, x)
+        np.testing.assert_array_equal(got_y, y)
+
+    def test_cache_skips_null_labels(self, tmp_path, rng):
+        path = tmp_path / "cache.jsonl"
+        x = self.write_cache(path, rng, ["CallToPass", None, "StandStill"])
+        got_x, got_y, _ = read_feature_cache(path)
+        np.testing.assert_array_equal(got_x, [x[0], x[2]])
+        np.testing.assert_array_equal(got_y, [GestureLabel.CallToPass, GestureLabel.StandStill])
+
+    def test_cache_refuses_mixed_window_shapes(self, tmp_path, rng):
+        path = tmp_path / "cache.jsonl"
+        self.write_cache(path, rng, ["CallToPass", None, "StandStill"], [(5, 18), (5, 18), (4, 18)])
+        with pytest.raises(MalformedJson, match="window 2: shape"):
+            read_feature_cache(path)
+
+    def test_cache_without_labeled_windows(self, tmp_path, rng):
+        path = tmp_path / "cache.jsonl"
+        for labels in ([None, None], []):
+            self.write_cache(path, rng, labels)
+            with pytest.raises(IoError, match="no labeled windows"):
+                read_feature_cache(path)

@@ -36,3 +36,47 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+PACKAGE = sorted((ROOT / "src" / "gesturepipe").glob("*.py"))
+USERS = sorted((ROOT / "src").rglob("*.py")) + sorted(
+    p for p in (ROOT / "perfbench").rglob("*.py") if not p.name.startswith("test_")
+)
+
+
+def unreferenced_public_names(modules: dict[str, str], users: list[str]) -> list[str]:
+    """``module.name`` for each public top-level function or class in ``modules``
+    (module name -> source) that no source in ``users`` reads.
+
+    A read is a bare name, an attribute or a string equal to the name: the
+    benchmark's tracer looks functions up by string. The ``def`` or ``class``
+    statement itself is not a read.
+    """
+    read = set()
+    for source in users:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return [
+        f"{module}.{node.name}"
+        for module, source in modules.items()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
+
+
+def test_scan_finds_an_unreferenced_public_name():
+    module = "def used(): pass\ndef unused(): pass\ndef _private(): pass\nclass Traced: pass\n"
+    users = [module + "used()\n", "getattr(m, 'Traced')\n"]
+    assert unreferenced_public_names({"m": module}, users) == ["m.unused"]
+
+
+def test_every_public_name_is_used_outside_tests():
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert unreferenced_public_names(modules, [p.read_text(encoding="utf-8") for p in USERS]) == []

@@ -299,47 +299,43 @@ class TestAdamStep:
 
 
 def small_dataset(rng, n=40, t=6, classes=3):
-    """Windows drawn around class-specific anchors: linearly separable."""
+    """(x, y): windows drawn around class-specific anchors, linearly separable."""
     anchors = rng.normal(size=(classes, TINY.input_dim)) * 2.0
-    data = []
-    for i in range(n):
-        label = i % classes
-        window = anchors[label] + 0.1 * rng.normal(size=(t, TINY.input_dim))
-        data.append((window, label))
-    return data
+    y = np.arange(n) % classes
+    x = np.stack([anchors[label] + 0.1 * rng.normal(size=(t, TINY.input_dim)) for label in y])
+    return x, y
 
 
 class TestTrain:
     def test_single_class_degenerate(self, rng):
-        data = [(rng.normal(size=(4, 5)), 0) for _ in range(40)]
-        result = nn.train(data, TINY, epochs=1, lr=0.1, batch_size=4, split_seed=0)
+        x = np.stack([rng.normal(size=(4, 5)) for _ in range(40)])
+        result = nn.train(x, np.zeros(40, dtype=int), TINY, epochs=1, lr=0.1, batch_size=4, split_seed=0)
         assert result.history[0].val_accuracy == 1.0
 
     def test_tied_validation_keeps_latest_epoch(self, rng):
-        data = [(rng.normal(size=(4, 5)), 0) for _ in range(40)]
-        result = nn.train(data, TINY, epochs=3, lr=0.1, batch_size=4, split_seed=0)
+        x = np.stack([rng.normal(size=(4, 5)) for _ in range(40)])
+        result = nn.train(x, np.zeros(40, dtype=int), TINY, epochs=3, lr=0.1, batch_size=4, split_seed=0)
         assert [h.val_accuracy for h in result.history] == [1.0, 1.0, 1.0]
         assert result.best_epoch == 3
 
     def test_learns_separable_classes(self, rng):
-        data = small_dataset(rng)
-        result = nn.train(data, TINY, epochs=30, lr=3e-3, batch_size=8, split_seed=1)
-        test_set = [data[i] for i in result.test_idx]
-        assert nn.evaluate(result.params, test_set) == 1.0
+        x, y = small_dataset(rng)
+        result = nn.train(x, y, TINY, epochs=30, lr=3e-3, batch_size=8, split_seed=1)
+        assert nn.accuracy(result.params, x[result.test_idx], y[result.test_idx]) == 1.0
 
     def test_same_seed_bitwise_identical_history(self, rng):
-        data = small_dataset(rng)
-        a = nn.train(data, TINY, epochs=3, lr=1e-3, batch_size=8, split_seed=3)
-        b = nn.train(data, TINY, epochs=3, lr=1e-3, batch_size=8, split_seed=3)
+        x, y = small_dataset(rng)
+        a = nn.train(x, y, TINY, epochs=3, lr=1e-3, batch_size=8, split_seed=3)
+        b = nn.train(x, y, TINY, epochs=3, lr=1e-3, batch_size=8, split_seed=3)
         assert a.history == b.history
         for name in a.params.tensors:
             np.testing.assert_array_equal(a.params.tensors[name], b.params.tensors[name])
 
     def test_best_epoch_equals_a_run_stopped_there(self, rng):
-        data = small_dataset(rng)
-        full = nn.train(data, TINY, epochs=6, lr=0.1, batch_size=8, split_seed=1)
+        x, y = small_dataset(rng)
+        full = nn.train(x, y, TINY, epochs=6, lr=0.1, batch_size=8, split_seed=1)
         assert full.best_epoch < 6
-        stopped = nn.train(data, TINY, epochs=full.best_epoch, lr=0.1, batch_size=8, split_seed=1)
+        stopped = nn.train(x, y, TINY, epochs=full.best_epoch, lr=0.1, batch_size=8, split_seed=1)
         assert stopped.best_epoch == full.best_epoch
         for got, want in zip(state_of(full.params), state_of(stopped.params)):
             np.testing.assert_array_equal(got, want)
@@ -352,17 +348,20 @@ class TestTrain:
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
-            nn.train([], TINY, epochs=1)
+            nn.train(np.empty((0, 4, 5)), np.empty(0, dtype=int), TINY, epochs=1)
 
     def test_inconsistent_shapes(self, rng):
-        data = [(rng.normal(size=(4, 5)), 0), (rng.normal(size=(5, 5)), 1)]
         with pytest.raises(InconsistentShapes):
-            nn.train(data, TINY, epochs=1)
+            nn.train(rng.normal(size=(4, 5)), np.zeros(4, dtype=int), TINY, epochs=1)
+
+    @pytest.mark.parametrize("n_labels", [2, 4])
+    def test_x_and_y_lengths_differ(self, rng, n_labels):
+        with pytest.raises(InconsistentShapes):
+            nn.train(rng.normal(size=(3, 4, 5)), np.zeros(n_labels, dtype=int), TINY, epochs=1)
 
     def test_wrong_feature_dim(self, rng):
-        data = [(rng.normal(size=(4, 9)), 0)]
         with pytest.raises(InconsistentShapes):
-            nn.train(data, TINY, epochs=1)
+            nn.train(rng.normal(size=(1, 4, 9)), np.zeros(1, dtype=int), TINY, epochs=1)
 
 
 class TestNumericalHygiene:
@@ -394,8 +393,7 @@ class TestNumericalHygiene:
 class TestWeightFile:
     def test_round_trip_bitwise(self, tmp_path, rng):
         params = nn.init_params(TINY)
-        data = small_dataset(rng, n=12)
-        result = nn.train(data, TINY, epochs=2, lr=1e-3, batch_size=4)
+        result = nn.train(*small_dataset(rng, n=12), TINY, epochs=2, lr=1e-3, batch_size=4)
         path = tmp_path / "weights.gpw"
         nn.save_model(path, result.params, Encoding.ANGLE)
         loaded, encoding = nn.load_model(path)

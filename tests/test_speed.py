@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from gesturepipe.augment import resample_speed
 from gesturepipe.errors import (
-    EncodingMismatch,
     InsufficientMinima,
     LengthMismatch,
     MalformedJson,
@@ -23,7 +22,6 @@ from gesturepipe.speed import (
     estimate_speed,
     load_start_positions,
     local_minima,
-    save_start_positions,
 )
 from gesturepipe.synth import SynthConfig, generate
 
@@ -186,17 +184,14 @@ class TestStartPositionTable:
     def test_file_round_trip(self, tmp_path):
         table = default_start_positions(Encoding.ANGLE)
         path = tmp_path / "starts.json"
-        save_start_positions(path, table, Encoding.ANGLE)
+        doc = {"version": 1, "encoding": "angle",
+               "positions": {label.name: row.tolist() for label, row in table.items()}}
+        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
         loaded, encoding = load_start_positions(path)
         assert encoding is Encoding.ANGLE
         assert set(loaded) == set(table)
         for label in table:
             np.testing.assert_array_equal(loaded[label], table[label])
-
-    def test_save_rejects_mixed_encoding(self, tmp_path):
-        table = default_start_positions(Encoding.ANGLE)
-        with pytest.raises(EncodingMismatch):
-            save_start_positions(tmp_path / "x.json", table, Encoding.COORDINATE)
 
     def write_table(self, path, encoding, row):
         doc = {"version": 1, "encoding": encoding.value,
