@@ -7,8 +7,9 @@ resampled copies, ``train`` fits the classifier, ``eval`` scores a test set,
 measures a cyclic gesture's period.
 
 Exit codes: 0 success, 2 bad flags, 3 data errors, 4 numeric failure. Bad
-flags include a number out of range: ``ingest --fps``, ``--window``,
-``--epochs``, ``--batch``, ``--lr`` and ``--radius`` must be positive, and
+flags include a number out of range: ``--fps`` of ``ingest``, ``stream`` and
+``speed``, ``--window``, ``--epochs``, ``--batch``, ``--lr``,
+``--speed-ratio``, ``--base-fps`` and ``--vote-n`` must be positive, and
 ``--stride`` must not be negative (0 means the window length).
 Every command that writes files also appends one JSON line describing the
 run to ``manifest.jsonl`` beside its outputs.
@@ -45,7 +46,7 @@ _configure_threads()
 import numpy as np
 
 from . import __version__, augment, features, nn, recognizer, skeleton, speed, synth
-from .errors import EncodingMismatch, IoError, NonFiniteGradient, PipelineError
+from .errors import EncodingMismatch, InvalidConfig, IoError, NonFiniteGradient, PipelineError
 from .features import Encoding
 from .skeleton import GestureLabel
 
@@ -199,20 +200,27 @@ def cmd_augment(args) -> int:
 
 def cmd_train(args) -> int:
     encoding = Encoding(args.encoding)
+    stride = args.stride or args.window
 
     if args.cache and Path(args.cache).is_file():
-        x, y, cache_enc = features.read_feature_cache(args.cache)
+        x, y, cache_enc, cache_stride = features.read_feature_cache(args.cache)
         if cache_enc is not encoding:
             raise EncodingMismatch(
                 f"cache encodes {cache_enc.value}, --encoding is {encoding.value}"
+            )
+        if x.shape[1] != args.window or cache_stride != stride:
+            cached = f"stride {cache_stride}" if cache_stride else "no recorded stride"
+            raise InvalidConfig(
+                f"cache holds {x.shape[1]}-frame windows with {cached}, "
+                f"the flags ask for {args.window}-frame windows with stride {stride}"
             )
     elif args.data is None:
         raise IoError("pass --data, or --cache pointing at an existing feature cache")
     else:
         seqs = [seq for _, seq in _read_sequence_dir(Path(args.data))]
-        x, y, _ = _windows_from_sequences(seqs, encoding, args.window, args.stride)
+        x, y, _ = _windows_from_sequences(seqs, encoding, args.window, stride)
         if args.cache:
-            features.write_feature_cache(args.cache, x, y, encoding)
+            features.write_feature_cache(args.cache, x, y, encoding, stride)
 
     hidden = tuple(int(v) for v in args.hidden_dims.split(","))
     config = nn.ModelConfig(
@@ -371,11 +379,9 @@ def cmd_speed(args) -> int:
     else:
         encoding = Encoding(args.encoding)
         table = speed.default_start_positions(encoding)
-    fps = args.fps if args.fps else seq.fps
     window = features.encode_sequence(seq, encoding)
-    estimate = speed.estimate_speed(window, label, table, fps, radius=args.radius)
+    estimate = speed.estimate_speed(window, label, table, args.fps or seq.fps)
     print(f"period_frames={estimate.period_frames} cycles_per_second={estimate.cycles_per_second:.4f}")
-    print(f"minima at frames: {list(estimate.minima_indices)}")
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -385,7 +391,6 @@ def cmd_speed(args) -> int:
                     "label": label.name,
                     "period_frames": estimate.period_frames,
                     "cycles_per_second": estimate.cycles_per_second,
-                    "minima_indices": list(estimate.minima_indices),
                 }
             )
             + "\n",
@@ -471,11 +476,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stream", help="replay a sequence through the streaming recognizer")
     p.add_argument("sequence", help="sequence file")
     p.add_argument("--weights", required=True)
-    p.add_argument("--fps", type=float, default=None, help="override the sequence's stored fps")
-    p.add_argument("--speed-ratio", type=float, default=1.0)
+    p.add_argument("--fps", type=_positive(float), default=None, help="override the sequence's stored fps")
+    p.add_argument("--speed-ratio", type=_positive(float), default=1.0)
     p.add_argument("--base-len", type=int, default=50)
-    p.add_argument("--base-fps", type=float, default=30.0)
-    p.add_argument("--vote-n", type=int, default=5)
+    p.add_argument("--base-fps", type=_positive(float), default=30.0)
+    p.add_argument("--vote-n", type=_positive(int), default=5)
     p.add_argument("--retention", type=float, default=0.5)
     p.add_argument("--realtime", action="store_true", help="pace the replay at the stream fps")
     p.add_argument("--out", default=None, help="optional CSV of emissions")
@@ -488,8 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="start-position JSON (default: built-in synthetic references)")
     p.add_argument("--encoding", choices=[e.value for e in Encoding], default="coordinate",
                    help="encoding for the built-in references")
-    p.add_argument("--fps", type=float, default=None)
-    p.add_argument("--radius", type=_positive(int), default=2)
+    p.add_argument("--fps", type=_positive(float), default=None, help="override the sequence's stored fps")
     p.add_argument("--out", default=None, help="optional JSON result file")
     p.set_defaults(func=cmd_speed)
     return parser

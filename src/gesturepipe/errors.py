@@ -81,7 +81,7 @@ class NotCyclic(PipelineError):
     pass
 
 
-class InsufficientMinima(PipelineError):
+class NoPeriod(PipelineError):
     pass
 
 

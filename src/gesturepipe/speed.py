@@ -1,9 +1,12 @@
 """Execution-speed estimation for cyclic gestures.
 
-A cyclic gesture periodically revisits a characteristic start pose. Given a
-per-frame Euclidean distance series between the window contents and that
-reference pose, the frame distance between the first two local minima is the
-gesture's period; dividing the FPS by it yields cycles per second.
+A cyclic gesture periodically revisits a characteristic start pose, so the
+per-frame Euclidean distance between the window's rows and that reference
+pose repeats with the gesture's period. The period is read off the
+autocorrelation of that series: the shortest lag whose peak reaches
+``PEAK_SHARE`` of the highest one, the key-maximum pick of McLeod and
+Wyvill's "A Smarter Way to Find Pitch" (ICMC 2005). Dividing the FPS by the
+period yields cycles per second.
 """
 from __future__ import annotations
 
@@ -13,14 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    InsufficientMinima,
-    IoError,
-    LengthMismatch,
-    MalformedJson,
-    NotCyclic,
-    TooShort,
-)
+from .errors import IoError, LengthMismatch, MalformedJson, NoPeriod, NotCyclic, TooShort
 from .features import Encoding, encode_frame
 from .skeleton import GestureLabel
 
@@ -28,12 +24,16 @@ StartPositionTable = dict[GestureLabel, np.ndarray]
 
 CYCLIC_GESTURES = tuple(g for g in GestureLabel if g is not GestureLabel.StandStill)
 
+# shortest period considered, in frames, and the share of the highest
+# autocorrelation peak that the period's peak must reach
+MIN_LAG = 5
+PEAK_SHARE = 0.8
+
 
 @dataclass(frozen=True)
 class SpeedEstimate:
     period_frames: int
     cycles_per_second: float
-    minima_indices: tuple[int, ...]
 
 
 def distance_series(window, reference: np.ndarray) -> np.ndarray:
@@ -52,49 +52,35 @@ def distance_series(window, reference: np.ndarray) -> np.ndarray:
     return np.linalg.norm(rows - reference, axis=1)
 
 
-def local_minima(series, radius: int) -> list[int]:
-    """Indices of neighborhood minima, plateaus collapsed to their first index.
+def estimate_speed(window, label: GestureLabel, table: StartPositionTable, fps: float) -> SpeedEstimate:
+    """Estimate the gesture period from the autocorrelation of the distance series.
 
-    An index i (radius <= i < len - radius) qualifies when series[i] is no
-    larger than any value within ``radius`` of it and strictly smaller than at
-    least one of them.
+    The autocorrelation of the mean-removed series is normalized at each lag
+    by the energy of its two overlapping parts (McLeod and Wyvill's NSDF), so
+    that a peak's height does not fall with its lag. The period is the
+    shortest lag in ``MIN_LAG`` .. T // 2 with a positive local maximum of at
+    least ``PEAK_SHARE`` times the highest such maximum.
     """
-    if radius < 1:
-        raise ValueError("radius must be a positive integer")
-    s = np.asarray(series, dtype=np.float64)
-    if s.ndim != 1:
-        raise ValueError("series must be one-dimensional")
-    n = len(s)
-    if n <= 2 * radius:
-        raise TooShort(f"series of {n} values cannot fit a radius-{radius} neighborhood")
-    out: list[int] = []
-    for i in range(radius, n - radius):
-        neighborhood = s[i - radius : i + radius + 1]
-        if s[i] <= neighborhood.min() and s[i] < neighborhood.max():
-            if out and s[out[-1]] == s[i] and bool(np.all(s[out[-1] : i + 1] == s[i])):
-                continue
-            out.append(i)
-    return out
-
-
-def estimate_speed(
-    window,
-    label: GestureLabel,
-    table: StartPositionTable,
-    fps: float,
-    radius: int = 2,
-) -> SpeedEstimate:
-    """Estimate the gesture period from the first two distance minima."""
     if label not in table:
         raise NotCyclic(f"{label.name} has no start position (not a cyclic gesture?)")
     series = distance_series(window, table[label])
-    minima = local_minima(series, radius)
-    if len(minima) < 2:
-        raise InsufficientMinima(
-            f"found {len(minima)} minima; the window is too short or the signal is not periodic"
-        )
-    period = minima[1] - minima[0]
-    return SpeedEstimate(period, fps / period, tuple(minima))
+    n = len(series)
+    if n // 2 <= MIN_LAG:
+        raise TooShort(f"a {n}-frame window is too short; periods of {MIN_LAG}+ frames need {2 * MIN_LAG + 2}")
+    if np.ptp(series) == 0:
+        raise NoPeriod("the distance to the start pose never changes; the signal is not periodic")
+    centered = series - series.mean()
+    energy = np.concatenate(([0.0], np.cumsum(centered * centered)))
+    lags = np.arange(n // 2 + 2)
+    overlap = energy[n - lags] + energy[n] - energy[lags]
+    ac = np.correlate(centered, centered, "full")[n - 1 : n + 1 + n // 2]
+    nsdf = np.divide(2 * ac, overlap, out=np.zeros_like(ac), where=overlap > 0)
+    lags = lags[MIN_LAG:-1]
+    lags = lags[(nsdf[lags] > 0) & (nsdf[lags] > nsdf[lags - 1]) & (nsdf[lags] >= nsdf[lags + 1])]
+    if not len(lags):
+        raise NoPeriod(f"no autocorrelation peak at lags {MIN_LAG} to {n // 2}; the signal is not periodic")
+    period = int(lags[np.argmax(nsdf[lags] >= PEAK_SHARE * nsdf[lags].max())])
+    return SpeedEstimate(period, fps / period)
 
 
 def load_start_positions(path: str | Path) -> tuple[StartPositionTable, Encoding]:

@@ -392,7 +392,7 @@ class TestA10Determinism:
                           "--base-len", "20", "--out", root / "stream" / "emissions.csv")
             assert rc == 0
             circle = sorted(synth_dir.glob("LeftHandLeftCircle*"))[0]
-            rc = self.run("speed", circle, "--radius", "3", "--out", root / "speed" / "result.json")
+            rc = self.run("speed", circle, "--out", root / "speed" / "result.json")
             assert rc == 0
             results.append(self.data_bytes(root))
 

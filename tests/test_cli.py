@@ -65,7 +65,9 @@ class TestHelp:
         ("train", "--out", "m", *TRAIN_FLAGS, "--lr", "nan"),
         ("eval", "--weights", "w", "--data", "d", "--out", "e", "--window", "0"),
         ("eval", "--weights", "w", "--data", "d", "--out", "e", "--stride", "-1"),
-        ("speed", "seq.jsonl", "--radius", "0"),
+        ("speed", "seq.jsonl", "--fps", "0"),
+        ("stream", "seq.jsonl", "--weights", "w", "--fps", "0"),
+        ("stream", "seq.jsonl", "--weights", "w", "--speed-ratio", "0"),
     ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
     def test_out_of_range_number_exits_two(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -188,6 +190,17 @@ class TestTrain:
         assert rc == 0
         assert (out2 / "weights.gpw").read_bytes() == (out1 / "weights.gpw").read_bytes()
 
+    def test_feature_cache_of_other_window_exits_three(self, tmp_path, synth_dir, capsys):
+        cache = tmp_path / "cache.jsonl"
+        rc = run("train", "--data", synth_dir, "--cache", cache, "--out", tmp_path / "m1", *TRAIN_FLAGS)
+        assert rc == 0
+        capsys.readouterr()
+        rc = run("train", "--cache", cache, "--out", tmp_path / "m2", *TRAIN_FLAGS, "--window", "30")
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "20-frame windows with stride 20" in err
+        assert "30-frame windows with stride 30" in err
+
 
 class TestEval:
     def test_resubstitution_is_diagonal(self, tmp_path, synth_dir, trained_dir, capsys):
@@ -307,7 +320,8 @@ class TestStream:
 
 
 class TestSpeed:
-    def test_reports_period(self, tmp_path, capsys):
+    @pytest.mark.parametrize("encoding", ["coordinate", "angle"])
+    def test_reports_period(self, tmp_path, capsys, encoding):
         out_dir = tmp_path / "s"
         rc = run(
             "synth", "--out", out_dir, "--per-class", "1", "--frames", "90",
@@ -316,11 +330,12 @@ class TestSpeed:
         assert rc == 0
         seq_file = next(p for p in out_dir.iterdir() if p.name.startswith("RightHandRightCircle"))
         result = tmp_path / "speed.json"
-        rc = run("speed", seq_file, "--out", result)
+        rc = run("speed", seq_file, "--encoding", encoding, "--out", result)
         assert rc == 0
         printed = capsys.readouterr().out
         assert "period_frames=30" in printed
         doc = json.loads(result.read_text())
+        assert sorted(doc) == ["cycles_per_second", "label", "period_frames"]
         assert doc["period_frames"] == 30
         assert doc["cycles_per_second"] == pytest.approx(1.0)
 

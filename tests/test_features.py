@@ -255,16 +255,17 @@ class TestWindowsAndCache:
         x = rng.normal(size=(2, 5, 18))
         y = np.array([GestureLabel.CallToPass, GestureLabel.StandStill])
         path = tmp_path / "cache.jsonl"
-        write_feature_cache(path, x, y, Encoding.COORDINATE)
-        got_x, got_y, encoding = read_feature_cache(path)
+        write_feature_cache(path, x, y, Encoding.COORDINATE, 3)
+        got_x, got_y, encoding, stride = read_feature_cache(path)
         assert encoding is Encoding.COORDINATE
+        assert stride == 3
         np.testing.assert_array_equal(got_x, x)
         np.testing.assert_array_equal(got_y, y)
 
     def test_cache_skips_null_labels(self, tmp_path, rng):
         path = tmp_path / "cache.jsonl"
         x = self.write_cache(path, rng, ["CallToPass", None, "StandStill"])
-        got_x, got_y, _ = read_feature_cache(path)
+        got_x, got_y, _, _ = read_feature_cache(path)
         np.testing.assert_array_equal(got_x, [x[0], x[2]])
         np.testing.assert_array_equal(got_y, [GestureLabel.CallToPass, GestureLabel.StandStill])
 
@@ -272,6 +273,15 @@ class TestWindowsAndCache:
         path = tmp_path / "cache.jsonl"
         self.write_cache(path, rng, ["CallToPass", None, "StandStill"], [(5, 18), (5, 18), (4, 18)])
         with pytest.raises(MalformedJson, match="window 2: shape"):
+            read_feature_cache(path)
+
+    def test_cache_refuses_mixed_strides(self, tmp_path, rng):
+        path = tmp_path / "cache.jsonl"
+        write_feature_cache(path, rng.normal(size=(2, 5, 18)), np.array([0, 1]), Encoding.COORDINATE, 5)
+        self.write_cache(tmp_path / "no_stride.jsonl", rng, ["StandStill"])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write((tmp_path / "no_stride.jsonl").read_text())
+        with pytest.raises(MalformedJson, match="window 2: stride None differs from 5"):
             read_feature_cache(path)
 
     def test_cache_without_labeled_windows(self, tmp_path, rng):
