@@ -8,9 +8,11 @@ measures a cyclic gesture's period.
 
 Exit codes: 0 success, 2 bad flags, 3 data errors, 4 numeric failure. Bad
 flags include a number out of range: ``--fps`` of ``ingest``, ``stream`` and
-``speed``, ``--window``, ``--epochs``, ``--batch``, ``--lr``,
-``--speed-ratio``, ``--base-fps`` and ``--vote-n`` must be positive, and
-``--stride`` must not be negative (0 means the window length).
+``speed``, ``--per-class`` and ``--frames`` of ``synth``, ``--window``,
+``--epochs``, ``--batch``, ``--lr``, ``--speed-ratio``, ``--base-fps`` and
+``--vote-n`` must be positive, and ``--stride`` must not be negative (0 means
+the window length). A jitter range of ``synth`` whose minimum exceeds its
+maximum is a configuration error (exit 3).
 Every command that writes files also appends one JSON line describing the
 run to ``manifest.jsonl`` beside its outputs.
 """
@@ -117,8 +119,6 @@ def _windows_from_sequences(seqs, encoding: Encoding, window: int, stride: int):
 # --- synth ---
 
 def cmd_synth(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     base = synth.SynthConfig(
         gesture=GestureLabel.StandStill,
         n_frames=args.frames,
@@ -136,6 +136,8 @@ def cmd_synth(args) -> int:
             synth.drop_keypoints(seq, args.drop_prob, args.seed + 1 + i)
             for i, seq in enumerate(sequences)
         ]
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     counters: dict[str, int] = {}
     for seq in sequences:
@@ -411,8 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate labeled synthetic sequences")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--per-class", type=int, default=40)
-    p.add_argument("--frames", type=int, default=100)
+    p.add_argument("--per-class", type=_positive(int), default=40)
+    p.add_argument("--frames", type=_positive(int), default=100)
     p.add_argument("--fps", type=float, default=30.0)
     p.add_argument("--period-min", type=int, default=20)
     p.add_argument("--period-max", type=int, default=40)

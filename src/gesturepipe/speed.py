@@ -5,8 +5,9 @@ per-frame Euclidean distance between the window's rows and that reference
 pose repeats with the gesture's period. The period is read off the
 autocorrelation of that series: the shortest lag whose peak reaches
 ``PEAK_SHARE`` of the highest one, the key-maximum pick of McLeod and
-Wyvill's "A Smarter Way to Find Pitch" (ICMC 2005). Dividing the FPS by the
-period yields cycles per second.
+Wyvill's "A Smarter Way to Find Pitch" (ICMC 2005). A peak under their
+clarity threshold, ``CLARITY``, is noise and yields no period. Dividing the
+FPS by the period yields cycles per second.
 """
 from __future__ import annotations
 
@@ -28,6 +29,9 @@ CYCLIC_GESTURES = tuple(g for g in GestureLabel if g is not GestureLabel.StandSt
 # autocorrelation peak that the period's peak must reach
 MIN_LAG = 5
 PEAK_SHARE = 0.8
+# McLeod and Wyvill's clarity threshold: the chosen peak's floor. True synth
+# cycles peak at 0.6 or more, noise on a still pose at 0.42 or less.
+CLARITY = 0.5
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,8 @@ def estimate_speed(window, label: GestureLabel, table: StartPositionTable, fps: 
     by the energy of its two overlapping parts (McLeod and Wyvill's NSDF), so
     that a peak's height does not fall with its lag. The period is the
     shortest lag in ``MIN_LAG`` .. T // 2 with a positive local maximum of at
-    least ``PEAK_SHARE`` times the highest such maximum.
+    least ``PEAK_SHARE`` times the highest such maximum. A chosen peak under
+    ``CLARITY`` is noise, not a period, and raises ``NoPeriod``.
     """
     if label not in table:
         raise NotCyclic(f"{label.name} has no start position (not a cyclic gesture?)")
@@ -80,6 +85,11 @@ def estimate_speed(window, label: GestureLabel, table: StartPositionTable, fps: 
     if not len(lags):
         raise NoPeriod(f"no autocorrelation peak at lags {MIN_LAG} to {n // 2}; the signal is not periodic")
     period = int(lags[np.argmax(nsdf[lags] >= PEAK_SHARE * nsdf[lags].max())])
+    if nsdf[period] < CLARITY:
+        raise NoPeriod(
+            f"the autocorrelation peaks at {nsdf[period]:.2f} (lag {period}), "
+            f"under the clarity floor {CLARITY}; the signal is not periodic"
+        )
     return SpeedEstimate(period, fps / period)
 
 

@@ -8,14 +8,15 @@ inverse kinematics with a deterministic outward branch; waves oscillate the
 wrist vertically; CallToPass holds the 2-3-4 arm out horizontally while the
 other wrist loops through a small beckoning cycle.
 
-Cyclic phases are computed from the integer frame index modulo the period,
-so noiseless frames exactly one period apart are bitwise identical and a
-clockwise cycle replays a counter-clockwise one in reverse frame order.
+A sequence is built by whole-sequence array operations, with no per-frame
+loop. Cyclic phases are computed from the integer frame index modulo the
+period, so noiseless frames exactly one period apart are bitwise identical
+and a clockwise cycle replays a counter-clockwise one in reverse frame order.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -82,100 +83,88 @@ class JitterSpec:
     offset_y: tuple[float, float] = (140.0, 220.0)
     noise_frac: tuple[float, float] = (0.0, 0.02)
 
+    def __post_init__(self):
+        for field in fields(self):
+            low, high = getattr(self, field.name)
+            if low > high:
+                raise InvalidConfig(f"{field.name} range ({low}, {high}) has its low above its high")
+
 
 def _two_bone_elbow(shoulder: np.ndarray, wrist: np.ndarray, side: float, scale: float) -> np.ndarray:
-    """Elbow position for a two-bone arm, deterministic outward branch."""
+    """(T, 2) elbow positions for a two-bone arm, deterministic outward branch."""
     l1 = UPPER_ARM * scale
     l2 = FOREARM * scale
     v = wrist - shoulder
-    dist = float(np.hypot(v[0], v[1]))
-    if dist > l1 + l2 or dist < abs(l1 - l2) or dist == 0.0:
-        raise InvalidConfig(f"wrist at distance {dist:.3f} is unreachable by the arm")
+    dist = np.hypot(v[:, 0], v[:, 1])
+    unreachable = (dist > l1 + l2) | (dist < abs(l1 - l2)) | (dist == 0.0)
+    if unreachable.any():
+        raise InvalidConfig(f"wrist at distance {dist[unreachable.argmax()]:.3f} is unreachable by the arm")
     a = (l1 * l1 - l2 * l2 + dist * dist) / (2.0 * dist)
-    h = math.sqrt(max(l1 * l1 - a * a, 0.0))
-    u = v / dist
-    normal = side * np.array([-u[1], u[0]])
-    return shoulder + a * u + h * normal
+    h = np.sqrt(np.maximum(l1 * l1 - a * a, 0.0))
+    u = v / dist[:, None]
+    normal = side * np.stack([-u[:, 1], u[:, 0]], axis=1)
+    return shoulder + a[:, None] * u + h[:, None] * normal
 
 
-def _rest_arm(shoulder: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    elbow = shoulder + np.array([0.0, UPPER_ARM * scale])
-    wrist = elbow + np.array([0.0, FOREARM * scale])
-    return elbow, wrist
+def _upper_body_points(gesture: GestureLabel, n_frames: int, period: int, scale: float) -> np.ndarray:
+    """The (T, 9, 2) upper-body keypoint positions, neck at the origin.
 
-
-def _extended_arm(shoulder: np.ndarray, side: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    elbow = shoulder + np.array([side * UPPER_ARM * scale, 0.0])
-    wrist = elbow + np.array([side * FOREARM * scale, 0.0])
-    return elbow, wrist
-
-
-def _phase(frame: int, period: int, direction: float) -> float:
-    """Angle for the cycle position, from the integer frame index mod period."""
-    k = (int(direction) * frame) % period
-    return 2.0 * math.pi * k / period
-
-
-def _upper_body_points(gesture: GestureLabel, frame: int, period: int, scale: float) -> np.ndarray:
-    """The 9 upper-body keypoint positions, neck at the origin."""
-    pts = np.zeros((9, 2))
-    pts[0] = (0.0, -NOSE_RAISE * scale)
-    pts[1] = (0.0, 0.0)
-    pts[8] = (0.0, HIP_DROP * scale)
+    Every expression keeps the operation order of the scalar per-frame
+    formulas, so each frame is bit for bit what that frame alone would give.
+    """
+    t = np.arange(n_frames)
+    pts = np.zeros((n_frames, 9, 2))
+    pts[:, 0] = (0.0, -NOSE_RAISE * scale)
+    pts[:, 8] = (0.0, HIP_DROP * scale)
     (ids_a, side_a), (ids_b, side_b) = CHAIN_A, CHAIN_B
-    pts[ids_a[0]] = (side_a * 0.5 * scale, 0.0)
-    pts[ids_b[0]] = (side_b * 0.5 * scale, 0.0)
+    for ids, side in (CHAIN_A, CHAIN_B):
+        shoulder = np.array([side * 0.5 * scale, 0.0])
+        pts[:, ids[0]] = shoulder
+        pts[:, ids[1]] = shoulder + (0.0, UPPER_ARM * scale)  # arms at rest
+        pts[:, ids[2]] = pts[:, ids[1]] + (0.0, FOREARM * scale)
 
-    def set_arm(ids, elbow, wrist):
-        pts[ids[1]] = elbow
-        pts[ids[2]] = wrist
+    def phase(direction: int) -> np.ndarray:
+        return 2.0 * math.pi * ((direction * t) % period) / period
+
+    def ik_arm(ids, side, reach):
+        """Wrist at the shoulder plus reach, elbow by inverse kinematics."""
+        shoulder = pts[0, ids[0]]
+        wrist = shoulder + reach
+        pts[:, ids[1]] = _two_bone_elbow(shoulder, wrist, side, scale)
+        pts[:, ids[2]] = wrist
 
     def circle(ids, side, direction):
-        shoulder = pts[ids[0]]
-        psi = -math.pi / 2.0 + _phase(frame, period, direction)
-        wrist = shoulder + CIRCLE_RADIUS * scale * np.array([math.cos(psi), math.sin(psi)])
-        set_arm(ids, _two_bone_elbow(shoulder, wrist, side, scale), wrist)
+        psi = -math.pi / 2.0 + phase(direction)
+        ik_arm(ids, side, CIRCLE_RADIUS * scale * np.stack([np.cos(psi), np.sin(psi)], axis=1))
 
     def wave(ids, side):
-        shoulder = pts[ids[0]]
-        phi = _phase(frame, period, +1.0)
-        wrist = shoulder + np.array(
-            [
-                side * WAVE_SIDE_REACH * scale,
-                -WAVE_CENTER_RAISE * scale - WAVE_AMPLITUDE * scale * math.cos(phi),
-            ]
-        )
-        set_arm(ids, _two_bone_elbow(shoulder, wrist, side, scale), wrist)
-
-    def beckon(ids, side):
-        shoulder = pts[ids[0]]
-        phi = _phase(frame, period, +1.0)
-        wrist = shoulder + scale * np.array(
-            [
-                side * (BECKON_CENTER[0] + BECKON_RADIUS * math.cos(phi)),
-                BECKON_CENTER[1] + BECKON_RADIUS * math.sin(phi),
-            ]
-        )
-        set_arm(ids, _two_bone_elbow(shoulder, wrist, side, scale), wrist)
-
-    set_arm(ids_a, *_rest_arm(pts[ids_a[0]], scale))
-    set_arm(ids_b, *_rest_arm(pts[ids_b[0]], scale))
+        ik_arm(ids, side, np.stack([
+            np.full(n_frames, side * WAVE_SIDE_REACH * scale),
+            -WAVE_CENTER_RAISE * scale - WAVE_AMPLITUDE * scale * np.cos(phase(1)),
+        ], axis=1))
 
     if gesture is GestureLabel.LeftHandLeftCircle:
-        circle(ids_a, side_a, -1.0)
+        circle(ids_a, side_a, -1)
     elif gesture is GestureLabel.LeftHandRightCircle:
-        circle(ids_a, side_a, +1.0)
+        circle(ids_a, side_a, +1)
     elif gesture is GestureLabel.RightHandLeftCircle:
-        circle(ids_b, side_b, -1.0)
+        circle(ids_b, side_b, -1)
     elif gesture is GestureLabel.RightHandRightCircle:
-        circle(ids_b, side_b, +1.0)
+        circle(ids_b, side_b, +1)
     elif gesture is GestureLabel.LeftHandWave:
         wave(ids_a, side_a)
     elif gesture is GestureLabel.RightHandWave:
         wave(ids_b, side_b)
     elif gesture is GestureLabel.CallToPass:
-        set_arm(ids_a, *_extended_arm(pts[ids_a[0]], side_a, scale))
-        beckon(ids_b, side_b)
+        # arm A held out horizontally, wrist B beckoning
+        elbow = pts[0, ids_a[0]] + (side_a * UPPER_ARM * scale, 0.0)
+        pts[:, ids_a[1]] = elbow
+        pts[:, ids_a[2]] = elbow + (side_a * FOREARM * scale, 0.0)
+        phi = phase(1)
+        ik_arm(ids_b, side_b, scale * np.stack([
+            side_b * (BECKON_CENTER[0] + BECKON_RADIUS * np.cos(phi)),
+            BECKON_CENTER[1] + BECKON_RADIUS * np.sin(phi),
+        ], axis=1))
     elif gesture is GestureLabel.StandStill:
         pass
     else:  # pragma: no cover - closed enum
@@ -186,10 +175,9 @@ def _upper_body_points(gesture: GestureLabel, frame: int, period: int, scale: fl
 def generate(config: SynthConfig) -> Sequence:
     """Generate one labeled synthetic sequence."""
     rng = np.random.default_rng(config.seed)
-    pts = np.stack([
-        _upper_body_points(config.gesture, t, config.period_frames, config.subject_scale)
-        for t in range(config.n_frames)
-    ]) + np.asarray(config.offset)
+    pts = _upper_body_points(
+        config.gesture, config.n_frames, config.period_frames, config.subject_scale
+    ) + np.asarray(config.offset)
     if config.noise_sigma > 0.0:
         pts = pts + rng.normal(0.0, config.noise_sigma, size=pts.shape)
     kp = np.zeros((config.n_frames, N_KEYPOINTS, 3))

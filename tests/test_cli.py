@@ -68,6 +68,8 @@ class TestHelp:
         ("speed", "seq.jsonl", "--fps", "0"),
         ("stream", "seq.jsonl", "--weights", "w", "--fps", "0"),
         ("stream", "seq.jsonl", "--weights", "w", "--speed-ratio", "0"),
+        ("synth", "--out", "s", "--frames", "0"),
+        ("synth", "--out", "s", "--per-class", "0"),
     ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
     def test_out_of_range_number_exits_two(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -93,6 +95,19 @@ class TestSynth:
         seq = read_sequence(synth_dir / data_files(synth_dir)[0])
         assert seq.label is not None
         assert seq.fps == 30.0
+
+    @pytest.mark.parametrize("flags, name", [
+        (("--period-min", "40", "--period-max", "20"), "period"),
+        (("--noise-min", "0.05", "--noise-max", "0.01"), "noise_frac"),
+        (("--scale-min", "130"), "scale"),
+    ])
+    def test_inverted_range_exits_three(self, tmp_path, capsys, flags, name):
+        out = tmp_path / "s"
+        assert run("synth", "--out", out, "--per-class", "1", "--frames", "20", *flags) == 3
+        err = capsys.readouterr().err
+        assert f"{name} range" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_determinism_bitwise(self, tmp_path, synth_dir):
         again = tmp_path / "again"

@@ -114,6 +114,20 @@ class TestEstimateSpeed:
         with pytest.raises(NoPeriod):
             estimate_speed(window, GestureLabel.RightHandRightCircle, table, fps=30.0)
 
+    @pytest.mark.parametrize("encoding", list(Encoding), ids=lambda e: e.value)
+    def test_noisy_standstill_has_no_period(self, encoding):
+        # noise on a still pose has autocorrelation peaks too, but none as
+        # clear as a cycle's
+        table = default_start_positions(encoding)
+        for noise in (0.005, 0.01, 0.02):
+            for seed in (1, 2, 3):
+                seq = generate(SynthConfig(gesture=GestureLabel.StandStill, n_frames=100,
+                                           noise_sigma=noise * 100.0, subject_scale=100.0, seed=seed))
+                window = encode_sequence(seq, encoding)
+                for gesture in CYCLIC_GESTURES:
+                    with pytest.raises(NoPeriod, match="clarity"):
+                        estimate_speed(window, gesture, table, fps=30.0)
+
     def test_time_shift_robustness(self):
         period = 25
         _, window = circle_window(period=period, n=100)

@@ -1,11 +1,13 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gesturepipe import speed, synth
 from gesturepipe.errors import InvalidConfig, MissingKeypoint
 from gesturepipe.features import Encoding, encode_frame
-from gesturepipe.skeleton import GestureLabel
+from gesturepipe.skeleton import N_KEYPOINTS, GestureLabel, Sequence
 from gesturepipe.synth import (
     JitterSpec,
     SynthConfig,
@@ -20,6 +22,108 @@ CIRCLES = (
     GestureLabel.LeftHandRightCircle,
     GestureLabel.LeftHandLeftCircle,
 )
+
+
+# --- per-frame reference generator: one frame at a time, scalar math ---
+# Constants are read from the module at call time, so a monkeypatch reaches
+# both this reference and synth.generate.
+
+def reference_elbow(shoulder, wrist, side, scale):
+    l1 = synth.UPPER_ARM * scale
+    l2 = synth.FOREARM * scale
+    v = wrist - shoulder
+    dist = float(np.hypot(v[0], v[1]))
+    if dist > l1 + l2 or dist < abs(l1 - l2) or dist == 0.0:
+        raise InvalidConfig(f"wrist at distance {dist:.3f} is unreachable by the arm")
+    a = (l1 * l1 - l2 * l2 + dist * dist) / (2.0 * dist)
+    h = math.sqrt(max(l1 * l1 - a * a, 0.0))
+    u = v / dist
+    normal = side * np.array([-u[1], u[0]])
+    return shoulder + a * u + h * normal
+
+
+def reference_phase(frame, period, direction):
+    k = (int(direction) * frame) % period
+    return 2.0 * math.pi * k / period
+
+
+def reference_points(gesture, frame, period, scale):
+    pts = np.zeros((9, 2))
+    pts[0] = (0.0, -synth.NOSE_RAISE * scale)
+    pts[1] = (0.0, 0.0)
+    pts[8] = (0.0, synth.HIP_DROP * scale)
+    (ids_a, side_a), (ids_b, side_b) = synth.CHAIN_A, synth.CHAIN_B
+    pts[ids_a[0]] = (side_a * 0.5 * scale, 0.0)
+    pts[ids_b[0]] = (side_b * 0.5 * scale, 0.0)
+
+    def set_arm(ids, elbow, wrist):
+        pts[ids[1]] = elbow
+        pts[ids[2]] = wrist
+
+    def rest_arm(shoulder):
+        elbow = shoulder + np.array([0.0, synth.UPPER_ARM * scale])
+        return elbow, elbow + np.array([0.0, synth.FOREARM * scale])
+
+    def extended_arm(shoulder, side):
+        elbow = shoulder + np.array([side * synth.UPPER_ARM * scale, 0.0])
+        return elbow, elbow + np.array([side * synth.FOREARM * scale, 0.0])
+
+    def circle(ids, side, direction):
+        shoulder = pts[ids[0]]
+        psi = -math.pi / 2.0 + reference_phase(frame, period, direction)
+        wrist = shoulder + synth.CIRCLE_RADIUS * scale * np.array([math.cos(psi), math.sin(psi)])
+        set_arm(ids, reference_elbow(shoulder, wrist, side, scale), wrist)
+
+    def wave(ids, side):
+        shoulder = pts[ids[0]]
+        phi = reference_phase(frame, period, +1.0)
+        wrist = shoulder + np.array([
+            side * synth.WAVE_SIDE_REACH * scale,
+            -synth.WAVE_CENTER_RAISE * scale - synth.WAVE_AMPLITUDE * scale * math.cos(phi),
+        ])
+        set_arm(ids, reference_elbow(shoulder, wrist, side, scale), wrist)
+
+    def beckon(ids, side):
+        shoulder = pts[ids[0]]
+        phi = reference_phase(frame, period, +1.0)
+        wrist = shoulder + scale * np.array([
+            side * (synth.BECKON_CENTER[0] + synth.BECKON_RADIUS * math.cos(phi)),
+            synth.BECKON_CENTER[1] + synth.BECKON_RADIUS * math.sin(phi),
+        ])
+        set_arm(ids, reference_elbow(shoulder, wrist, side, scale), wrist)
+
+    set_arm(ids_a, *rest_arm(pts[ids_a[0]]))
+    set_arm(ids_b, *rest_arm(pts[ids_b[0]]))
+    if gesture is GestureLabel.LeftHandLeftCircle:
+        circle(ids_a, side_a, -1.0)
+    elif gesture is GestureLabel.LeftHandRightCircle:
+        circle(ids_a, side_a, +1.0)
+    elif gesture is GestureLabel.RightHandLeftCircle:
+        circle(ids_b, side_b, -1.0)
+    elif gesture is GestureLabel.RightHandRightCircle:
+        circle(ids_b, side_b, +1.0)
+    elif gesture is GestureLabel.LeftHandWave:
+        wave(ids_a, side_a)
+    elif gesture is GestureLabel.RightHandWave:
+        wave(ids_b, side_b)
+    elif gesture is GestureLabel.CallToPass:
+        set_arm(ids_a, *extended_arm(pts[ids_a[0]], side_a))
+        beckon(ids_b, side_b)
+    return pts
+
+
+def reference_generate(config):
+    rng = np.random.default_rng(config.seed)
+    pts = np.stack([
+        reference_points(config.gesture, t, config.period_frames, config.subject_scale)
+        for t in range(config.n_frames)
+    ]) + np.asarray(config.offset)
+    if config.noise_sigma > 0.0:
+        pts = pts + rng.normal(0.0, config.noise_sigma, size=pts.shape)
+    kp = np.zeros((config.n_frames, N_KEYPOINTS, 3))
+    kp[:, :9, :2] = pts
+    kp[:, :9, 2] = 1.0
+    return Sequence(kp, config.fps, label=config.gesture, view_angle_deg=0.0)
 
 
 def mirror_about(x_axis, pose_kp):
@@ -106,6 +210,48 @@ class TestGenerate:
             SynthConfig(gesture=GestureLabel.LeftHandWave, subject_scale=0.0)
 
 
+class TestBitIdentityWithPerFrameReference:
+    @pytest.mark.parametrize("gesture", list(GestureLabel), ids=lambda g: g.name)
+    def test_every_frame_bit_for_bit(self, gesture):
+        for period in (4, 7, 20, 27, 30, 33, 40):
+            for scale in (80.0, 99.37, 100.0, 120.0):
+                cfg = SynthConfig(gesture=gesture, n_frames=301, period_frames=period,
+                                  subject_scale=scale, seed=period)
+                clean = reference_generate(cfg).kp
+                for n_frames in (1, 2, 301):
+                    for noise in (0.0, 0.013 * scale):
+                        want = clean[:n_frames].copy()
+                        if noise > 0.0:  # the reference's draw, added to its noiseless points
+                            rng = np.random.default_rng(cfg.seed)
+                            want[:, :9, :2] += rng.normal(0.0, noise, size=(n_frames, 9, 2))
+                        got = generate(replace(cfg, n_frames=n_frames, noise_sigma=noise)).kp
+                        assert np.array_equal(got, want), (period, scale, noise, n_frames)
+
+    @pytest.mark.parametrize("encoding", list(Encoding), ids=lambda e: e.value)
+    def test_default_start_positions(self, encoding, monkeypatch):
+        table = speed.default_start_positions(encoding)
+        monkeypatch.setattr(synth, "generate", reference_generate)
+        expected = speed.default_start_positions(encoding)
+        assert table.keys() == expected.keys()
+        for label in table:
+            assert np.array_equal(table[label], expected[label])
+
+    @pytest.mark.parametrize("name, value, gesture", [
+        ("CIRCLE_RADIUS", 1.0, GestureLabel.LeftHandRightCircle),
+        # reachable at first: the first unreachable frame lies mid-cycle
+        ("WAVE_AMPLITUDE", -0.8, GestureLabel.RightHandWave),
+    ])
+    def test_unreachable_wrist(self, name, value, gesture, monkeypatch):
+        monkeypatch.setattr(synth, name, value)
+        cfg = SynthConfig(gesture=gesture, n_frames=40, period_frames=20, subject_scale=99.37)
+        with pytest.raises(InvalidConfig) as expected:
+            reference_generate(cfg)
+        with pytest.raises(InvalidConfig) as got:
+            generate(cfg)
+        assert str(got.value) == str(expected.value)
+        assert "is unreachable by the arm" in str(got.value)
+
+
 class TestGenerateDataset:
     def test_counts_and_labels(self):
         base = SynthConfig(gesture=GestureLabel.StandStill, n_frames=12, seed=2)
@@ -140,6 +286,17 @@ class TestGenerateDataset:
         base = SynthConfig(gesture=GestureLabel.StandStill, n_frames=12, seed=2)
         with pytest.raises(InvalidConfig):
             generate_dataset(0, base, JitterSpec())
+
+    @pytest.mark.parametrize("field, bounds", [
+        ("period", (40, 20)),
+        ("scale", (120.0, 80.0)),
+        ("offset_x", (360.0, 280.0)),
+        ("offset_y", (220.0, 140.0)),
+        ("noise_frac", (0.05, 0.01)),
+    ])
+    def test_inverted_range_refused(self, field, bounds):
+        with pytest.raises(InvalidConfig, match=f"{field} range"):
+            JitterSpec(**{field: bounds})
 
 
 class TestDropKeypoints:
