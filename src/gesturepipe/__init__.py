@@ -1,8 +1,8 @@
 """Real-time dynamic arm gesture recognition over OpenPose BODY-25 keypoints.
 
-Kept import-light on purpose: the CLI configures BLAS thread caps before any
-numpy-backed submodule loads. Import submodules directly, e.g.
-``from gesturepipe import skeleton``.
+Kept import-light: importing the package loads no numpy, so a caller can still
+set the BLAS thread variables before numpy loads. Import submodules directly,
+e.g. ``from gesturepipe import skeleton``.
 """
 
 __version__ = "0.1.0"

@@ -7,12 +7,15 @@ resampled copies, ``train`` fits the classifier, ``eval`` scores a test set,
 measures a cyclic gesture's period.
 
 Exit codes: 0 success, 2 bad flags, 3 data errors, 4 numeric failure. Bad
-flags include a number out of range: ``--fps`` of ``ingest``, ``stream`` and
-``speed``, ``--per-class`` and ``--frames`` of ``synth``, ``--window``,
-``--epochs``, ``--batch``, ``--lr``, ``--speed-ratio``, ``--base-fps`` and
-``--vote-n`` must be positive, and ``--stride`` must not be negative (0 means
-the window length). A jitter range of ``synth`` whose minimum exceeds its
-maximum is a configuration error (exit 3).
+flags include a number out of range: ``--fps`` of ``synth``, ``ingest``,
+``stream`` and ``speed``, ``--per-class`` and ``--frames`` of ``synth``,
+``--window``, ``--epochs``, ``--batch``, ``--lr``, ``--gru-hidden``,
+``--head-dim``, ``--speed-ratio``, ``--base-fps`` and ``--vote-n`` must be
+positive, ``--hidden-dims`` must be two positive integers joined by a comma,
+and ``--stride`` must not be negative (0 means the window length). A jitter
+range of ``synth`` whose minimum exceeds its maximum, or that reaches a
+non-positive scale, a negative noise or a period too short for a cyclic
+gesture, is a configuration error (exit 3).
 Every command that writes files also appends one JSON line describing the
 run to ``manifest.jsonl`` beside its outputs.
 """
@@ -20,35 +23,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-
-def _configure_threads() -> None:
-    """Cap BLAS parallelism from GESTURE_PIPE_THREADS (0 or unset = automatic).
-
-    Must run before numpy loads, which is why this module calls it at import
-    time and the package __init__ stays import-light.
-    """
-    raw = os.environ.get("GESTURE_PIPE_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(n))
-
-
-_configure_threads()
-
 import numpy as np
 
 from . import __version__, augment, features, nn, recognizer, skeleton, speed, synth
-from .errors import EncodingMismatch, InvalidConfig, IoError, NonFiniteGradient, PipelineError
+from .errors import IoError, NonFiniteGradient, PipelineError
 from .features import Encoding
 from .skeleton import GestureLabel
 
@@ -63,6 +46,17 @@ def _positive(kind, zero_ok: bool = False):
 
     parse.__name__ = kind.__name__  # argparse names the type in its "invalid int value" message
     return parse
+
+
+def _layer_sizes(text: str) -> tuple[int, int]:
+    """An argparse type: the two dense layer sizes, positive integers joined by a comma."""
+    try:
+        sizes = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        sizes = ()
+    if len(sizes) != 2 or min(sizes) < 1:
+        raise argparse.ArgumentTypeError(f"must be two positive integers joined by a comma, got {text}")
+    return sizes
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -202,33 +196,12 @@ def cmd_augment(args) -> int:
 
 def cmd_train(args) -> int:
     encoding = Encoding(args.encoding)
-    stride = args.stride or args.window
-
-    if args.cache and Path(args.cache).is_file():
-        x, y, cache_enc, cache_stride = features.read_feature_cache(args.cache)
-        if cache_enc is not encoding:
-            raise EncodingMismatch(
-                f"cache encodes {cache_enc.value}, --encoding is {encoding.value}"
-            )
-        if x.shape[1] != args.window or cache_stride != stride:
-            cached = f"stride {cache_stride}" if cache_stride else "no recorded stride"
-            raise InvalidConfig(
-                f"cache holds {x.shape[1]}-frame windows with {cached}, "
-                f"the flags ask for {args.window}-frame windows with stride {stride}"
-            )
-    elif args.data is None:
-        raise IoError("pass --data, or --cache pointing at an existing feature cache")
-    else:
-        seqs = [seq for _, seq in _read_sequence_dir(Path(args.data))]
-        x, y, _ = _windows_from_sequences(seqs, encoding, args.window, stride)
-        if args.cache:
-            features.write_feature_cache(args.cache, x, y, encoding, stride)
-
-    hidden = tuple(int(v) for v in args.hidden_dims.split(","))
+    seqs = [seq for _, seq in _read_sequence_dir(Path(args.data))]
+    x, y, _ = _windows_from_sequences(seqs, encoding, args.window, args.stride)
     config = nn.ModelConfig(
         input_dim=encoding.dim,
         output_dim=len(GestureLabel),
-        hidden_dims=hidden,
+        hidden_dims=args.hidden_dims,
         gru_hidden=args.gru_hidden,
         head_dims=(args.head_dim,),
         seed=args.seed,
@@ -261,7 +234,7 @@ def cmd_train(args) -> int:
     print(f"validation accuracy: {best:.4f}")
     print(f"held-out test accuracy: {test_acc:.4f}")
     _write_manifest(
-        out_dir, "train", args, [args.data or args.cache],
+        out_dir, "train", args, [args.data],
         [weights_path, history_path],
         {"seed": args.seed, "split_seed": args.split_seed},
     )
@@ -406,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gesturepipe",
         description="Real-time dynamic arm gesture recognition pipeline.",
-        epilog="Set GESTURE_PIPE_THREADS to cap BLAS parallelism (0 = automatic).",
+        epilog="Set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS to cap BLAS parallelism.",
     )
     parser.add_argument("--version", action="version", version=f"gesturepipe {__version__}")
     sub = parser.add_subparsers(required=True, metavar="command")
@@ -415,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--per-class", type=_positive(int), default=40)
     p.add_argument("--frames", type=_positive(int), default=100)
-    p.add_argument("--fps", type=float, default=30.0)
+    p.add_argument("--fps", type=_positive(float), default=30.0)
     p.add_argument("--period-min", type=int, default=20)
     p.add_argument("--period-max", type=int, default=40)
     p.add_argument("--scale-min", type=float, default=80.0)
@@ -449,9 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("train", help="train the window classifier")
-    p.add_argument("--data", default=None, help="directory of labeled sequence files")
-    p.add_argument("--cache", default=None,
-                   help="feature cache JSONL; read if it exists, else written after encoding")
+    p.add_argument("--data", required=True, help="directory of labeled sequence files")
     p.add_argument("--encoding", required=True, choices=[e.value for e in Encoding])
     p.add_argument("--window", type=_positive(int), default=50)
     p.add_argument("--stride", type=_positive(int, zero_ok=True), default=0,
@@ -461,9 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=_positive(int), default=16)
     p.add_argument("--seed", type=int, default=0, help="weight init seed")
     p.add_argument("--split-seed", type=int, default=0, help="60/10/30 split seed")
-    p.add_argument("--hidden-dims", default="2048,1024")
-    p.add_argument("--gru-hidden", type=int, default=256)
-    p.add_argument("--head-dim", type=int, default=128)
+    p.add_argument("--hidden-dims", type=_layer_sizes, default="2048,1024")
+    p.add_argument("--gru-hidden", type=_positive(int), default=256)
+    p.add_argument("--head-dim", type=_positive(int), default=128)
     p.add_argument("--out", required=True, help="output directory for weights and history")
     p.set_defaults(func=cmd_train)
 

@@ -17,21 +17,12 @@ them.
 """
 from __future__ import annotations
 
-import json
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DegenerateExtent,
-    IoError,
-    MalformedJson,
-    MissingKeypoint,
-    PipelineError,
-    ZeroLengthRay,
-)
-from .skeleton import Body25, GestureLabel, Pose, Sequence
+from .errors import DegenerateExtent, MissingKeypoint, PipelineError, ZeroLengthRay
+from .skeleton import Body25, Pose, Sequence
 
 N_UPPER = 9
 COORD_DIM = 18
@@ -145,60 +136,3 @@ def slice_windows(matrix: np.ndarray, window_len: int, stride: int) -> np.ndarra
         writeable=False,
     )
 
-
-def write_feature_cache(path: str | Path, x: np.ndarray, y: np.ndarray, encoding: Encoding,
-                        stride: int) -> None:
-    """Cache (n, T, dim) windows ``x``, cut every ``stride`` frames, with their
-    (n,) labels ``y`` to JSONL, one {label, encoding, stride, frames} object
-    per window."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for matrix, label in zip(x, y):
-            doc = {
-                "label": GestureLabel(int(label)).name,
-                "encoding": encoding.value,
-                "stride": stride,
-                "frames": np.asarray(matrix, dtype=np.float64).tolist(),
-            }
-            fh.write(json.dumps(doc) + "\n")
-
-
-def read_feature_cache(path: str | Path) -> tuple[np.ndarray, np.ndarray, Encoding, int | None]:
-    """Read a cache written by :func:`write_feature_cache` as (x, y, encoding,
-    stride), with stride None when the windows record none.
-
-    Windows with a null label are skipped. Raises MalformedJson naming the
-    first window whose encoding, stride or (frames, dim) shape differs from
-    the first window's, and IoError when no window has a label.
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise IoError(f"{path} does not exist")
-    windows, labels = [], []
-    first: tuple[Encoding, tuple[int, ...], int | None] | None = None
-    for i, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-            enc = Encoding(doc["encoding"])
-            label = GestureLabel[doc["label"]] if doc.get("label") else None
-            stride = doc.get("stride")
-            matrix = np.asarray(doc["frames"], dtype=np.float64)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise MalformedJson(f"{path}: window {i}: {exc}") from exc
-        if matrix.ndim != 2 or matrix.shape[1] != enc.dim:
-            raise MalformedJson(f"{path}: window {i}: bad frame matrix shape {matrix.shape}")
-        if first is None:
-            first = enc, matrix.shape, stride
-        elif enc is not first[0]:
-            raise MalformedJson(f"{path}: window {i}: mixed encodings in cache")
-        elif matrix.shape != first[1]:
-            raise MalformedJson(f"{path}: window {i}: shape {matrix.shape} differs from {first[1]}")
-        elif stride != first[2]:
-            raise MalformedJson(f"{path}: window {i}: stride {stride} differs from {first[2]}")
-        if label is not None:
-            windows.append(matrix)
-            labels.append(int(label))
-    if not labels:
-        raise IoError(f"{path} holds no labeled windows")
-    return np.stack(windows), np.asarray(labels), first[0], first[2]

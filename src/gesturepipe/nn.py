@@ -81,6 +81,8 @@ class ModelConfig:
             raise ValueError("architecture is fixed at two dense layers, a GRU, and a two-layer head")
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
         object.__setattr__(self, "head_dims", tuple(int(d) for d in self.head_dims))
+        if min(*self.hidden_dims, self.gru_hidden, *self.head_dims) < 1:
+            raise ValueError("hidden_dims, gru_hidden and head_dims must be positive")
 
 
 @dataclass
@@ -479,12 +481,15 @@ def load_model(
         raise MalformedJson(f"{path}: bad weight header: {exc}") from exc
     if header.get("format") != WEIGHT_FORMAT or header.get("version") != WEIGHT_VERSION:
         raise MalformedJson(f"{path}: not a {WEIGHT_FORMAT} v{WEIGHT_VERSION} file")
-    encoding = Encoding(header["encoding"])
+    try:
+        encoding = Encoding(header["encoding"])
+        config = ModelConfig(**{f.name: header["config"][f.name] for f in fields(ModelConfig)})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedJson(f"{path}: bad weight header: {exc!r}") from exc
     if expect_encoding is not None and encoding is not expect_encoding:
         raise EncodingMismatch(
             f"{path}: model encodes {encoding.value}, expected {expect_encoding.value}"
         )
-    config = ModelConfig(**{f.name: header["config"][f.name] for f in fields(ModelConfig)})
     params = ModelParams.zeros(config)
     offset = 0
     for entry in header["tensors"]:

@@ -40,6 +40,8 @@ CHAIN_A = ((2, 3, 4), -1.0)
 CHAIN_B = ((5, 6, 7), +1.0)
 
 STATIC_GESTURES = (GestureLabel.StandStill,)
+# the shortest period, in frames, of the cyclic gestures
+MIN_CYCLIC_PERIOD = 4
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ class SynthConfig:
             raise InvalidConfig("subject_scale must be positive")
         if self.noise_sigma < 0:
             raise InvalidConfig("noise_sigma must be nonnegative")
-        min_period = 1 if self.gesture in STATIC_GESTURES else 4
+        min_period = 1 if self.gesture in STATIC_GESTURES else MIN_CYCLIC_PERIOD
         if self.period_frames < min_period:
             raise InvalidConfig(
                 f"period_frames must be >= {min_period} for {self.gesture.name}"
@@ -74,7 +76,9 @@ class JitterSpec:
     """Inclusive parameter ranges for dataset generation.
 
     ``noise_frac`` draws the noise sigma as a fraction of the drawn subject
-    scale.
+    scale. Every range must lie inside the generator's domain, since
+    :func:`generate_dataset` draws every gesture from it: a period of at least
+    ``MIN_CYCLIC_PERIOD`` frames, a positive scale and a nonnegative noise.
     """
 
     period: tuple[int, int] = (20, 40)
@@ -88,6 +92,12 @@ class JitterSpec:
             low, high = getattr(self, field.name)
             if low > high:
                 raise InvalidConfig(f"{field.name} range ({low}, {high}) has its low above its high")
+        if self.period[0] < MIN_CYCLIC_PERIOD:
+            raise InvalidConfig(f"period range {self.period} reaches below {MIN_CYCLIC_PERIOD} frames")
+        if self.scale[0] <= 0:
+            raise InvalidConfig(f"scale range {self.scale} reaches a scale that is not positive")
+        if self.noise_frac[0] < 0:
+            raise InvalidConfig(f"noise_frac range {self.noise_frac} reaches a negative noise")
 
 
 def _two_bone_elbow(shoulder: np.ndarray, wrist: np.ndarray, side: float, scale: float) -> np.ndarray:

@@ -1,4 +1,6 @@
+import argparse
 import json
+import re
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -63,6 +65,12 @@ class TestHelp:
         ("train", "--out", "m", *TRAIN_FLAGS, "--batch", "0"),
         ("train", "--out", "m", *TRAIN_FLAGS, "--lr", "0"),
         ("train", "--out", "m", *TRAIN_FLAGS, "--lr", "nan"),
+        ("train", "--out", "m", *TRAIN_FLAGS, "--gru-hidden", "0"),
+        ("train", "--out", "m", *TRAIN_FLAGS, "--gru-hidden", "-3"),
+        ("train", "--out", "m", *TRAIN_FLAGS, "--head-dim", "0"),
+        ("train", "--out", "m", *TRAIN_FLAGS, "--hidden-dims", "0,8"),
+        ("train", "--out", "m", *TRAIN_FLAGS, "--hidden-dims", "16,8,4"),
+        ("train", "--out", "m", *TRAIN_FLAGS, "--hidden-dims", "16,x"),
         ("eval", "--weights", "w", "--data", "d", "--out", "e", "--window", "0"),
         ("eval", "--weights", "w", "--data", "d", "--out", "e", "--stride", "-1"),
         ("speed", "seq.jsonl", "--fps", "0"),
@@ -70,6 +78,7 @@ class TestHelp:
         ("stream", "seq.jsonl", "--weights", "w", "--speed-ratio", "0"),
         ("synth", "--out", "s", "--frames", "0"),
         ("synth", "--out", "s", "--per-class", "0"),
+        ("synth", "--out", "s", "--fps", "0"),
     ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
     def test_out_of_range_number_exits_two(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -78,6 +87,17 @@ class TestHelp:
         err = capsys.readouterr().err
         assert f"argument {argv[-2]}: must be" in err
         assert "Traceback" not in err
+
+    def test_readme_names_only_flags_the_cli_accepts(self):
+        parser = cli.build_parser()
+        (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        accepted = {
+            flag for p in (parser, *commands.choices.values()) for a in p._actions for flag in a.option_strings
+        }
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+        assert "--data" in named
+        assert sorted(named - accepted) == []
 
 
 class TestSynth:
@@ -100,6 +120,11 @@ class TestSynth:
         (("--period-min", "40", "--period-max", "20"), "period"),
         (("--noise-min", "0.05", "--noise-max", "0.01"), "noise_frac"),
         (("--scale-min", "130"), "scale"),
+        # ranges that reach outside the generator's domain fail whatever the draws
+        (("--period-min", "3"), "period"),
+        (("--scale-min", "-50", "--seed", "4"), "scale"),
+        (("--scale-min", "0"), "scale"),
+        (("--noise-min", "-0.01"), "noise_frac"),
     ])
     def test_inverted_range_exits_three(self, tmp_path, capsys, flags, name):
         out = tmp_path / "s"
@@ -180,9 +205,15 @@ class TestTrain:
         rc = run("train", "--data", tmp_path / "nope", "--out", tmp_path / "m", *TRAIN_FLAGS)
         assert rc == 3
 
-    def test_no_data_and_no_cache_exits_three(self, tmp_path):
-        rc = run("train", "--out", tmp_path / "m", *TRAIN_FLAGS)
-        assert rc == 3
+    @pytest.mark.parametrize("flags, message", [
+        ((), "the following arguments are required: --data"),
+        (("--data", "d", "--cache", "c.jsonl"), "unrecognized arguments: --cache c.jsonl"),
+    ], ids=["no data", "cache"])
+    def test_missing_or_removed_flag_exits_two(self, capsys, flags, message):
+        with pytest.raises(SystemExit) as exc:
+            run("train", "--out", "m", *TRAIN_FLAGS, *flags)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_numeric_failure_exits_four(self, tmp_path, synth_dir, monkeypatch):
         from gesturepipe.errors import NonFiniteGradient
@@ -193,28 +224,6 @@ class TestTrain:
         monkeypatch.setattr("gesturepipe.cli.nn.train", explode)
         rc = run("train", "--data", synth_dir, "--out", tmp_path / "m", *TRAIN_FLAGS)
         assert rc == 4
-
-    def test_feature_cache_round_trip(self, tmp_path, synth_dir):
-        cache = tmp_path / "cache.jsonl"
-        out1 = tmp_path / "m1"
-        rc = run("train", "--data", synth_dir, "--cache", cache, "--out", out1, *TRAIN_FLAGS)
-        assert rc == 0
-        assert cache.is_file()
-        out2 = tmp_path / "m2"
-        rc = run("train", "--cache", cache, "--out", out2, *TRAIN_FLAGS)
-        assert rc == 0
-        assert (out2 / "weights.gpw").read_bytes() == (out1 / "weights.gpw").read_bytes()
-
-    def test_feature_cache_of_other_window_exits_three(self, tmp_path, synth_dir, capsys):
-        cache = tmp_path / "cache.jsonl"
-        rc = run("train", "--data", synth_dir, "--cache", cache, "--out", tmp_path / "m1", *TRAIN_FLAGS)
-        assert rc == 0
-        capsys.readouterr()
-        rc = run("train", "--cache", cache, "--out", tmp_path / "m2", *TRAIN_FLAGS, "--window", "30")
-        assert rc == 3
-        err = capsys.readouterr().err
-        assert "20-frame windows with stride 20" in err
-        assert "30-frame windows with stride 30" in err
 
 
 class TestEval:
@@ -358,26 +367,6 @@ class TestSpeed:
         seq_file = synth_dir / next(n for n in data_files(synth_dir) if n.startswith("StandStill"))
         rc = run("speed", seq_file)
         assert rc == 3
-
-
-class TestThreadCap:
-    def test_env_var_caps_blas_threads(self, monkeypatch):
-        import os
-
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        monkeypatch.setenv("GESTURE_PIPE_THREADS", "2")
-        cli._configure_threads()
-        assert os.environ["OMP_NUM_THREADS"] == "2"
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
-
-    def test_zero_means_automatic(self, monkeypatch):
-        import os
-
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        monkeypatch.setenv("GESTURE_PIPE_THREADS", "0")
-        cli._configure_threads()
-        assert "OMP_NUM_THREADS" not in os.environ
 
 
 class TestManifest:

@@ -1,4 +1,3 @@
-import json
 import math
 from fractions import Fraction
 
@@ -8,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gesturepipe import synth
-from gesturepipe.errors import DegenerateExtent, IoError, MalformedJson, MissingKeypoint, ZeroLengthRay
+from gesturepipe.errors import DegenerateExtent, MissingKeypoint, ZeroLengthRay
 from gesturepipe.features import (
     ANGLE_TRIPLES,
     Encoding,
@@ -16,9 +15,7 @@ from gesturepipe.features import (
     encode_frame,
     encode_sequence,
     normalize_1x1,
-    read_feature_cache,
     slice_windows,
-    write_feature_cache,
 )
 from gesturepipe.skeleton import GestureLabel, Sequence
 
@@ -241,52 +238,3 @@ class TestWindowsAndCache:
         got = slice_windows(m, window_len, stride)
         assert got.shape == want.shape
         np.testing.assert_array_equal(got, want)
-
-    def write_cache(self, path, rng, labels, shapes=None):
-        shapes = shapes or [(5, 18)] * len(labels)
-        x = [rng.normal(size=shape) for shape in shapes]
-        path.write_text("".join(
-            json.dumps({"label": label, "encoding": "coordinate", "frames": m.tolist()}) + "\n"
-            for m, label in zip(x, labels)
-        ))
-        return x
-
-    def test_cache_round_trip(self, tmp_path, rng):
-        x = rng.normal(size=(2, 5, 18))
-        y = np.array([GestureLabel.CallToPass, GestureLabel.StandStill])
-        path = tmp_path / "cache.jsonl"
-        write_feature_cache(path, x, y, Encoding.COORDINATE, 3)
-        got_x, got_y, encoding, stride = read_feature_cache(path)
-        assert encoding is Encoding.COORDINATE
-        assert stride == 3
-        np.testing.assert_array_equal(got_x, x)
-        np.testing.assert_array_equal(got_y, y)
-
-    def test_cache_skips_null_labels(self, tmp_path, rng):
-        path = tmp_path / "cache.jsonl"
-        x = self.write_cache(path, rng, ["CallToPass", None, "StandStill"])
-        got_x, got_y, _, _ = read_feature_cache(path)
-        np.testing.assert_array_equal(got_x, [x[0], x[2]])
-        np.testing.assert_array_equal(got_y, [GestureLabel.CallToPass, GestureLabel.StandStill])
-
-    def test_cache_refuses_mixed_window_shapes(self, tmp_path, rng):
-        path = tmp_path / "cache.jsonl"
-        self.write_cache(path, rng, ["CallToPass", None, "StandStill"], [(5, 18), (5, 18), (4, 18)])
-        with pytest.raises(MalformedJson, match="window 2: shape"):
-            read_feature_cache(path)
-
-    def test_cache_refuses_mixed_strides(self, tmp_path, rng):
-        path = tmp_path / "cache.jsonl"
-        write_feature_cache(path, rng.normal(size=(2, 5, 18)), np.array([0, 1]), Encoding.COORDINATE, 5)
-        self.write_cache(tmp_path / "no_stride.jsonl", rng, ["StandStill"])
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write((tmp_path / "no_stride.jsonl").read_text())
-        with pytest.raises(MalformedJson, match="window 2: stride None differs from 5"):
-            read_feature_cache(path)
-
-    def test_cache_without_labeled_windows(self, tmp_path, rng):
-        path = tmp_path / "cache.jsonl"
-        for labels in ([None, None], []):
-            self.write_cache(path, rng, labels)
-            with pytest.raises(IoError, match="no labeled windows"):
-                read_feature_cache(path)

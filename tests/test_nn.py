@@ -40,6 +40,19 @@ def naive_forward(params, window):
     return t["w4"] @ h3 + t["b4"]
 
 
+class TestModelConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("hidden_dims", (0, 8)),
+        ("hidden_dims", (8, -1)),
+        ("gru_hidden", 0),
+        ("gru_hidden", -3),
+        ("head_dims", (0,)),
+    ])
+    def test_layer_size_below_one_refused(self, field, value):
+        with pytest.raises(ValueError, match="hidden_dims, gru_hidden and head_dims must be positive"):
+            nn.ModelConfig(**{**TINY.__dict__, field: value})
+
+
 class TestForward:
     def test_zero_params_zero_window_give_zero_logits(self):
         params = nn.init_params(TINY)
@@ -441,6 +454,23 @@ class TestWeightFile:
         header, blob = path.read_bytes().split(b"\n", 1)
         path.write_bytes(header.replace(b'"version": 2', b'"version": 1') + b"\n" + blob)
         with pytest.raises(MalformedJson):
+            nn.load_model(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda header: header.update(encoding="xyz"),
+        lambda header: header["config"].update(gru_hidden=0),
+        lambda header: header.pop("config"),
+    ], ids=["unknown encoding", "zero gru_hidden", "no config"])
+    def test_bad_header_fields_refused(self, tmp_path, edit):
+        from gesturepipe.errors import MalformedJson
+
+        path = tmp_path / "weights.gpw"
+        nn.save_model(path, nn.init_params(TINY), Encoding.ANGLE)
+        header_line, blob = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        edit(header)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+        with pytest.raises(MalformedJson, match="bad weight header"):
             nn.load_model(path)
 
     def test_garbage_refused(self, tmp_path):

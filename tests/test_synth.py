@@ -9,6 +9,7 @@ from gesturepipe.errors import InvalidConfig, MissingKeypoint
 from gesturepipe.features import Encoding, encode_frame
 from gesturepipe.skeleton import N_KEYPOINTS, GestureLabel, Sequence
 from gesturepipe.synth import (
+    MIN_CYCLIC_PERIOD,
     JitterSpec,
     SynthConfig,
     drop_keypoints,
@@ -293,10 +294,20 @@ class TestGenerateDataset:
         ("offset_x", (360.0, 280.0)),
         ("offset_y", (220.0, 140.0)),
         ("noise_frac", (0.05, 0.01)),
+        # ranges that reach outside the generator's domain
+        ("period", (MIN_CYCLIC_PERIOD - 1, 40)),
+        ("scale", (-50.0, 120.0)),
+        ("scale", (0.0, 120.0)),
+        ("noise_frac", (-0.01, 0.02)),
     ])
     def test_inverted_range_refused(self, field, bounds):
         with pytest.raises(InvalidConfig, match=f"{field} range"):
             JitterSpec(**{field: bounds})
+
+    def test_shortest_cyclic_period_is_accepted(self):
+        base = SynthConfig(gesture=GestureLabel.StandStill, n_frames=12, seed=2)
+        jitter = JitterSpec(period=(MIN_CYCLIC_PERIOD, MIN_CYCLIC_PERIOD))
+        assert len(generate_dataset(1, base, jitter)) == len(GestureLabel)
 
 
 class TestDropKeypoints:
