@@ -7,12 +7,14 @@ resampled copies, ``train`` fits the classifier, ``eval`` scores a test set,
 measures a cyclic gesture's period.
 
 Exit codes: 0 success, 2 bad flags, 3 data errors, 4 numeric failure. Bad
-flags include a number out of range: ``--fps`` of ``synth``, ``ingest``,
-``stream`` and ``speed``, ``--per-class`` and ``--frames`` of ``synth``,
-``--window``, ``--epochs``, ``--batch``, ``--lr``, ``--gru-hidden``,
-``--head-dim``, ``--speed-ratio``, ``--base-fps`` and ``--vote-n`` must be
-positive, ``--hidden-dims`` must be two positive integers joined by a comma,
-and ``--stride`` must not be negative (0 means the window length). A jitter
+flags include a number that is not finite (``inf``, ``nan``), in any flag or
+in ``augment``'s comma-separated lists, and a number out of range: ``--fps``
+of ``synth``, ``ingest``, ``stream`` and ``speed``, ``--per-class`` and
+``--frames`` of ``synth``, ``--window``, ``--epochs``, ``--batch``, ``--lr``,
+``--gru-hidden``, ``--head-dim``, ``--speed-ratio``, ``--base-fps`` and
+``--vote-n`` must be positive, ``--hidden-dims`` must be two positive
+integers joined by a comma, and ``--stride`` must not be negative (0 means
+the window length). A jitter
 range of ``synth`` whose minimum exceeds its maximum, or that reaches a
 non-positive scale, a negative noise or a period too short for a cyclic
 gesture, is a configuration error (exit 3).
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -37,11 +40,14 @@ from .skeleton import GestureLabel
 
 
 def _positive(kind, zero_ok: bool = False):
-    """An argparse type: ``kind`` of the text, refused unless above zero (or zero, if ``zero_ok``)."""
+    """An argparse type: ``kind`` of the text, refused unless finite and above
+    zero (or zero, if ``zero_ok``)."""
     def parse(text: str):
         value = kind(text)
         if not (value > 0 or zero_ok and value == 0):
             raise argparse.ArgumentTypeError(f"must be {'at least 0' if zero_ok else 'positive'}, got {text}")
+        if value == math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names the type in its "invalid int value" message
@@ -59,8 +65,23 @@ def _layer_sizes(text: str) -> tuple[int, int]:
     return sizes
 
 
+def _finite(text: str) -> float:
+    """An argparse type: a float, refused unless finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+_finite.__name__ = "float"  # argparse names the type in its "invalid float value" message
+
+
 def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+    """An argparse type: finite numbers joined by commas; empty items are skipped."""
+    try:
+        return [_finite(v) for v in text.split(",") if v.strip()]
+    except (ValueError, argparse.ArgumentTypeError):
+        raise argparse.ArgumentTypeError(f"must be finite numbers joined by commas, got {text}") from None
 
 
 def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
@@ -165,10 +186,9 @@ def cmd_augment(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     table = augment.load_depth_table(args.depth_config) if args.depth_config else augment.default_depth_table()
-    angles = _parse_floats(args.angles) if args.angles else []
+    angles = args.angles
     if args.both_sides:
         angles = [a for mag in angles for a in (mag, -mag)]
-    ratios = _parse_floats(args.speed_ratios) if args.speed_ratios else []
 
     outputs = []
     for path, seq in _read_sequence_dir(in_dir):
@@ -182,7 +202,7 @@ def cmd_augment(args) -> int:
             dst = out_dir / f"{stem}_rot{angle:+g}.jsonl"
             skeleton.write_sequence(dst, rotated)
             outputs.append(dst)
-        for ratio in ratios:
+        for ratio in args.speed_ratios:
             resampled = augment.resample_speed(seq, ratio)
             dst = out_dir / f"{stem}_speed{ratio:g}.jsonl"
             skeleton.write_sequence(dst, resampled)
@@ -391,13 +411,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fps", type=_positive(float), default=30.0)
     p.add_argument("--period-min", type=int, default=20)
     p.add_argument("--period-max", type=int, default=40)
-    p.add_argument("--scale-min", type=float, default=80.0)
-    p.add_argument("--scale-max", type=float, default=120.0)
-    p.add_argument("--noise-min", type=float, default=0.0,
+    p.add_argument("--scale-min", type=_finite, default=80.0)
+    p.add_argument("--scale-max", type=_finite, default=120.0)
+    p.add_argument("--noise-min", type=_finite, default=0.0,
                    help="noise sigma lower bound, fraction of subject scale")
-    p.add_argument("--noise-max", type=float, default=0.02,
+    p.add_argument("--noise-max", type=_finite, default=0.02,
                    help="noise sigma upper bound, fraction of subject scale")
-    p.add_argument("--drop-prob", type=float, default=0.0,
+    p.add_argument("--drop-prob", type=_finite, default=0.0,
                    help="probability of zeroing each keypoint's confidence")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
@@ -406,16 +426,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="directory of per-frame *.json files, or a JSONL file")
     p.add_argument("--fps", type=_positive(float), required=True)
     p.add_argument("--label", choices=[g.name for g in GestureLabel], default=None)
-    p.add_argument("--view-angle", type=float, default=None)
+    p.add_argument("--view-angle", type=_finite, default=None)
     p.add_argument("--out", required=True, help="output sequence file")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("augment", help="write rotated-view and resampled copies")
     p.add_argument("input", help="directory of sequence files")
     p.add_argument("--out", required=True)
-    p.add_argument("--angles", default="", help='rotation angles, e.g. "15,30,45"')
+    p.add_argument("--angles", type=_parse_floats, default="", help='rotation angles, e.g. "15,30,45"')
     p.add_argument("--both-sides", action="store_true", help="also rotate by the negated angles")
-    p.add_argument("--speed-ratios", default="", help='speed ratios, e.g. "0.5,2.0"')
+    p.add_argument("--speed-ratios", type=_parse_floats, default="", help='speed ratios, e.g. "0.5,2.0"')
     p.add_argument("--depth-config", default=None, help="depth table file (default: built-in)")
     p.add_argument("--no-include-original", dest="include_original", action="store_false",
                    help="do not copy the source sequences into the output")
@@ -454,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-len", type=int, default=50)
     p.add_argument("--base-fps", type=_positive(float), default=30.0)
     p.add_argument("--vote-n", type=_positive(int), default=5)
-    p.add_argument("--retention", type=float, default=0.5)
+    p.add_argument("--retention", type=_finite, default=0.5)
     p.add_argument("--realtime", action="store_true", help="pace the replay at the stream fps")
     p.add_argument("--out", default=None, help="optional CSV of emissions")
     p.set_defaults(func=cmd_stream)

@@ -58,8 +58,8 @@ def normalize_1x1(points: np.ndarray) -> np.ndarray:
     """
     shifted = points - points[..., Body25.NECK, None, :]
     extent = shifted.max(axis=-2) - shifted.min(axis=-2)
-    bad = (extent == 0.0).any(axis=-1)
-    if bad.any():
+    if not extent.all():
+        bad = (extent == 0.0).any(axis=-1)
         width, height = extent.reshape(-1, 2)[np.argmax(bad)]
         raise _at_frame(
             DegenerateExtent(f"upper-body extent is degenerate (width={width}, height={height})"),
@@ -95,8 +95,10 @@ def _encode(kp: np.ndarray, encoding: Encoding) -> np.ndarray:
     """
     upper = kp[:, :N_UPPER]
     gaps = upper[:, :, 2] <= 0.0
-    gap_frames = gaps.any(axis=1)
-    end = int(np.argmax(gap_frames)) if gap_frames.any() else len(kp)
+    end = len(kp)
+    if gaps.any():
+        gap_frames = gaps.any(axis=1)
+        end = int(np.argmax(gap_frames))
     points = upper[:end, :, :2]
     if encoding is Encoding.COORDINATE:
         rows = normalize_1x1(points).reshape(end, COORD_DIM)

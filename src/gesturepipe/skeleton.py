@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import logging
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from enum import IntEnum
@@ -22,6 +24,13 @@ from .errors import IoError, MalformedJson, NoPerson, PipelineError, WrongArity
 log = logging.getLogger(__name__)
 
 N_KEYPOINTS = 25
+
+# write_sequence formats this many frames with one % and one write, which keeps
+# the text of a long recording in bounded memory
+_FRAMES_PER_WRITE = 256
+# one frame line exactly as json.dumps({"kp": frame.tolist()}) writes it: %r of
+# a finite float is float.__repr__, which json.dumps uses too
+_FRAME_LINE = '{"kp": [' + ", ".join(["[%r, %r, %r]"] * N_KEYPOINTS) + "]}\n"
 
 
 class Body25(IntEnum):
@@ -115,7 +124,9 @@ class Pose:
 @dataclass(frozen=True, eq=False)
 class Sequence:
     """T frames at a fixed frame rate as one read-only (T, 25, 3) float64 array
-    ``kp``, copied and checked once from what :func:`_keypoint_frames` takes."""
+    ``kp``, copied and checked once from what :func:`_keypoint_frames` takes.
+    ``fps`` is a finite positive number; ``view_angle_deg`` is None or a finite
+    number."""
 
     kp: np.ndarray
     fps: float
@@ -126,6 +137,13 @@ class Sequence:
         object.__setattr__(self, "kp", _keypoint_frames(self.kp))
         if not self.fps > 0:
             raise ValueError("fps must be positive")
+        if self.fps == math.inf:
+            raise ValueError("fps must be finite")
+        view = self.view_angle_deg
+        if view is not None and (
+            isinstance(view, bool) or not isinstance(view, numbers.Real) or not math.isfinite(view)
+        ):
+            raise ValueError(f"view_angle_deg must be null or a finite number, got {view!r}")
 
     @cached_property
     def frames(self) -> tuple[Pose, ...]:
@@ -215,8 +233,10 @@ def write_sequence(path: str | Path, seq: Sequence) -> None:
     """Write a Sequence to the line-oriented JSON format used by this package.
 
     Line 1 is a metadata object {fps, label, view_angle_deg}; every following
-    line is a frame object {"kp": [[x, y, c] x 25]}. Floats are written with
-    full round-trip precision, so rereading reproduces poses bit for bit.
+    line is a frame object {"kp": [[x, y, c] x 25]}, byte for byte what
+    ``json.dumps`` writes. Floats are written with full round-trip precision,
+    so rereading reproduces poses bit for bit, and the checks of
+    :class:`Sequence` keep every number finite, so the file is strict JSON.
     """
     meta = {
         "fps": float(seq.fps),
@@ -225,8 +245,9 @@ def write_sequence(path: str | Path, seq: Sequence) -> None:
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(meta) + "\n")
-        for frame in seq.kp:
-            fh.write(json.dumps({"kp": frame.tolist()}) + "\n")
+        for start in range(0, len(seq.kp), _FRAMES_PER_WRITE):
+            block = seq.kp[start:start + _FRAMES_PER_WRITE]
+            fh.write((_FRAME_LINE * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_sequence(path: str | Path) -> Sequence:

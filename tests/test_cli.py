@@ -88,6 +88,35 @@ class TestHelp:
         assert f"argument {argv[-2]}: must be" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("synth", "--fps", "inf"),
+        ("synth", "--scale-max", "inf"),
+        ("synth", "--noise-max", "inf"),
+        ("synth", "--noise-min", "nan"),
+        ("synth", "--drop-prob", "nan"),
+        ("ingest", "in", "--fps", "inf"),
+        ("ingest", "in", "--fps", "30", "--view-angle", "nan"),
+        ("augment", "in", "--angles", "15,inf"),
+        ("augment", "in", "--angles", "15,x"),
+        ("augment", "in", "--speed-ratios", "inf"),
+        ("augment", "in", "--speed-ratios", "0.5,nan"),
+        ("train", "--data", "d", *TRAIN_FLAGS, "--lr", "inf"),
+        ("stream", "seq.jsonl", "--weights", "w", "--fps", "inf"),
+        ("stream", "seq.jsonl", "--weights", "w", "--base-fps", "inf"),
+        ("stream", "seq.jsonl", "--weights", "w", "--speed-ratio", "inf"),
+        ("stream", "seq.jsonl", "--weights", "w", "--retention", "nan"),
+        ("speed", "seq.jsonl", "--fps", "inf"),
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+    def test_non_finite_number_exits_two(self, tmp_path, argv, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out", out)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: must be finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_readme_names_only_flags_the_cli_accepts(self):
         parser = cli.build_parser()
         (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -367,6 +396,17 @@ class TestSpeed:
         seq_file = synth_dir / next(n for n in data_files(synth_dir) if n.startswith("StandStill"))
         rc = run("speed", seq_file)
         assert rc == 3
+
+    def test_metadata_of_another_type_exits_three(self, tmp_path, synth_dir, trained_dir, capsys):
+        lines = (synth_dir / data_files(synth_dir)[0]).read_text().splitlines(keepends=True)
+        meta = json.loads(lines[0])
+        meta["view_angle_deg"] = "15"
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "seq.jsonl").write_text(json.dumps(meta) + "\n" + "".join(lines[1:]))
+        rc = run("eval", "--weights", trained_dir / "weights.gpw", "--data", data, "--out", tmp_path / "e")
+        assert rc == 3
+        assert "view_angle_deg must be null or a finite number, got '15'" in capsys.readouterr().err
 
 
 class TestManifest:

@@ -222,6 +222,48 @@ class TestEncodeFrame:
         with pytest.raises(ZeroLengthRay, match="^frame 2: "):
             encode_sequence(seq, Encoding.ANGLE)
 
+    # what each one-frame failure raises per encoding, None when it encodes
+    FAILURES = {
+        "missing": {Encoding.COORDINATE: MissingKeypoint, Encoding.ANGLE: MissingKeypoint},
+        "zero width": {Encoding.COORDINATE: DegenerateExtent, Encoding.ANGLE: None},
+        "zero height": {Encoding.COORDINATE: DegenerateExtent, Encoding.ANGLE: None},
+        "coincident": {Encoding.COORDINATE: None, Encoding.ANGLE: ZeroLengthRay},
+    }
+
+    @staticmethod
+    def failing_pose(rng, case):
+        pts = random_nondegenerate_points(rng)
+        present = [True] * 9
+        if case == "missing":
+            present[6] = False
+        elif case == "zero width":
+            pts[:, 0] = 12.5
+        elif case == "zero height":
+            pts[:, 1] = -3.0
+        else:
+            pts[4] = pts[3]  # wrist on the elbow
+        return pose_from_upper(pts, present)
+
+    @pytest.mark.parametrize("encoding", list(Encoding))
+    @pytest.mark.parametrize("case", list(FAILURES))
+    def test_frame_fails_as_the_sequence_does_at_that_frame(self, rng, encoding, case):
+        good = pose_from_upper(random_nondegenerate_points(rng))
+        bad = self.failing_pose(rng, case)
+        later = self.failing_pose(rng, "missing")
+        expected = self.FAILURES[case][encoding]
+        if expected is None:
+            np.testing.assert_array_equal(
+                encode_frame(bad, encoding), encode_sequence(Sequence((good, bad), fps=30.0), encoding)[1]
+            )
+            return
+        with pytest.raises(expected) as in_seq:
+            encode_sequence(Sequence((good, good, bad, later), fps=30.0), encoding)
+        with pytest.raises(expected) as alone:
+            encode_frame(bad, encoding)
+        assert in_seq.value.frame == 2 and alone.value.frame == 0
+        assert str(in_seq.value) == f"frame 2: {alone.value}"
+        assert vars(alone.value) == {**vars(in_seq.value), "frame": 0}
+
 
 class TestWindowsAndCache:
     def test_slice_windows(self):

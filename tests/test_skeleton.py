@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from gesturepipe import skeleton
 from gesturepipe.errors import IoError, MalformedJson, NoPerson, WrongArity
 from gesturepipe.skeleton import (
     N_KEYPOINTS,
@@ -153,6 +155,18 @@ class TestSequenceFileFormat:
         assert loaded.label is None
         assert loaded.view_angle_deg is None
 
+    @pytest.mark.parametrize("field, value", [
+        ("view_angle_deg", "15"), ("view_angle_deg", math.nan), ("view_angle_deg", True),
+        ("fps", math.inf), ("fps", 0.0),
+    ])
+    def test_read_refuses_bad_metadata_values(self, tmp_path, rng, field, value):
+        path = tmp_path / "seq.jsonl"
+        write_sequence(path, Sequence((random_pose(rng),), fps=30.0))
+        meta, frame = path.read_text().splitlines()
+        path.write_text(json.dumps({**json.loads(meta), field: value}) + "\n" + frame + "\n")
+        with pytest.raises(MalformedJson, match=f"seq.jsonl: {field} must be"):
+            read_sequence(path)
+
     def test_read_missing_file(self, tmp_path):
         with pytest.raises(IoError):
             read_sequence(tmp_path / "missing.jsonl")
@@ -177,6 +191,45 @@ class TestSequenceFileFormat:
             read_sequence(path)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+class TestWriterBytes:
+    """write_sequence against the one-json.dumps-per-line reference."""
+
+    # float reprs json.dumps spells in different ways: signed zero, the
+    # smallest subnormal, exponents on both sides, a sum that does not round
+    # to one digit, and integral values
+    SPECIAL = [-0.0, 5e-324, 1e-7, 1e16, 1e22, 0.1 + 0.2, 3.0, -640.0, 0.0, 1.0]
+    BLOCK = skeleton._FRAMES_PER_WRITE
+
+    @pytest.mark.parametrize("n_frames", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    def test_bytes_match_per_frame_json_dumps(self, tmp_path, n_frames):
+        rng = np.random.default_rng(n_frames)
+        kp = np.empty((n_frames, N_KEYPOINTS, 3))
+        kp[..., :2] = rng.uniform(-1e3, 1e3, (n_frames, N_KEYPOINTS, 2))
+        kp[..., 2] = rng.uniform(0.0, 1.0, (n_frames, N_KEYPOINTS))
+        kp[:, : len(self.SPECIAL), 0] = self.SPECIAL
+        kp[:, : len(self.SPECIAL), 1] = np.negative(self.SPECIAL)
+        kp[:, ::3, 2] = 0.0
+        kp[:, 1::3, 2] = 1.0
+        seq = Sequence(kp, fps=29.97, label=GestureLabel.CallToPass, view_angle_deg=-0.0)
+        path = tmp_path / "seq.jsonl"
+        write_sequence(path, seq)
+
+        meta = {"fps": 29.97, "label": "CallToPass", "view_angle_deg": -0.0}
+        expected = [json.dumps(doc) + "\n" for doc in [meta, *({"kp": frame.tolist()} for frame in kp)]]
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.readlines()
+        # the first differing line, not a diff of the whole file
+        assert len(lines) == len(expected)
+        assert next(((t, a) for t, (a, b) in enumerate(zip(lines, expected)) if a != b), None) is None
+        for line in lines:
+            json.loads(line, parse_constant=_refuse_constant)
+        assert read_sequence(path).kp.tobytes() == kp.tobytes()
+
+
 class TestSequenceInvariants:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -185,6 +238,20 @@ class TestSequenceInvariants:
     def test_nonpositive_fps_rejected(self, rng):
         with pytest.raises(ValueError):
             Sequence((random_pose(rng),), fps=0.0)
+
+    @pytest.mark.parametrize("fps, message", [(math.inf, "fps must be finite"), (math.nan, "fps must be positive")])
+    def test_fps_must_be_finite_and_positive(self, rng, fps, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Sequence((random_pose(rng),), fps=fps)
+
+    @pytest.mark.parametrize("view", ["15", math.nan, -math.inf, True, [15.0]])
+    def test_view_angle_must_be_none_or_finite_number(self, rng, view):
+        with pytest.raises(ValueError, match="view_angle_deg must be null or a finite number"):
+            Sequence((random_pose(rng),), fps=30.0, view_angle_deg=view)
+
+    @pytest.mark.parametrize("view", [None, 15, -15.0, np.float64(30.0)])
+    def test_view_angle_accepts_none_and_finite_numbers(self, rng, view):
+        assert Sequence((random_pose(rng),), fps=30.0, view_angle_deg=view).view_angle_deg == view
 
     def test_poses_lists_and_arrays_hold_equal_keypoints(self, rng):
         poses = tuple(random_pose(rng) for _ in range(4))
