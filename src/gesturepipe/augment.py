@@ -27,6 +27,7 @@ from .skeleton import Body25, GestureLabel, Sequence
 
 # keypoints carrying manual depth estimates, in table column order
 ARM_KEYPOINTS = tuple(range(2, 8))
+MAX_FRAMES = 100_000  # resample_speed's longest output, about 60 MB of keypoints
 
 DepthTable = dict[GestureLabel, tuple[float, ...]]
 
@@ -90,13 +91,16 @@ def resample_speed(seq: Sequence, ratio: float) -> Sequence:
     output frame j samples source position t = j * (n - 1) / (out - 1), with
     non-integer positions linearly interpolated per keypoint. Interpolated
     confidence is the minimum of the two neighbors, so a keypoint missing on
-    either side stays missing. Integer positions copy their frame exactly.
+    either side stays missing. Integer positions copy their frame exactly. An
+    output longer than ``MAX_FRAMES`` is refused before anything is allocated.
     """
     if not ratio > 0:
         raise NonPositiveRatio(f"speed ratio must be positive, got {ratio}")
     n = len(seq)
     if n < 2:
         raise TooShort("need at least 2 frames to resample")
+    if n / ratio + 0.5 >= MAX_FRAMES + 1:  # round(n / ratio) > MAX_FRAMES, and no overflow at tiny ratios
+        raise InvalidConfig(f"speed ratio {ratio:g} would resample {n} frames to {n / ratio:.3g}, over {MAX_FRAMES}")
     out_len = max(2, math.floor(n / ratio + 0.5))
     t = np.arange(out_len) * (n - 1) / (out_len - 1)
     i0 = np.floor(t).astype(np.intp)

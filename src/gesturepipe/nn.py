@@ -20,8 +20,9 @@ compose the halves; a stream keeps each frame's gate inputs between
 evaluations (``recognizer.WindowState``).
 
 Everything runs in float64: exact gradient checking matters more than speed
-at this scale. The weights, the two Adam moments and a gradient are each one
-flat vector with named views per tensor; ``adam_step`` updates in place.
+at this scale. The weights and a gradient are each one flat vector with named
+views per tensor; ``train`` owns Adam's two moments as one (2, n) array, and
+``adam_step`` updates weights and moments in place.
 Gradients come from full backpropagation through time (no truncation); the
 optimizer is Adam with bias correction. All functions are deterministic given
 the seeds, and batch gradients are plain sums over the batch, so duplicating a
@@ -87,23 +88,15 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
-    """All weights plus Adam moment buffers and the step counter. ``weights``, ``adam_m`` and
-    ``adam_v`` are flat vectors in ``_tensor_specs`` order, ``tensors`` names views of ``weights``,
-    and ``adam_step`` updates all three in place."""
+    """The weights and Adam's step counter. ``weights`` is one flat vector in ``_tensor_specs``
+    order and ``tensors`` names views of it; ``adam_step`` updates it in place."""
 
     config: ModelConfig
     weights: np.ndarray
-    adam_m: np.ndarray
-    adam_v: np.ndarray
     adam_t: int = 0
 
     def __post_init__(self):
         self.tensors = _views(self.config, self.weights)
-
-    @classmethod
-    def zeros(cls, config: ModelConfig) -> ModelParams:
-        size = sum(math.prod(shape) for _, shape in _tensor_specs(config))
-        return cls(config, np.zeros(size), np.zeros(size), np.zeros(size), 0)
 
 
 def _tensor_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -128,6 +121,14 @@ def _tensor_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     ]
 
 
+def _weight_count(config: ModelConfig) -> int:
+    return sum(math.prod(shape) for _, shape in _tensor_specs(config))
+
+
+def _tensor_index(config: ModelConfig) -> list[dict]:
+    return [{"name": name, "shape": list(shape)} for name, shape in _tensor_specs(config)]
+
+
 def _views(config: ModelConfig, flat: np.ndarray) -> dict[str, np.ndarray]:
     """Named views of ``flat``, a vector laid out in ``_tensor_specs`` order."""
     views, start = {}, 0
@@ -150,7 +151,7 @@ def init_params(config: ModelConfig) -> ModelParams:
         bound = 1.0 / np.sqrt(fan_in)
         return rng.uniform(-bound, bound, size=shape)
 
-    params = ModelParams.zeros(config)
+    params = ModelParams(config, np.zeros(_weight_count(config)))
     t = params.tensors
     n, (h1, h2), g, hd = config.input_dim, config.hidden_dims, config.gru_hidden, config.head_dims[0]
     for name, fan_in in (("w1", n), ("b1", n), ("w2", h1), ("b2", h1)):
@@ -261,7 +262,7 @@ def cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
 
 
 def _backward_batch(params: ModelParams, x: np.ndarray, labels: np.ndarray):
-    """Summed loss and summed gradients, views of one flat vector, over a (B, T, N) batch."""
+    """Summed loss and summed gradient, one flat vector laid out as ``weights``, over a (B, T, N) batch."""
     t = params.tensors
     logits, cache = _forward_batch(params, x, need_cache=True)
     loss_sum, dlogits = cross_entropy(logits, labels)
@@ -269,7 +270,8 @@ def _backward_batch(params: ModelParams, x: np.ndarray, labels: np.ndarray):
     g = params.config.gru_hidden
 
     h1, h2, gates, hs, h3 = cache
-    grads = _views(params.config, np.empty_like(params.weights))
+    grad = np.empty_like(params.weights)
+    grads = _views(params.config, grad)
     np.matmul(dlogits.T, h3, out=grads["w4"])
     dlogits.sum(axis=0, out=grads["b4"])
     da3 = dlogits @ t["w4"]
@@ -307,45 +309,41 @@ def _backward_batch(params: ModelParams, x: np.ndarray, labels: np.ndarray):
     np.multiply(da1, h1 > 0.0, out=da1)
     np.matmul(da1.T, x.reshape(-1, x.shape[-1]), out=grads["w1"])
     da1.sum(axis=0, out=grads["b1"])
-    return loss_sum, grads
+    return loss_sum, grad
 
 
-def adam_step(params: ModelParams, grads: dict[str, np.ndarray], lr: float) -> ModelParams:
-    """One Adam update of ``params`` in place; returns ``params``, moments and step advanced.
+def adam_step(params: ModelParams, moments: np.ndarray, grad: np.ndarray, lr: float) -> ModelParams:
+    """One in-place Adam update of ``params`` and its (2, n) ``moments`` (m, v) by the flat ``grad``.
 
-    All checks finish before the first write, so a rejected step changes nothing. Each tensor
-    is updated in blocks of ``ADAM_BLOCK`` by the operations of the textbook formula, in order.
+    All checks finish before the first write, so a rejected step changes nothing. Returns ``params``,
+    step advanced, after one loop over blocks of ``ADAM_BLOCK`` of the textbook formula, in order.
     """
     if not lr > 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
-    for name, tensor in params.tensors.items():
-        g = grads.get(name)
-        if g is None or g.shape != tensor.shape:
-            got = None if g is None else g.shape
-            raise ShapeMismatch(f"gradient for {name}: expected {tensor.shape}, got {got}")
-        g = g.reshape(-1)
-        if not all(np.isfinite(g[lo : lo + ADAM_BLOCK]).all() for lo in range(0, g.size, ADAM_BLOCK)):
+    n = params.weights.size
+    if grad.shape != (n,) or moments.shape != (2, n):
+        raise ShapeMismatch(f"need a ({n},) gradient and (2, {n}) moments, got {grad.shape} and {moments.shape}")
+    for lo in range(0, n, ADAM_BLOCK):
+        if not np.isfinite(grad[lo : lo + ADAM_BLOCK]).all():
+            name = next(name for name, g in _views(params.config, grad).items() if not np.isfinite(g).all())
             raise NonFiniteGradient(f"gradient for {name} contains NaN or Inf")
 
     t = params.adam_t + 1
     bias1 = 1.0 - ADAM_BETA1**t
     bias2 = 1.0 - ADAM_BETA2**t
-    moments = _views(params.config, params.adam_m), _views(params.config, params.adam_v)
     x, y = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
-    for name, tensor in params.tensors.items():
-        vectors = [a.reshape(-1) for a in (tensor, moments[0][name], moments[1][name], grads[name])]
-        for lo in range(0, tensor.size, ADAM_BLOCK):
-            w, m, v, g = (a[lo : lo + ADAM_BLOCK] for a in vectors)
-            xb, yb = x[: g.size], y[: g.size]
-            # m = b1 * m + (1 - b1) * g; v = b2 * v + (1 - b2) * g * g
-            # w = w - lr * (m / bias1) / (sqrt(v / bias2) + eps)
-            m *= ADAM_BETA1
-            m += np.multiply(g, 1.0 - ADAM_BETA1, out=xb)
-            v *= ADAM_BETA2
-            v += np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=xb), g, out=xb)
-            np.multiply(np.divide(m, bias1, out=xb), lr, out=xb)
-            np.add(np.sqrt(np.divide(v, bias2, out=yb), out=yb), ADAM_EPS, out=yb)
-            w -= np.divide(xb, yb, out=xb)
+    for lo in range(0, n, ADAM_BLOCK):
+        w, m, v, g = (a[lo : lo + ADAM_BLOCK] for a in (params.weights, moments[0], moments[1], grad))
+        xb, yb = x[: g.size], y[: g.size]
+        # m = b1 * m + (1 - b1) * g; v = b2 * v + (1 - b2) * g * g
+        # w = w - lr * (m / bias1) / (sqrt(v / bias2) + eps)
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=xb)
+        v *= ADAM_BETA2
+        v += np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=xb), g, out=xb)
+        np.multiply(np.divide(m, bias1, out=xb), lr, out=xb)
+        np.add(np.sqrt(np.divide(v, bias2, out=yb), out=yb), ADAM_EPS, out=yb)
+        w -= np.divide(xb, yb, out=xb)
     params.adam_t = t
     return params
 
@@ -425,6 +423,7 @@ def train(
     eval_idx = val_idx if len(val_idx) else train_idx
 
     params = init_params(config)
+    moments = np.zeros((2, params.weights.size))
     shuffle_rng = np.random.default_rng([split_seed, config.seed, 1])
     history: list[EpochStats] = []
     best_params, best_acc, best_epoch = None, -1.0, 0  # epoch 1 always replaces them
@@ -433,15 +432,14 @@ def train(
         loss_total = 0.0
         for start in range(0, len(order), batch_size):
             batch = order[start : start + batch_size]
-            loss_sum, grads = _backward_batch(params, x[batch], y[batch])
-            adam_step(params, grads, lr)
+            loss_sum, grad = _backward_batch(params, x[batch], y[batch])
+            adam_step(params, moments, grad, lr)
             loss_total += loss_sum
         val_acc = accuracy(params, x[eval_idx], y[eval_idx])
         history.append(EpochStats(epoch, loss_total / len(order), val_acc))
         if val_acc >= best_acc:
             best_acc, best_epoch = val_acc, epoch
-            best_params = ModelParams(config, params.weights.copy(), params.adam_m.copy(), params.adam_v.copy(),
-                                      params.adam_t)
+            best_params = ModelParams(config, params.weights.copy(), params.adam_t)
     return TrainResult(best_params, history, best_epoch, train_idx, val_idx, test_idx)
 
 
@@ -458,7 +456,7 @@ def save_model(path: str | Path, params: ModelParams, encoding: Encoding) -> Non
         "version": WEIGHT_VERSION,
         "encoding": encoding.value,
         "config": asdict(params.config),
-        "tensors": [{"name": n, "shape": list(t.shape)} for n, t in params.tensors.items()],
+        "tensors": _tensor_index(params.config),
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
@@ -490,19 +488,11 @@ def load_model(
         raise EncodingMismatch(
             f"{path}: model encodes {encoding.value}, expected {expect_encoding.value}"
         )
-    params = ModelParams.zeros(config)
-    offset = 0
-    for entry in header["tensors"]:
-        name, shape = entry["name"], tuple(entry["shape"])
-        if name not in params.tensors or params.tensors[name].shape != shape:
-            raise ShapeMismatch(f"{path}: tensor {name} {shape} does not fit the config")
-        count = params.tensors[name].size
-        if offset + 8 * count > len(blob):
-            raise MalformedJson(f"{path}: truncated tensor data at {name}")
-        params.tensors[name][...] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
-        offset += 8 * count
-    if {entry["name"] for entry in header["tensors"]} != set(params.tensors):
-        raise MalformedJson(f"{path}: weight file is missing tensors")
-    if offset != len(blob):
+    if header.get("tensors") != _tensor_index(config):
+        raise ShapeMismatch(f"{path}: tensor index does not match the layout of the config")
+    nbytes = 8 * _weight_count(config)  # checked before anything of that size is allocated
+    if len(blob) < nbytes:
+        raise MalformedJson(f"{path}: truncated tensor data")
+    if len(blob) > nbytes:
         raise MalformedJson(f"{path}: trailing bytes after tensor data")
-    return params, encoding
+    return ModelParams(config, np.frombuffer(blob, dtype="<f8").astype(np.float64)), encoding

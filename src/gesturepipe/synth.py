@@ -78,7 +78,8 @@ class JitterSpec:
     ``noise_frac`` draws the noise sigma as a fraction of the drawn subject
     scale. Every range must lie inside the generator's domain, since
     :func:`generate_dataset` draws every gesture from it: a period of at least
-    ``MIN_CYCLIC_PERIOD`` frames, a positive scale and a nonnegative noise.
+    ``MIN_CYCLIC_PERIOD`` frames and below 2**63 (numpy's int64 draw), a
+    positive scale and a nonnegative noise.
     """
 
     period: tuple[int, int] = (20, 40)
@@ -94,6 +95,8 @@ class JitterSpec:
                 raise InvalidConfig(f"{field.name} range ({low}, {high}) has its low above its high")
         if self.period[0] < MIN_CYCLIC_PERIOD:
             raise InvalidConfig(f"period range {self.period} reaches below {MIN_CYCLIC_PERIOD} frames")
+        if self.period[1] >= 2**63:
+            raise InvalidConfig(f"period range {self.period} reaches 2**63 frames or more")
         if self.scale[0] <= 0:
             raise InvalidConfig(f"scale range {self.scale} reaches a scale that is not positive")
         if self.noise_frac[0] < 0:

@@ -5,8 +5,8 @@ from gesturepipe import nn
 
 
 def window_grads(params, window, label):
-    """Analytic gradients for one (T, N) window: the B=1 case of the batch backward."""
-    return nn._backward_batch(params, window[None], np.array([label]))[1]
+    """Analytic gradients per tensor for one (T, N) window: the B=1 case of the batch backward."""
+    return nn._views(params.config, nn._backward_batch(params, window[None], np.array([label]))[1])
 
 
 def numeric_grads(params, window, label, eps=1e-4):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gesturepipe import augment
 from gesturepipe.augment import (
     RotationSpec,
     default_depth_table,
@@ -311,6 +312,19 @@ class TestResampleSpeed:
         seq = Sequence((full_pose(rng), full_pose(rng)), fps=30.0)
         with pytest.raises(NonPositiveRatio):
             resample_speed(seq, 0.0)
+
+    @pytest.mark.parametrize("ratio", [1e-300, 5e-324, 10 / 100_001])
+    def test_output_over_max_frames_refused(self, rng, ratio):
+        seq = Sequence(tuple(full_pose(rng) for _ in range(10)), fps=30.0)
+        with pytest.raises(InvalidConfig, match=f"speed ratio {ratio:g} would resample 10 frames"):
+            resample_speed(seq, ratio)
+
+    def test_output_of_max_frames_allowed(self, rng, monkeypatch):
+        monkeypatch.setattr(augment, "MAX_FRAMES", 20)
+        seq = Sequence(tuple(full_pose(rng) for _ in range(10)), fps=30.0)
+        assert len(resample_speed(seq, 0.5)) == 20
+        with pytest.raises(InvalidConfig, match="over 20"):
+            resample_speed(seq, 10 / 21)
 
 
 class TestDepthTable:

@@ -154,6 +154,7 @@ class TestSynth:
         (("--scale-min", "-50", "--seed", "4"), "scale"),
         (("--scale-min", "0"), "scale"),
         (("--noise-min", "-0.01"), "noise_frac"),
+        (("--period-max", "100000000000000000000"), "period"),
     ])
     def test_inverted_range_exits_three(self, tmp_path, capsys, flags, name):
         out = tmp_path / "s"
@@ -214,6 +215,12 @@ class TestAugment:
         empty.mkdir()
         rc = run("augment", empty, "--out", tmp_path / "aug")
         assert rc == 3
+
+    def test_tiny_speed_ratio_exits_three(self, tmp_path, synth_dir, capsys):
+        assert run("augment", synth_dir, "--out", tmp_path / "aug", "--speed-ratios", "1e-300") == 3
+        err = capsys.readouterr().err
+        assert "speed ratio 1e-300 would resample 40 frames" in err
+        assert "Traceback" not in err
 
 
 class TestTrain:
@@ -328,6 +335,17 @@ class TestStream:
         assert rc == 0
         assert "window capacity: 10 frames" in capsys.readouterr().out
 
+    def test_weight_file_without_tensor_index_exits_three(self, tmp_path, synth_dir, trained_dir, capsys):
+        header_line, blob = (trained_dir / "weights.gpw").read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        del header["tensors"]
+        weights = tmp_path / "weights.gpw"
+        weights.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+        seq_file = synth_dir / data_files(synth_dir)[0]
+        assert run("stream", seq_file, "--weights", weights, "--base-len", "20") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "tensor index does not match" in err
 
     def test_realtime_replay_keeps_the_stream_clock(self, synth_dir, trained_dir, monkeypatch):
         # a fake clock that sleeps and pushes advance: each frame costs 10 ms

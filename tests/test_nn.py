@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -11,6 +12,7 @@ from gesturepipe.errors import (
     EncodingMismatch,
     InconsistentShapes,
     LabelOutOfRange,
+    MalformedJson,
     NonFiniteGradient,
     ShapeMismatch,
 )
@@ -21,6 +23,7 @@ from gradcheck import max_relative_error, numeric_grads, random_tiny_setup, wind
 TINY = nn.ModelConfig(input_dim=5, output_dim=3, hidden_dims=(8, 8), gru_hidden=4, head_dims=(4,), seed=7)
 # w2 spans more than one Adam block and ends in a partial one
 BLOCKS = nn.ModelConfig(input_dim=5, output_dim=3, hidden_dims=(200, 190), gru_hidden=7, head_dims=(4,), seed=7)
+TINY_ANGLE_SHA256 = "b9cbdb4754af35442d6891db204310c3d4224b1967db092763c16e100c3b419f"
 
 
 def naive_forward(params, window):
@@ -180,6 +183,8 @@ class TestBackward:
 
     def test_gradient_shapes_match_parameters(self, rng):
         params = nn.init_params(TINY)
+        _, grad = nn._backward_batch(params, rng.normal(size=(1, 4, 5)), np.array([1]))
+        assert grad.shape == params.weights.shape
         grads = window_grads(params, rng.normal(size=(4, 5)), 1)
         assert set(grads) == set(params.tensors)
         for name in grads:
@@ -191,7 +196,7 @@ class TestBackward:
         params = nn.init_params(TINY)
         window = rng.normal(size=(4, 5))
         single = window_grads(params, window, 2)
-        _, double = nn._backward_batch(params, np.stack([window, window]), np.array([2, 2]))
+        double = nn._views(TINY, nn._backward_batch(params, np.stack([window, window]), np.array([2, 2]))[1])
         for name in single:
             np.testing.assert_allclose(double[name], 2.0 * single[name], rtol=1e-12, atol=1e-15)
 
@@ -214,69 +219,84 @@ def reference_adam(w, m, v, t, grads, lr):
     return new_w, new_m, new_v, t
 
 
-def state_of(params):
-    return params.weights.copy(), params.adam_m.copy(), params.adam_v.copy(), params.adam_t
+def state_of(params, moments):
+    return params.weights.copy(), moments.copy(), params.adam_t
+
+
+def fresh_moments(params):
+    return np.zeros((2, params.weights.size))
 
 
 class TestAdamStep:
     def test_zero_gradients_leave_fresh_params_unchanged(self):
         params = nn.init_params(TINY)
         before = params.weights.copy()
-        zero = {name: np.zeros_like(t) for name, t in params.tensors.items()}
-        stepped = nn.adam_step(params, zero, 1e-3)
+        stepped = nn.adam_step(params, fresh_moments(params), np.zeros_like(params.weights), 1e-3)
         assert stepped.adam_t == 1
         np.testing.assert_array_equal(stepped.weights, before)
 
     def test_constant_gradient_update_magnitude_approaches_lr(self):
         params = nn.init_params(TINY)
-        grads = {name: np.full_like(t, 0.37) for name, t in params.tensors.items()}
+        moments, grad = fresh_moments(params), np.full_like(params.weights, 0.37)
         lr = 1e-3
         prev = None
         for _ in range(2000):
             prev = params.tensors["w1"].copy()
-            params = nn.adam_step(params, grads, lr)
+            params = nn.adam_step(params, moments, grad, lr)
         delta = np.abs(params.tensors["w1"] - prev)
         # fixed gradient g: m_hat -> g, v_hat -> g^2, so |step| -> lr * g / (g + eps)
         np.testing.assert_allclose(delta, lr, rtol=1e-6)
 
     def test_nan_gradient_rejected(self):
         params = nn.init_params(TINY)
-        grads = {name: np.zeros_like(t) for name, t in params.tensors.items()}
-        grads["w2"][0, 0] = np.nan
-        with pytest.raises(NonFiniteGradient):
-            nn.adam_step(params, grads, 1e-3)
+        grad = np.zeros_like(params.weights)
+        grads = nn._views(TINY, grad)
+        grads["w2"][0, 0], grads["w4"][-1, -1] = np.nan, np.inf
+        with pytest.raises(NonFiniteGradient, match="gradient for w2 "):
+            nn.adam_step(params, fresh_moments(params), grad, 1e-3)
 
     def test_missing_tensor_rejected(self):
         params = nn.init_params(TINY)
-        grads = {name: np.zeros_like(t) for name, t in params.tensors.items()}
-        del grads["b4"]
+        grad = np.zeros(params.weights.size - params.tensors["b4"].size)
         with pytest.raises(ShapeMismatch):
-            nn.adam_step(params, grads, 1e-3)
+            nn.adam_step(params, fresh_moments(params), grad, 1e-3)
 
     def test_updates_in_place_and_returns_same_object(self, rng):
         params = nn.init_params(TINY)
-        weights, w1 = params.weights, params.tensors["w1"]
+        weights, w1, moments = params.weights, params.tensors["w1"], fresh_moments(params)
         before = w1.copy()
-        grads = {name: rng.normal(size=t.shape) for name, t in params.tensors.items()}
-        assert nn.adam_step(params, grads, 1e-2) is params
+        assert nn.adam_step(params, moments, rng.normal(size=weights.shape), 1e-2) is params
         assert params.weights is weights and params.tensors["w1"] is w1
         assert params.adam_t == 1
-        assert np.all(w1 != before)
+        assert np.all(w1 != before) and np.all(moments != 0.0)
 
-    @pytest.mark.parametrize("fault", ["nan_in_last_element", "missing_tensor", "zero_lr", "negative_lr"])
+    @pytest.mark.parametrize("fault", [
+        "nan_in_last_element", "missing_tensor", "gradient_one_short", "moments_one_short", "one_moment_row",
+        "zero_lr", "negative_lr",
+    ])
     def test_rejected_step_leaves_state_unchanged(self, rng, fault):
+        error = {"nan_in_last_element": NonFiniteGradient, "zero_lr": ValueError, "negative_lr": ValueError}.get(
+            fault, ShapeMismatch)
         params = nn.init_params(BLOCKS)
-        nn.adam_step(params, {name: rng.normal(size=t.shape) for name, t in params.tensors.items()}, 1e-2)
-        before = state_of(params)
-        grads = {name: rng.normal(size=t.shape) for name, t in params.tensors.items()}
+        moments = fresh_moments(params)
+        nn.adam_step(params, moments, rng.normal(size=params.weights.shape), 1e-2)
+        before = state_of(params, moments)
+        grad = rng.normal(size=params.weights.shape)
         lr = {"zero_lr": 0.0, "negative_lr": -1e-3}.get(fault, 1e-2)
+        step_moments, step_grad = moments, grad
         if fault == "nan_in_last_element":
-            grads["b4"][-1] = np.nan
+            grad[-1] = np.nan
         if fault == "missing_tensor":
-            del grads["b4"]
-        with pytest.raises((NonFiniteGradient, ShapeMismatch, ValueError)):
-            nn.adam_step(params, grads, lr)
-        for got, want in zip(state_of(params), before):
+            step_grad = grad[: -params.tensors["b4"].size]
+        if fault == "gradient_one_short":
+            step_grad = grad[:-1]
+        if fault == "moments_one_short":
+            step_moments = moments[:, :-1]
+        if fault == "one_moment_row":
+            step_moments = moments[0]
+        with pytest.raises(error):
+            nn.adam_step(params, step_moments, step_grad, lr)
+        for got, want in zip(state_of(params, moments), before):
             np.testing.assert_array_equal(got, want)
 
     def test_matches_reference_bit_for_bit(self, rng):
@@ -287,24 +307,25 @@ class TestAdamStep:
         m = {name: np.zeros_like(t) for name, t in w.items()}
         v = {name: np.zeros_like(t) for name, t in w.items()}
         t = 0
+        moments = fresh_moments(params)
         for _ in range(5):
-            grads = {name: rng.normal(size=x.shape) for name, x in w.items()}
-            w, m, v, t = reference_adam(w, m, v, t, grads, 1e-2)
-            nn.adam_step(params, grads, 1e-2)
+            grad = rng.normal(size=params.weights.shape)
+            w, m, v, t = reference_adam(w, m, v, t, nn._views(BLOCKS, grad), 1e-2)
+            nn.adam_step(params, moments, grad, 1e-2)
         assert params.adam_t == t
         for name in w:
             np.testing.assert_array_equal(params.tensors[name], w[name])
-            np.testing.assert_array_equal(nn._views(BLOCKS, params.adam_m)[name], m[name])
-            np.testing.assert_array_equal(nn._views(BLOCKS, params.adam_v)[name], v[name])
+            np.testing.assert_array_equal(nn._views(BLOCKS, moments[0])[name], m[name])
+            np.testing.assert_array_equal(nn._views(BLOCKS, moments[1])[name], v[name])
 
     def test_peak_allocation_is_a_fraction_of_the_parameters(self, rng):
         config = nn.ModelConfig(input_dim=50, hidden_dims=(1024, 512), gru_hidden=256, head_dims=(128,))
         params = nn.init_params(config)
         assert params.weights.size >= 1_000_000
-        grads = {name: rng.normal(size=t.shape) for name, t in params.tensors.items()}
+        moments, grad = fresh_moments(params), rng.normal(size=params.weights.shape)
         tracemalloc.start()
         try:
-            nn.adam_step(params, grads, 1e-3)
+            nn.adam_step(params, moments, grad, 1e-3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -350,8 +371,8 @@ class TestTrain:
         assert full.best_epoch < 6
         stopped = nn.train(x, y, TINY, epochs=full.best_epoch, lr=0.1, batch_size=8, split_seed=1)
         assert stopped.best_epoch == full.best_epoch
-        for got, want in zip(state_of(full.params), state_of(stopped.params)):
-            np.testing.assert_array_equal(got, want)
+        assert full.params.adam_t == stopped.params.adam_t
+        np.testing.assert_array_equal(full.params.weights, stopped.params.weights)
 
     def test_split_is_60_10_30(self):
         train_idx, val_idx, test_idx = nn.split_dataset(320, split_seed=0)
@@ -380,12 +401,13 @@ class TestTrain:
 class TestNumericalHygiene:
     def test_single_sample_overfits_below_1e_3(self, rng):
         params = nn.init_params(TINY)
+        moments = fresh_moments(params)
         window = rng.normal(size=(5, 5))
         label = 1
         loss = math.inf
         for _ in range(500):
-            loss_sum, grads = nn._backward_batch(params, window[None], np.array([label]))
-            params = nn.adam_step(params, grads, 1e-2)
+            loss_sum, grad = nn._backward_batch(params, window[None], np.array([label]))
+            params = nn.adam_step(params, moments, grad, 1e-2)
             loss = loss_sum
             if loss < 1e-3:
                 break
@@ -394,11 +416,12 @@ class TestNumericalHygiene:
     def test_parameters_finite_through_10k_steps(self, rng):
         config = nn.ModelConfig(input_dim=3, output_dim=2, hidden_dims=(4, 4), gru_hidden=3, head_dims=(3,), seed=0)
         params = nn.init_params(config)
+        moments = fresh_moments(params)
         for step in range(10_000):
             window = rng.normal(size=(3, 3)) * 5.0
             label = step % 2
-            _, grads = nn._backward_batch(params, window[None], np.array([label]))
-            params = nn.adam_step(params, grads, 1e-3)
+            _, grad = nn._backward_batch(params, window[None], np.array([label]))
+            params = nn.adam_step(params, moments, grad, 1e-3)
         for tensor in params.tensors.values():
             assert np.all(np.isfinite(tensor))
 
@@ -414,24 +437,60 @@ class TestWeightFile:
         assert loaded.config == TINY
         for name in result.params.tensors:
             np.testing.assert_array_equal(loaded.tensors[name], result.params.tensors[name])
-        assert loaded.adam_t == 0
+        assert loaded.adam_t == 0 and loaded.weights.flags.writeable
 
-    def test_header_in_another_order_loads_the_same_tensors(self, tmp_path):
-        params = nn.init_params(TINY)
+    def test_file_bytes_are_pinned(self, tmp_path):
+        # weight format v2 and init_params' draw order, TINY at seed 7
         path = tmp_path / "weights.gpw"
-        nn.save_model(path, params, Encoding.ANGLE)
+        nn.save_model(path, nn.init_params(TINY), Encoding.ANGLE)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == TINY_ANGLE_SHA256
+
+    @pytest.mark.parametrize("fault", [
+        "no tensors key", "null tensors", "entry without name", "w1 twice", "reversed index", "wrong shape",
+        "missing tensor", "one float short", "8 trailing bytes", "huge config, little data",
+    ])
+    def test_bad_layout_refused(self, tmp_path, fault):
+        # the index must be the config's layout: no writer lists the tensors another way
+        error, message = {
+            "one float short": (MalformedJson, "truncated tensor data"),
+            "8 trailing bytes": (MalformedJson, "trailing bytes after tensor data"),
+            "huge config, little data": (MalformedJson, "truncated tensor data"),
+        }.get(fault, (ShapeMismatch, "tensor index"))
+        path = tmp_path / "weights.gpw"
+        nn.save_model(path, nn.init_params(TINY), Encoding.ANGLE)
         header_line, blob = path.read_bytes().split(b"\n", 1)
         header = json.loads(header_line)
-        chunks, offset = {}, 0
-        for entry in header["tensors"]:
+        index, chunks, offset = header["tensors"], {}, 0
+        for entry in index:
             size = 8 * math.prod(entry["shape"])
             chunks[entry["name"]], offset = blob[offset : offset + size], offset + size
-        header["tensors"].reverse()
-        body = b"".join(chunks[entry["name"]] for entry in header["tensors"])
-        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
-        loaded, _ = nn.load_model(path)
-        for name, tensor in params.tensors.items():
-            np.testing.assert_array_equal(loaded.tensors[name], tensor)
+        if fault == "no tensors key":
+            del header["tensors"]
+        elif fault == "null tensors":
+            header["tensors"] = None
+        elif fault == "entry without name":
+            del index[0]["name"]
+        elif fault == "w1 twice":
+            index.insert(0, dict(index[0]))
+            blob = chunks["w1"] + blob
+        elif fault == "reversed index":
+            index.reverse()
+            blob = b"".join(chunks[entry["name"]] for entry in index)
+        elif fault == "wrong shape":
+            index[0]["shape"].reverse()
+        elif fault == "missing tensor":
+            index.pop()
+            blob = blob[: -len(chunks["b4"])]
+        elif fault == "one float short":
+            blob = blob[:-8]
+        elif fault == "8 trailing bytes":
+            blob += bytes(8)
+        elif fault == "huge config, little data":  # 15 TiB of weights, refused before allocating them
+            header["config"]["input_dim"] = 10**9
+            header["tensors"] = nn._tensor_index(nn.ModelConfig(**header["config"]))
+        path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+        with pytest.raises(error, match=message):
+            nn.load_model(path)
 
     def test_encoding_mismatch_refused(self, tmp_path):
         params = nn.init_params(TINY)
@@ -447,8 +506,6 @@ class TestWeightFile:
         assert a.read_bytes() == b.read_bytes()
 
     def test_version_1_refused(self, tmp_path):
-        from gesturepipe.errors import MalformedJson
-
         path = tmp_path / "weights.gpw"
         nn.save_model(path, nn.init_params(TINY), Encoding.ANGLE)
         header, blob = path.read_bytes().split(b"\n", 1)
@@ -462,8 +519,6 @@ class TestWeightFile:
         lambda header: header.pop("config"),
     ], ids=["unknown encoding", "zero gru_hidden", "no config"])
     def test_bad_header_fields_refused(self, tmp_path, edit):
-        from gesturepipe.errors import MalformedJson
-
         path = tmp_path / "weights.gpw"
         nn.save_model(path, nn.init_params(TINY), Encoding.ANGLE)
         header_line, blob = path.read_bytes().split(b"\n", 1)
@@ -476,7 +531,5 @@ class TestWeightFile:
     def test_garbage_refused(self, tmp_path):
         path = tmp_path / "weights.gpw"
         path.write_bytes(b"not a weight file\n\x00\x01")
-        from gesturepipe.errors import MalformedJson
-
         with pytest.raises(MalformedJson):
             nn.load_model(path)

@@ -166,8 +166,8 @@ class TestWindowState:
         rows = rng.uniform(0, 1, (20, 5))
         for row in rows[:10]:
             state.push(row, params)
-        grads = {name: rng.normal(size=t.shape) for name, t in params.tensors.items()}
-        assert nn.adam_step(params, grads, 0.1) is params
+        moments, grad = np.zeros((2, params.weights.size)), rng.normal(size=params.weights.shape)
+        assert nn.adam_step(params, moments, grad, 0.1) is params
         emission = [state.push(row, params) for row in rows[10:15]][-1]
         probs = nn.softmax(nn.forward(params, rows[5:15]))
         assert emission.raw == probs.argmax()

@@ -299,6 +299,8 @@ class TestGenerateDataset:
         ("scale", (-50.0, 120.0)),
         ("scale", (0.0, 120.0)),
         ("noise_frac", (-0.01, 0.02)),
+        ("period", (20, 2**63)),
+        ("period", (20, 10**20)),
     ])
     def test_inverted_range_refused(self, field, bounds):
         with pytest.raises(InvalidConfig, match=f"{field} range"):
@@ -308,6 +310,11 @@ class TestGenerateDataset:
         base = SynthConfig(gesture=GestureLabel.StandStill, n_frames=12, seed=2)
         jitter = JitterSpec(period=(MIN_CYCLIC_PERIOD, MIN_CYCLIC_PERIOD))
         assert len(generate_dataset(1, base, jitter)) == len(GestureLabel)
+
+    def test_longest_period_is_accepted(self):
+        base = SynthConfig(gesture=GestureLabel.StandStill, n_frames=12, seed=2)
+        jitter = JitterSpec(period=(2**63 - 1, 2**63 - 1))
+        assert {s.label for s in generate_dataset(1, base, jitter)} == set(GestureLabel)
 
 
 class TestDropKeypoints:
