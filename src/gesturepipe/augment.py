@@ -81,7 +81,10 @@ def rotate_sequence(seq: Sequence, table: DepthTable, spec: RotationSpec) -> Seq
     z[:, ARM_KEYPOINTS] = depths * shoulder_w[:, None]
     x = kp[:, :, 0]
     kp[:, :, 0] = np.where(kp[:, :, 2] > 0.0, neck_x + (x - neck_x) * c - z * s, x)
-    return Sequence(kp, seq.fps, label=seq.label, view_angle_deg=spec.angle_deg)
+    try:
+        return Sequence(kp, seq.fps, label=seq.label, view_angle_deg=spec.angle_deg)
+    except ValueError as exc:  # only x changed, so only a rotated x can be out of range
+        raise InvalidConfig(f"rotating {seq.label.name} by {spec.angle_deg:g} degrees: {exc}") from exc
 
 
 def resample_speed(seq: Sequence, ratio: float) -> Sequence:
@@ -117,7 +120,7 @@ def resample_speed(seq: Sequence, ratio: float) -> Sequence:
 def parse_depth_table(text: str) -> DepthTable:
     """Parse the depth config format: one row per gesture, '#' comments.
 
-    Each row is a gesture label followed by six depths for keypoints 2..7.
+    Each row is a gesture label followed by six finite depths for keypoints 2..7.
     """
     table: DepthTable = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -135,6 +138,8 @@ def parse_depth_table(text: str) -> DepthTable:
             values = tuple(float(v) for v in fields[1:])
         except ValueError as exc:
             raise InvalidConfig(f"depth table line {lineno}: bad number: {exc}") from exc
+        if not all(map(math.isfinite, values)):
+            raise InvalidConfig(f"depth table line {lineno}: depths must be finite")
         if label in table:
             raise InvalidConfig(f"depth table line {lineno}: duplicate row for {label.name}")
         table[label] = values

@@ -21,8 +21,8 @@ evaluations (``recognizer.WindowState``).
 
 Everything runs in float64: exact gradient checking matters more than speed
 at this scale. The weights and a gradient are each one flat vector with named
-views per tensor; ``train`` owns Adam's two moments as one (2, n) array, and
-``adam_step`` updates weights and moments in place.
+views per tensor; ``train`` owns Adam's two moments, as one (2, n) array, and
+its step number, and ``adam_step`` updates weights and moments in place.
 Gradients come from full backpropagation through time (no truncation); the
 optimizer is Adam with bias correction. All functions are deterministic given
 the seeds, and batch gradients are plain sums over the batch, so duplicating a
@@ -88,12 +88,11 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
-    """The weights and Adam's step counter. ``weights`` is one flat vector in ``_tensor_specs``
-    order and ``tensors`` names views of it; ``adam_step`` updates it in place."""
+    """What a weight file holds: the config and the weights. ``weights`` is one flat vector in
+    ``_tensor_specs`` order and ``tensors`` names views of it; ``adam_step`` updates it in place."""
 
     config: ModelConfig
     weights: np.ndarray
-    adam_t: int = 0
 
     def __post_init__(self):
         self.tensors = _views(self.config, self.weights)
@@ -228,18 +227,11 @@ def _forward_batch(params: ModelParams, x: np.ndarray, need_cache: bool):
     return logits, ((*dense, *recurrent) if need_cache else None)
 
 
-def _check_window(config: ModelConfig, window: np.ndarray) -> np.ndarray:
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2 or window.shape[1] != config.input_dim:
-        raise ShapeMismatch(
-            f"window must be (frames, {config.input_dim}), got {window.shape}"
-        )
-    return window
-
-
 def forward(params: ModelParams, window: np.ndarray) -> np.ndarray:
     """Logits for one (T, N) window. No softmax is applied."""
-    window = _check_window(params.config, window)
+    window = np.asarray(window, dtype=np.float64)
+    if window.ndim != 2 or window.shape[1] != params.config.input_dim:
+        raise ShapeMismatch(f"window must be (frames, {params.config.input_dim}), got {window.shape}")
     logits, _ = _forward_batch(params, window[None], need_cache=False)
     return logits[0]
 
@@ -312,14 +304,16 @@ def _backward_batch(params: ModelParams, x: np.ndarray, labels: np.ndarray):
     return loss_sum, grad
 
 
-def adam_step(params: ModelParams, moments: np.ndarray, grad: np.ndarray, lr: float) -> ModelParams:
-    """One in-place Adam update of ``params`` and its (2, n) ``moments`` (m, v) by the flat ``grad``.
+def adam_step(params: ModelParams, moments: np.ndarray, grad: np.ndarray, lr: float, t: int) -> ModelParams:
+    """Adam's step ``t`` (from 1), in place on ``params`` and its (2, n) ``moments`` (m, v), by the flat ``grad``.
 
-    All checks finish before the first write, so a rejected step changes nothing. Returns ``params``,
-    step advanced, after one loop over blocks of ``ADAM_BLOCK`` of the textbook formula, in order.
+    All checks finish before the first write, so a rejected step changes nothing. Returns ``params``
+    after one loop over blocks of ``ADAM_BLOCK`` of the textbook formula, in order.
     """
     if not lr > 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
+    if t < 1:
+        raise ValueError(f"Adam's step number starts at 1, got {t}")
     n = params.weights.size
     if grad.shape != (n,) or moments.shape != (2, n):
         raise ShapeMismatch(f"need a ({n},) gradient and (2, {n}) moments, got {grad.shape} and {moments.shape}")
@@ -328,7 +322,6 @@ def adam_step(params: ModelParams, moments: np.ndarray, grad: np.ndarray, lr: fl
             name = next(name for name, g in _views(params.config, grad).items() if not np.isfinite(g).all())
             raise NonFiniteGradient(f"gradient for {name} contains NaN or Inf")
 
-    t = params.adam_t + 1
     bias1 = 1.0 - ADAM_BETA1**t
     bias2 = 1.0 - ADAM_BETA2**t
     x, y = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
@@ -344,7 +337,6 @@ def adam_step(params: ModelParams, moments: np.ndarray, grad: np.ndarray, lr: fl
         np.multiply(np.divide(m, bias1, out=xb), lr, out=xb)
         np.add(np.sqrt(np.divide(v, bias2, out=yb), out=yb), ADAM_EPS, out=yb)
         w -= np.divide(xb, yb, out=xb)
-    params.adam_t = t
     return params
 
 
@@ -423,7 +415,7 @@ def train(
     eval_idx = val_idx if len(val_idx) else train_idx
 
     params = init_params(config)
-    moments = np.zeros((2, params.weights.size))
+    moments, t = np.zeros((2, params.weights.size)), 0
     shuffle_rng = np.random.default_rng([split_seed, config.seed, 1])
     history: list[EpochStats] = []
     best_params, best_acc, best_epoch = None, -1.0, 0  # epoch 1 always replaces them
@@ -433,13 +425,14 @@ def train(
         for start in range(0, len(order), batch_size):
             batch = order[start : start + batch_size]
             loss_sum, grad = _backward_batch(params, x[batch], y[batch])
-            adam_step(params, moments, grad, lr)
+            t += 1
+            adam_step(params, moments, grad, lr, t)
             loss_total += loss_sum
         val_acc = accuracy(params, x[eval_idx], y[eval_idx])
         history.append(EpochStats(epoch, loss_total / len(order), val_acc))
         if val_acc >= best_acc:
             best_acc, best_epoch = val_acc, epoch
-            best_params = ModelParams(config, params.weights.copy(), params.adam_t)
+            best_params = ModelParams(config, params.weights.copy())
     return TrainResult(best_params, history, best_epoch, train_idx, val_idx, test_idx)
 
 
@@ -495,4 +488,6 @@ def load_model(
         raise MalformedJson(f"{path}: truncated tensor data")
     if len(blob) > nbytes:
         raise MalformedJson(f"{path}: trailing bytes after tensor data")
+    if config.input_dim != encoding.dim:
+        raise ShapeMismatch(f"{path}: model takes {config.input_dim} features, {encoding.value} has {encoding.dim}")
     return ModelParams(config, np.frombuffer(blob, dtype="<f8").astype(np.float64)), encoding

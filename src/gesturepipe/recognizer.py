@@ -9,7 +9,7 @@ over the last few outputs, which suppresses single-frame flicker.
 A window state keeps each frame's gate inputs (``nn.forward_frames``) in a
 ring beside the raw rows: an evaluation projects the frames pushed since the
 last one in one matrix product, then runs the recurrent half (``forward``).
-A new parameters object or Adam step (``adam_t``) re-projects the window.
+So a state serves one model, whose weights must not change while it streams.
 """
 from __future__ import annotations
 
@@ -93,9 +93,9 @@ class WindowState:
     """Ring buffers of recent feature rows and of their gate-input rows, plus
     the recent-vote history.
 
-    Single-writer: one stream owns one state. Parameters are passed per push and
-    may be swapped, or stepped in place by ``nn.adam_step``, between evaluations:
-    gate-input rows are keyed on the object and its ``adam_t``, not on weights.
+    Single-writer: one stream owns one state, and one state serves one model: the
+    first push binds its parameters object as ``model``, another object is refused,
+    and the weights must not change while the state streams (gate inputs are kept).
     """
 
     def __init__(self, capacity: int, vote_n: int, retention: float, encoding: Encoding):
@@ -107,44 +107,44 @@ class WindowState:
         self.cadence = math.ceil((1.0 - retention) * capacity)
         self.encoding = encoding
         self.buffer = np.zeros((capacity, encoding.dim))  # frame i in slot i % capacity
+        self.model: ModelParams | None = None  # bound by the first push
         self.gate_rows: np.ndarray | None = None  # (capacity, 3g), slotted like buffer
-        self.gate_key: tuple = (None, 0)  # the params object that projected gate_rows, and its adam_t then
         self.projected = 0  # frames_seen at the last projection
         self.votes: deque[int] = deque(maxlen=vote_n)
         self.frames_seen = 0
 
     def push(self, row: np.ndarray, params: ModelParams) -> Emission | None:
-        """Append one (dim,) feature row; evaluate the window when it is due."""
+        """Append one (dim,) feature row; evaluate the window when it is due. The first push binds ``params``."""
         if row.shape != (self.encoding.dim,):
             raise EncodingMismatch(
                 f"row has shape {row.shape}, {self.encoding.value} features need ({self.encoding.dim},)"
             )
+        if params is not self.model:
+            if self.model is not None:
+                raise InvalidConfig("this window state serves another parameters object")
+            if params.config.input_dim != self.encoding.dim:
+                raise ShapeMismatch(f"model takes {params.config.input_dim} features, rows have {self.encoding.dim}")
+            self.model, self.gate_rows = params, np.empty((self.capacity, 3 * params.config.gru_hidden))
         self.buffer[self.frames_seen % self.capacity] = row
         self.frames_seen += 1
         if self.frames_seen < self.capacity:
             return None
         if (self.frames_seen - self.capacity) % self.cadence != 0:
             return None
-        logits = forward(params, self._window_gate_rows(params))
+        logits = forward(params, self._window_gate_rows())
         probs = softmax(logits)
         raw = int(probs.argmax())
         self.votes.append(raw)
         smoothed = majority_vote(self.votes)
         return Emission(self.frames_seen, GestureLabel(raw), GestureLabel(smoothed), float(probs[raw]))
 
-    def _window_gate_rows(self, params: ModelParams) -> np.ndarray:
-        """The window's (capacity, 3g) gate inputs, oldest first, projecting what ``params`` has not."""
-        stale = self.gate_key[0] is not params or self.gate_key[1] != params.adam_t
-        if stale and params.config.input_dim != self.encoding.dim:
-            raise ShapeMismatch(f"model takes {params.config.input_dim} features, rows have {self.encoding.dim}")
+    def _window_gate_rows(self) -> np.ndarray:
+        """The window's (capacity, 3g) gate inputs, oldest first, projecting the frames pushed since the last call."""
         # at least two rows: numpy runs one row as a matrix-vector product,
         # whose sums round otherwise than the matrix product over a window
-        count = self.capacity if stale else max(self.frames_seen - self.projected, 2)
+        count = max(self.frames_seen - self.projected, 2)
         window = np.arange(self.frames_seen - self.capacity, self.frames_seen) % self.capacity
-        xg, _ = forward_frames(params, self.buffer[window[-count:]])
-        if stale:
-            self.gate_rows, self.gate_key = np.empty((self.capacity, xg.shape[1])), (params, params.adam_t)
-        self.gate_rows[window[-count:]] = xg
+        self.gate_rows[window[-count:]], _ = forward_frames(self.model, self.buffer[window[-count:]])
         self.projected = self.frames_seen
         return self.gate_rows[window]
 

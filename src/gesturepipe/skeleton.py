@@ -259,12 +259,14 @@ def read_sequence(path: str | Path) -> Sequence:
     if not lines:
         raise IoError(f"{path} is empty")
     try:
-        meta = json.loads(lines[0])
-        fps = float(meta["fps"])
+        meta = json.loads(lines[0], parse_int=float)  # so an int beyond float range reads as inf
+        fps = meta["fps"]
         label = GestureLabel[meta["label"]] if meta.get("label") else None
         view = meta.get("view_angle_deg")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedJson(f"{path}: bad metadata line: {exc}") from exc
+    if not isinstance(fps, float):  # ints parse as floats: this is a string, a boolean, null or a container
+        raise MalformedJson(f"{path}: fps must be a number, got {fps!r}")
     frames = []
     for line in lines[1:]:
         if not line.strip():

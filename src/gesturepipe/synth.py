@@ -196,7 +196,10 @@ def generate(config: SynthConfig) -> Sequence:
     kp = np.zeros((config.n_frames, N_KEYPOINTS, 3))
     kp[:, :9, :2] = pts
     kp[:, :9, 2] = 1.0
-    return Sequence(kp, config.fps, label=config.gesture, view_angle_deg=0.0)
+    try:
+        return Sequence(kp, config.fps, label=config.gesture, view_angle_deg=0.0)
+    except ValueError as exc:  # keypoints that overflow, at a scale or offset near the float limit
+        raise InvalidConfig(f"{config.gesture.name} at scale {config.subject_scale:g}: {exc}") from exc
 
 
 def generate_dataset(per_class: int, base: SynthConfig, jitter: JitterSpec) -> list[Sequence]:

@@ -164,6 +164,14 @@ class TestSynth:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_overflowing_keypoints_exit_three(self, tmp_path, capsys):
+        argv = ("--per-class", "1", "--frames", "30", "--scale-min", "1e307", "--scale-max", "1e308")
+        assert run("synth", "--out", tmp_path / "s", *argv) == 3
+        err = capsys.readouterr().err
+        assert "error: " in err and "has a non-finite value" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "s").exists()
+
     def test_determinism_bitwise(self, tmp_path, synth_dir):
         again = tmp_path / "again"
         rc = run(
@@ -220,6 +228,22 @@ class TestAugment:
         assert run("augment", synth_dir, "--out", tmp_path / "aug", "--speed-ratios", "1e-300") == 3
         err = capsys.readouterr().err
         assert "speed ratio 1e-300 would resample 40 frames" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("depth, message", [
+        ("nan", "depth table line 1: depths must be finite"),
+        ("1e307", "rotating StandStill by 30 degrees: frame 0: keypoint 2 has a non-finite value"),
+    ])
+    def test_non_finite_or_overflowing_depth_exits_three(self, tmp_path, synth_dir, capsys, depth, message):
+        table = tmp_path / "depths.cfg"
+        table.write_text(f"StandStill {depth} 0.1 -0.1 0 0.1 -0.1\n")
+        standstill = tmp_path / "in"
+        standstill.mkdir()
+        name = next(n for n in data_files(synth_dir) if n.startswith("StandStill"))
+        (standstill / name).write_bytes((synth_dir / name).read_bytes())
+        assert run("augment", standstill, "--out", tmp_path / "aug", "--depth-config", table, "--angles", "30") == 3
+        err = capsys.readouterr().err
+        assert message in err
         assert "Traceback" not in err
 
 
@@ -281,6 +305,17 @@ class TestEval:
         empty.mkdir()
         rc = run("eval", "--weights", trained_dir / "weights.gpw", "--data", empty, "--out", tmp_path / "e")
         assert rc == 3
+
+    def test_weight_file_of_another_encoding_exits_three(self, tmp_path, synth_dir, trained_dir, capsys):
+        header_line, blob = (trained_dir / "weights.gpw").read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        header["encoding"] = "angle"  # the config still takes 18 coordinate features
+        weights = tmp_path / "weights.gpw"
+        weights.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+        assert run("eval", "--weights", weights, "--data", synth_dir, "--window", "20", "--out", tmp_path / "e") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "model takes 18 features, angle has 5" in err
 
     def test_sequences_without_view_angle(self, tmp_path, synth_dir, trained_dir):
         # strip the view-angle metadata; eval must render a blank angle cell

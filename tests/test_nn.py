@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -220,7 +221,7 @@ def reference_adam(w, m, v, t, grads, lr):
 
 
 def state_of(params, moments):
-    return params.weights.copy(), moments.copy(), params.adam_t
+    return params.weights.copy(), moments.copy()
 
 
 def fresh_moments(params):
@@ -231,8 +232,7 @@ class TestAdamStep:
     def test_zero_gradients_leave_fresh_params_unchanged(self):
         params = nn.init_params(TINY)
         before = params.weights.copy()
-        stepped = nn.adam_step(params, fresh_moments(params), np.zeros_like(params.weights), 1e-3)
-        assert stepped.adam_t == 1
+        stepped = nn.adam_step(params, fresh_moments(params), np.zeros_like(params.weights), 1e-3, 1)
         np.testing.assert_array_equal(stepped.weights, before)
 
     def test_constant_gradient_update_magnitude_approaches_lr(self):
@@ -240,9 +240,9 @@ class TestAdamStep:
         moments, grad = fresh_moments(params), np.full_like(params.weights, 0.37)
         lr = 1e-3
         prev = None
-        for _ in range(2000):
+        for t in range(1, 2001):
             prev = params.tensors["w1"].copy()
-            params = nn.adam_step(params, moments, grad, lr)
+            params = nn.adam_step(params, moments, grad, lr, t)
         delta = np.abs(params.tensors["w1"] - prev)
         # fixed gradient g: m_hat -> g, v_hat -> g^2, so |step| -> lr * g / (g + eps)
         np.testing.assert_allclose(delta, lr, rtol=1e-6)
@@ -253,36 +253,38 @@ class TestAdamStep:
         grads = nn._views(TINY, grad)
         grads["w2"][0, 0], grads["w4"][-1, -1] = np.nan, np.inf
         with pytest.raises(NonFiniteGradient, match="gradient for w2 "):
-            nn.adam_step(params, fresh_moments(params), grad, 1e-3)
+            nn.adam_step(params, fresh_moments(params), grad, 1e-3, 1)
 
     def test_missing_tensor_rejected(self):
         params = nn.init_params(TINY)
         grad = np.zeros(params.weights.size - params.tensors["b4"].size)
         with pytest.raises(ShapeMismatch):
-            nn.adam_step(params, fresh_moments(params), grad, 1e-3)
+            nn.adam_step(params, fresh_moments(params), grad, 1e-3, 1)
 
     def test_updates_in_place_and_returns_same_object(self, rng):
         params = nn.init_params(TINY)
         weights, w1, moments = params.weights, params.tensors["w1"], fresh_moments(params)
         before = w1.copy()
-        assert nn.adam_step(params, moments, rng.normal(size=weights.shape), 1e-2) is params
+        assert nn.adam_step(params, moments, rng.normal(size=weights.shape), 1e-2, 1) is params
         assert params.weights is weights and params.tensors["w1"] is w1
-        assert params.adam_t == 1
         assert np.all(w1 != before) and np.all(moments != 0.0)
 
     @pytest.mark.parametrize("fault", [
         "nan_in_last_element", "missing_tensor", "gradient_one_short", "moments_one_short", "one_moment_row",
-        "zero_lr", "negative_lr",
+        "zero_lr", "negative_lr", "step_zero",
     ])
     def test_rejected_step_leaves_state_unchanged(self, rng, fault):
-        error = {"nan_in_last_element": NonFiniteGradient, "zero_lr": ValueError, "negative_lr": ValueError}.get(
-            fault, ShapeMismatch)
+        error = {
+            "nan_in_last_element": NonFiniteGradient, "zero_lr": ValueError, "negative_lr": ValueError,
+            "step_zero": ValueError,
+        }.get(fault, ShapeMismatch)
         params = nn.init_params(BLOCKS)
         moments = fresh_moments(params)
-        nn.adam_step(params, moments, rng.normal(size=params.weights.shape), 1e-2)
+        nn.adam_step(params, moments, rng.normal(size=params.weights.shape), 1e-2, 1)
         before = state_of(params, moments)
         grad = rng.normal(size=params.weights.shape)
         lr = {"zero_lr": 0.0, "negative_lr": -1e-3}.get(fault, 1e-2)
+        t = 0 if fault == "step_zero" else 2
         step_moments, step_grad = moments, grad
         if fault == "nan_in_last_element":
             grad[-1] = np.nan
@@ -295,7 +297,7 @@ class TestAdamStep:
         if fault == "one_moment_row":
             step_moments = moments[0]
         with pytest.raises(error):
-            nn.adam_step(params, step_moments, step_grad, lr)
+            nn.adam_step(params, step_moments, step_grad, lr, t)
         for got, want in zip(state_of(params, moments), before):
             np.testing.assert_array_equal(got, want)
 
@@ -311,8 +313,7 @@ class TestAdamStep:
         for _ in range(5):
             grad = rng.normal(size=params.weights.shape)
             w, m, v, t = reference_adam(w, m, v, t, nn._views(BLOCKS, grad), 1e-2)
-            nn.adam_step(params, moments, grad, 1e-2)
-        assert params.adam_t == t
+            nn.adam_step(params, moments, grad, 1e-2, t)
         for name in w:
             np.testing.assert_array_equal(params.tensors[name], w[name])
             np.testing.assert_array_equal(nn._views(BLOCKS, moments[0])[name], m[name])
@@ -325,7 +326,7 @@ class TestAdamStep:
         moments, grad = fresh_moments(params), rng.normal(size=params.weights.shape)
         tracemalloc.start()
         try:
-            nn.adam_step(params, moments, grad, 1e-3)
+            nn.adam_step(params, moments, grad, 1e-3, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -371,7 +372,6 @@ class TestTrain:
         assert full.best_epoch < 6
         stopped = nn.train(x, y, TINY, epochs=full.best_epoch, lr=0.1, batch_size=8, split_seed=1)
         assert stopped.best_epoch == full.best_epoch
-        assert full.params.adam_t == stopped.params.adam_t
         np.testing.assert_array_equal(full.params.weights, stopped.params.weights)
 
     def test_split_is_60_10_30(self):
@@ -405,9 +405,9 @@ class TestNumericalHygiene:
         window = rng.normal(size=(5, 5))
         label = 1
         loss = math.inf
-        for _ in range(500):
+        for t in range(1, 501):
             loss_sum, grad = nn._backward_batch(params, window[None], np.array([label]))
-            params = nn.adam_step(params, moments, grad, 1e-2)
+            params = nn.adam_step(params, moments, grad, 1e-2, t)
             loss = loss_sum
             if loss < 1e-3:
                 break
@@ -421,7 +421,7 @@ class TestNumericalHygiene:
             window = rng.normal(size=(3, 3)) * 5.0
             label = step % 2
             _, grad = nn._backward_batch(params, window[None], np.array([label]))
-            params = nn.adam_step(params, moments, grad, 1e-3)
+            params = nn.adam_step(params, moments, grad, 1e-3, step + 1)
         for tensor in params.tensors.values():
             assert np.all(np.isfinite(tensor))
 
@@ -437,7 +437,8 @@ class TestWeightFile:
         assert loaded.config == TINY
         for name in result.params.tensors:
             np.testing.assert_array_equal(loaded.tensors[name], result.params.tensors[name])
-        assert loaded.adam_t == 0 and loaded.weights.flags.writeable
+        assert [f.name for f in dataclasses.fields(loaded)] == ["config", "weights"]
+        assert loaded.weights.flags.writeable
 
     def test_file_bytes_are_pinned(self, tmp_path):
         # weight format v2 and init_params' draw order, TINY at seed 7
@@ -448,6 +449,7 @@ class TestWeightFile:
     @pytest.mark.parametrize("fault", [
         "no tensors key", "null tensors", "entry without name", "w1 twice", "reversed index", "wrong shape",
         "missing tensor", "one float short", "8 trailing bytes", "huge config, little data",
+        "encoding of another dim",
     ])
     def test_bad_layout_refused(self, tmp_path, fault):
         # the index must be the config's layout: no writer lists the tensors another way
@@ -455,6 +457,7 @@ class TestWeightFile:
             "one float short": (MalformedJson, "truncated tensor data"),
             "8 trailing bytes": (MalformedJson, "trailing bytes after tensor data"),
             "huge config, little data": (MalformedJson, "truncated tensor data"),
+            "encoding of another dim": (ShapeMismatch, "model takes 5 features, coordinate has 18"),
         }.get(fault, (ShapeMismatch, "tensor index"))
         path = tmp_path / "weights.gpw"
         nn.save_model(path, nn.init_params(TINY), Encoding.ANGLE)
@@ -488,6 +491,8 @@ class TestWeightFile:
         elif fault == "huge config, little data":  # 15 TiB of weights, refused before allocating them
             header["config"]["input_dim"] = 10**9
             header["tensors"] = nn._tensor_index(nn.ModelConfig(**header["config"]))
+        elif fault == "encoding of another dim":
+            header["encoding"] = "coordinate"
         path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
         with pytest.raises(error, match=message):
             nn.load_model(path)

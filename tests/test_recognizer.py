@@ -148,37 +148,25 @@ class TestWindowState:
         # each frame goes through the per-frame layers once, two rows at least
         assert projected == [capacity] + [max(state.cadence, 2)] * (evaluations - 1)
 
-    def test_swapped_params_reproject_the_window(self, rng):
+    def test_second_params_object_refused(self, rng):
         a = nn.init_params(MODEL)
-        b = nn.init_params(nn.ModelConfig(**{**MODEL.__dict__, "seed": 4}))
+        b = nn.init_params(MODEL)  # equal weights, another object
         state = WindowState(capacity=10, vote_n=3, retention=0.5, encoding=Encoding.ANGLE)
-        rows = rng.uniform(0, 1, (20, 5))
-        for row in rows[:15]:  # evaluations at frames 10 and 15 with a
-            state.push(row, a)
-        emission = [state.push(row, b) for row in rows[15:]][-1]
-        probs = nn.softmax(nn.forward(b, rows[10:]))
-        assert emission.raw == probs.argmax()
-        assert emission.confidence == probs.max()
-
-    def test_params_stepped_in_place_reproject_the_window(self, rng):
-        params = nn.init_params(MODEL)
-        state = WindowState(capacity=10, vote_n=3, retention=0.5, encoding=Encoding.ANGLE)
-        rows = rng.uniform(0, 1, (20, 5))
-        for row in rows[:10]:
-            state.push(row, params)
-        moments, grad = np.zeros((2, params.weights.size)), rng.normal(size=params.weights.shape)
-        assert nn.adam_step(params, moments, grad, 0.1) is params
-        emission = [state.push(row, params) for row in rows[10:15]][-1]
-        probs = nn.softmax(nn.forward(params, rows[5:15]))
-        assert emission.raw == probs.argmax()
-        assert emission.confidence == probs.max()
+        for _ in range(15):  # evaluations at frames 10 and 15
+            state.push(angle_row(rng), a)
+        assert state.model is a
+        frames_seen, buffer, votes = state.frames_seen, state.buffer.copy(), list(state.votes)
+        with pytest.raises(InvalidConfig):
+            state.push(angle_row(rng), b)
+        assert state.model is a and state.frames_seen == frames_seen and list(state.votes) == votes
+        np.testing.assert_array_equal(state.buffer, buffer)
 
     def test_model_of_another_width_refused(self, rng):
         params = nn.init_params(nn.ModelConfig(**{**MODEL.__dict__, "input_dim": 18}))
         state = WindowState(capacity=2, vote_n=3, retention=0.5, encoding=Encoding.ANGLE)
-        state.push(angle_row(rng), params)
         with pytest.raises(ShapeMismatch):
             state.push(angle_row(rng), params)
+        assert state.frames_seen == 0 and state.model is None
 
     def test_emission_fields(self, rng):
         params = nn.init_params(MODEL)

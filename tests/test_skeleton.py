@@ -157,7 +157,7 @@ class TestSequenceFileFormat:
 
     @pytest.mark.parametrize("field, value", [
         ("view_angle_deg", "15"), ("view_angle_deg", math.nan), ("view_angle_deg", True),
-        ("fps", math.inf), ("fps", 0.0),
+        ("fps", math.inf), ("fps", 0.0), ("fps", "30"), ("fps", True), ("fps", 10**400),
     ])
     def test_read_refuses_bad_metadata_values(self, tmp_path, rng, field, value):
         path = tmp_path / "seq.jsonl"
