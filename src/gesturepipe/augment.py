@@ -78,9 +78,10 @@ def rotate_sequence(seq: Sequence, table: DepthTable, spec: RotationSpec) -> Seq
     c, s = math.cos(theta), math.sin(theta)
 
     z = np.zeros(kp.shape[:2])
-    z[:, ARM_KEYPOINTS] = depths * shoulder_w[:, None]
     x = kp[:, :, 0]
-    kp[:, :, 0] = np.where(kp[:, :, 2] > 0.0, neck_x + (x - neck_x) * c - z * s, x)
+    with np.errstate(over="ignore", invalid="ignore"):  # Sequence refuses what overflows, below
+        z[:, ARM_KEYPOINTS] = depths * shoulder_w[:, None]
+        kp[:, :, 0] = np.where(kp[:, :, 2] > 0.0, neck_x + (x - neck_x) * c - z * s, x)
     try:
         return Sequence(kp, seq.fps, label=seq.label, view_angle_deg=spec.angle_deg)
     except ValueError as exc:  # only x changed, so only a rotated x can be out of range

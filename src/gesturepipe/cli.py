@@ -17,9 +17,13 @@ integers joined by a comma, and ``--stride`` must not be negative (0 means
 the window length). A jitter
 range of ``synth`` whose minimum exceeds its maximum, or that reaches a
 non-positive scale, a negative noise or a period too short for a cyclic
-gesture, is a configuration error (exit 3).
-Every command that writes files also appends one JSON line describing the
-run to ``manifest.jsonl`` beside its outputs.
+gesture, is a configuration error (exit 3). ``speed`` takes its encoding from
+``--start-positions`` when given, so ``--encoding`` beside it is a bad flag.
+
+Each ``cmd_*`` function computes, writes its outputs and returns its run
+record ``(out_dir, inputs, outputs, seeds)``, or None when it wrote no file.
+After a command succeeds, :func:`main` appends the record as one JSON line to
+``manifest.jsonl`` in ``out_dir``, beside the outputs.
 """
 from __future__ import annotations
 
@@ -84,19 +88,22 @@ def _parse_floats(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"must be finite numbers joined by commas, got {text}") from None
 
 
-def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
-                    inputs: list, outputs: list, seeds: dict) -> None:
+# (out_dir, inputs, outputs, seeds) of one run; out_dir exists, since the command wrote there
+RunRecord = tuple[Path, list, list, dict]
+
+
+def _write_manifest(args: argparse.Namespace, started: tuple[str, float],
+                    out_dir: Path, inputs: list, outputs: list, seeds: dict) -> None:
     doc = {
-        "command": command,
-        "flags": {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "started")},
+        "command": args.func.__name__.removeprefix("cmd_"),
+        "flags": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
         "seeds": seeds,
         "version": __version__,
-        "started_utc": args.started[0],
-        "duration_s": round(time.monotonic() - args.started[1], 3),
+        "started_utc": started[0],
+        "duration_s": round(time.monotonic() - started[1], 3),
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "manifest.jsonl", "a", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, default=str) + "\n")
 
@@ -133,7 +140,7 @@ def _windows_from_sequences(seqs, encoding: Encoding, window: int, stride: int):
 
 # --- synth ---
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> RunRecord:
     base = synth.SynthConfig(
         gesture=GestureLabel.StandStill,
         n_frames=args.frames,
@@ -154,34 +161,29 @@ def cmd_synth(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
-    counters: dict[str, int] = {}
-    for seq in sequences:
-        k = counters.get(seq.label.name, 0)
-        counters[seq.label.name] = k + 1
-        path = out_dir / f"{seq.label.name}_{k:03d}.jsonl"
+    for i, seq in enumerate(sequences):  # per_class sequences of each gesture in turn
+        path = out_dir / f"{seq.label.name}_{i % args.per_class:03d}.jsonl"
         skeleton.write_sequence(path, seq)
         outputs.append(path)
     print(f"wrote {len(outputs)} sequences to {out_dir}")
-    _write_manifest(out_dir, "synth", args, [], outputs, {"seed": args.seed})
-    return 0
+    return out_dir, [], outputs, {"seed": args.seed}
 
 
 # --- ingest ---
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args) -> RunRecord:
     label = GestureLabel[args.label] if args.label else None
     seq = skeleton.load_sequence(args.input, args.fps, label=label, view_angle_deg=args.view_angle)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     skeleton.write_sequence(out, seq)
     print(f"ingested {len(seq)} frames -> {out}")
-    _write_manifest(out.parent, "ingest", args, [args.input], [out], {})
-    return 0
+    return out.parent, [args.input], [out], {}
 
 
 # --- augment ---
 
-def cmd_augment(args) -> int:
+def cmd_augment(args) -> RunRecord:
     in_dir = Path(args.input)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -208,13 +210,12 @@ def cmd_augment(args) -> int:
             skeleton.write_sequence(dst, resampled)
             outputs.append(dst)
     print(f"wrote {len(outputs)} sequences to {out_dir}")
-    _write_manifest(out_dir, "augment", args, [in_dir], outputs, {})
-    return 0
+    return out_dir, [in_dir], outputs, {}
 
 
 # --- train ---
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> RunRecord:
     encoding = Encoding(args.encoding)
     seqs = [seq for _, seq in _read_sequence_dir(Path(args.data))]
     x, y, _ = _windows_from_sequences(seqs, encoding, args.window, args.stride)
@@ -253,12 +254,7 @@ def cmd_train(args) -> int:
     print(f"windows: {len(x)}  best epoch: {result.best_epoch}")
     print(f"validation accuracy: {best:.4f}")
     print(f"held-out test accuracy: {test_acc:.4f}")
-    _write_manifest(
-        out_dir, "train", args, [args.data],
-        [weights_path, history_path],
-        {"seed": args.seed, "split_seed": args.split_seed},
-    )
-    return 0
+    return out_dir, [args.data], [weights_path, history_path], {"seed": args.seed, "split_seed": args.split_seed}
 
 
 # --- eval ---
@@ -269,7 +265,7 @@ def _row_sort_key(key):
     return (0 if frontal else 1, int(label), angle if angle is not None else 0.0)
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> RunRecord:
     params, encoding = nn.load_model(args.weights)
     seqs = [seq for _, seq in _read_sequence_dir(Path(args.data))]
     x, y, angles = _windows_from_sequences(seqs, encoding, args.window, args.stride)
@@ -278,31 +274,24 @@ def cmd_eval(args) -> int:
 
     labels = list(GestureLabel)
     groups = sorted(dict.fromkeys(zip(map(GestureLabel, y.tolist()), angles)), key=_row_sort_key)
-    masks = [(y == label) & (angles == angle) for label, angle in groups]
-    rates = [np.bincount(pred[mask], minlength=len(labels)) / mask.sum() for mask in masks]
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     confusion_path = out_dir / "confusion.csv"
     with open(confusion_path, "w", encoding="utf-8") as fh:
         fh.write("true_label,view_angle_deg,n," + ",".join(l.name for l in labels) + "\n")
-        for (label, angle), mask, row in zip(groups, masks, rates):
+        # text rendering: numbered columns with a legend, one row per CSV row
+        print("predicted-label columns:")
+        for i, l in enumerate(labels):
+            print(f"  c{i} = {l.name}")
+        print(f"{'true label @ view':>32} " + " ".join(f"{'c' + str(i):>5}" for i in range(len(labels))))
+        for label, angle in groups:
+            mask = (y == label) & (angles == angle)
+            row = np.bincount(pred[mask], minlength=len(labels)) / mask.sum()
             angle_cell = "" if angle is None else f"{angle:g}"
-            fh.write(
-                f"{label.name},{angle_cell},{mask.sum()},"
-                + ",".join(f"{r:.4f}" for r in row)
-                + "\n"
-            )
-
-    # text rendering: numbered columns with a legend
-    print("predicted-label columns:")
-    for i, l in enumerate(labels):
-        print(f"  c{i} = {l.name}")
-    header = f"{'true label @ view':>32} " + " ".join(f"{'c' + str(i):>5}" for i in range(len(labels)))
-    print(header)
-    for (label, angle), row in zip(groups, rates):
-        tag = f"{label.name}@{angle:+g}" if angle not in (None, 0.0) else label.name
-        print(f"{tag:>32} " + " ".join(f"{r:5.2f}" for r in row))
+            fh.write(f"{label.name},{angle_cell},{mask.sum()}," + ",".join(f"{r:.4f}" for r in row) + "\n")
+            tag = f"{label.name}@{angle:+g}" if angle not in (None, 0.0) else label.name
+            print(f"{tag:>32} " + " ".join(f"{r:5.2f}" for r in row))
 
     print("per-class accuracy:")
     for label in labels:
@@ -316,13 +305,12 @@ def cmd_eval(args) -> int:
         print(f"  {tag}: {correct[mask].mean():.4f} (n={mask.sum()})")
     overall = float(correct.mean())
     print(f"overall accuracy: {overall:.4f} (n={len(y)})")
-    _write_manifest(out_dir, "eval", args, [args.weights, args.data], [confusion_path], {})
-    return 0
+    return out_dir, [args.weights, args.data], [confusion_path], {}
 
 
 # --- stream ---
 
-def cmd_stream(args) -> int:
+def cmd_stream(args) -> RunRecord | None:
     params, encoding = nn.load_model(args.weights)
     seq = skeleton.read_sequence(args.sequence)
     fps = args.fps if args.fps else seq.fps
@@ -355,13 +343,13 @@ def cmd_stream(args) -> int:
             fh.write("frame_index,raw,smoothed,confidence\n")
             for e in emissions:
                 fh.write(f"{e.frame_index},{e.raw.name},{e.smoothed.name},{e.confidence!r}\n")
-        _write_manifest(out.parent, "stream", args, [args.sequence, args.weights], [out], {})
-    return 0
+        return out.parent, [args.sequence, args.weights], [out], {}
+    return None
 
 
 # --- speed ---
 
-def cmd_speed(args) -> int:
+def cmd_speed(args) -> RunRecord | None:
     seq = skeleton.read_sequence(args.sequence)
     if args.label:
         label = GestureLabel[args.label]
@@ -391,8 +379,8 @@ def cmd_speed(args) -> int:
             + "\n",
             encoding="utf-8",
         )
-        _write_manifest(out.parent, "speed", args, [args.sequence], [out], {})
-    return 0
+        return out.parent, [args.sequence], [out], {}
+    return None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -482,10 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("speed", help="estimate a cyclic gesture's period")
     p.add_argument("sequence", help="sequence file")
     p.add_argument("--label", choices=[g.name for g in GestureLabel], default=None)
-    p.add_argument("--start-positions", default=None,
-                   help="start-position JSON (default: built-in synthetic references)")
-    p.add_argument("--encoding", choices=[e.value for e in Encoding], default="coordinate",
-                   help="encoding for the built-in references")
+    references = p.add_mutually_exclusive_group()
+    references.add_argument("--start-positions", default=None,
+                            help="start-position JSON, with its encoding (default: built-in references)")
+    references.add_argument("--encoding", choices=[e.value for e in Encoding], default="coordinate",
+                            help="encoding for the built-in references")
     p.add_argument("--fps", type=_positive(float), default=None, help="override the sequence's stored fps")
     p.add_argument("--out", default=None, help="optional JSON result file")
     p.set_defaults(func=cmd_speed)
@@ -494,19 +483,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # when the command started, for its manifest line
-    args.started = datetime.now(timezone.utc).isoformat(timespec="seconds"), time.monotonic()
+    started = datetime.now(timezone.utc).isoformat(timespec="seconds"), time.monotonic()
     try:
-        return args.func(args)
-    except NonFiniteGradient as exc:
+        record = args.func(args)
+        if record is not None:
+            _write_manifest(args, started, *record)
+    except (PipelineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 4 if isinstance(exc, NonFiniteGradient) else 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -465,29 +466,32 @@ def load_model(
         raise IoError(f"{path} does not exist")
     with open(path, "rb") as fh:
         header_line = fh.readline()
-        blob = fh.read()
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedJson(f"{path}: bad weight header: {exc}") from exc
-    if header.get("format") != WEIGHT_FORMAT or header.get("version") != WEIGHT_VERSION:
-        raise MalformedJson(f"{path}: not a {WEIGHT_FORMAT} v{WEIGHT_VERSION} file")
-    try:
-        encoding = Encoding(header["encoding"])
-        config = ModelConfig(**{f.name: header["config"][f.name] for f in fields(ModelConfig)})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedJson(f"{path}: bad weight header: {exc!r}") from exc
-    if expect_encoding is not None and encoding is not expect_encoding:
-        raise EncodingMismatch(
-            f"{path}: model encodes {encoding.value}, expected {expect_encoding.value}"
-        )
-    if header.get("tensors") != _tensor_index(config):
-        raise ShapeMismatch(f"{path}: tensor index does not match the layout of the config")
-    nbytes = 8 * _weight_count(config)  # checked before anything of that size is allocated
-    if len(blob) < nbytes:
-        raise MalformedJson(f"{path}: truncated tensor data")
-    if len(blob) > nbytes:
-        raise MalformedJson(f"{path}: trailing bytes after tensor data")
-    if config.input_dim != encoding.dim:
-        raise ShapeMismatch(f"{path}: model takes {config.input_dim} features, {encoding.value} has {encoding.dim}")
-    return ModelParams(config, np.frombuffer(blob, dtype="<f8").astype(np.float64)), encoding
+        try:
+            header = json.loads(header_line.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise MalformedJson(f"{path}: bad weight header: {exc}") from exc
+        if header.get("format") != WEIGHT_FORMAT or header.get("version") != WEIGHT_VERSION:
+            raise MalformedJson(f"{path}: not a {WEIGHT_FORMAT} v{WEIGHT_VERSION} file")
+        try:
+            encoding = Encoding(header["encoding"])
+            config = ModelConfig(**{f.name: header["config"][f.name] for f in fields(ModelConfig)})
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedJson(f"{path}: bad weight header: {exc!r}") from exc
+        if expect_encoding is not None and encoding is not expect_encoding:
+            raise EncodingMismatch(
+                f"{path}: model encodes {encoding.value}, expected {expect_encoding.value}"
+            )
+        if header.get("tensors") != _tensor_index(config):
+            raise ShapeMismatch(f"{path}: tensor index does not match the layout of the config")
+        nbytes = 8 * _weight_count(config)  # checked against the file size before anything is read
+        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+        if remaining < nbytes:
+            raise MalformedJson(f"{path}: truncated tensor data")
+        if remaining > nbytes:
+            raise MalformedJson(f"{path}: trailing bytes after tensor data")
+        if config.input_dim != encoding.dim:
+            raise ShapeMismatch(f"{path}: model takes {config.input_dim} features, {encoding.value} has {encoding.dim}")
+        weights = np.empty(nbytes // 8, dtype="<f8")
+        if fh.readinto(weights) != nbytes:  # the file shrank since it was measured
+            raise MalformedJson(f"{path}: truncated tensor data")
+    return ModelParams(config, weights.astype(np.float64, copy=False)), encoding

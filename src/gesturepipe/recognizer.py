@@ -36,10 +36,10 @@ class WindowConfig:
     def __post_init__(self):
         if self.base_len < 2:
             raise InvalidConfig("base_len must be at least 2")
-        if not self.base_fps > 0:
-            raise InvalidConfig("base_fps must be positive")
-        if not self.speed_ratio > 0:
-            raise InvalidConfig("speed_ratio must be positive")
+        if not 0 < self.base_fps < math.inf:
+            raise InvalidConfig("base_fps must be positive and finite")
+        if not 0 < self.speed_ratio < math.inf:
+            raise InvalidConfig("speed_ratio must be positive and finite")
         if self.vote_n < 1:
             raise InvalidConfig("vote_n must be positive")
         if not 0.0 < self.retention < 1.0:
@@ -53,8 +53,8 @@ def effective_window(config: WindowConfig, fps: float) -> int:
     base_fps, then divides by the speed ratio so faster gestures get shorter
     windows (at 30 fps: ratio 0.5 -> 100 frames, ratio 2.0 -> 25 frames).
     """
-    if not fps > 0:
-        raise InvalidConfig("fps must be positive")
+    if not 0 < fps < math.inf:
+        raise InvalidConfig("fps must be positive and finite")
     return max(2, math.floor(config.base_len * (fps / config.base_fps) / config.speed_ratio + 0.5))
 
 

@@ -135,6 +135,8 @@ class Sequence:
 
     def __post_init__(self):
         object.__setattr__(self, "kp", _keypoint_frames(self.kp))
+        if isinstance(self.fps, bool) or not isinstance(self.fps, numbers.Real):
+            raise ValueError(f"fps must be a number, got {self.fps!r}")
         if not self.fps > 0:
             raise ValueError("fps must be positive")
         if self.fps == math.inf:
@@ -265,8 +267,6 @@ def read_sequence(path: str | Path) -> Sequence:
         view = meta.get("view_angle_deg")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedJson(f"{path}: bad metadata line: {exc}") from exc
-    if not isinstance(fps, float):  # ints parse as floats: this is a string, a boolean, null or a container
-        raise MalformedJson(f"{path}: fps must be a number, got {fps!r}")
     frames = []
     for line in lines[1:]:
         if not line.strip():

@@ -58,8 +58,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_frames < 1:
             raise InvalidConfig("n_frames must be positive")
-        if not self.fps > 0:
-            raise InvalidConfig("fps must be positive")
+        if not 0 < self.fps < math.inf:
+            raise InvalidConfig("fps must be positive and finite")
         if not self.subject_scale > 0:
             raise InvalidConfig("subject_scale must be positive")
         if self.noise_sigma < 0:
@@ -188,11 +188,12 @@ def _upper_body_points(gesture: GestureLabel, n_frames: int, period: int, scale:
 def generate(config: SynthConfig) -> Sequence:
     """Generate one labeled synthetic sequence."""
     rng = np.random.default_rng(config.seed)
-    pts = _upper_body_points(
-        config.gesture, config.n_frames, config.period_frames, config.subject_scale
-    ) + np.asarray(config.offset)
-    if config.noise_sigma > 0.0:
-        pts = pts + rng.normal(0.0, config.noise_sigma, size=pts.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # Sequence refuses what overflows, below
+        pts = _upper_body_points(
+            config.gesture, config.n_frames, config.period_frames, config.subject_scale
+        ) + np.asarray(config.offset)
+        if config.noise_sigma > 0.0:
+            pts = pts + rng.normal(0.0, config.noise_sigma, size=pts.shape)
     kp = np.zeros((config.n_frames, N_KEYPOINTS, 3))
     kp[:, :9, :2] = pts
     kp[:, :9, 2] = 1.0

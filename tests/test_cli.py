@@ -11,6 +11,9 @@ from gesturepipe.skeleton import GestureLabel, read_sequence
 
 from conftest import make_openpose_doc
 
+# a refusal prints one error line: no numpy warning may reach stderr ahead of it
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 TRAIN_FLAGS = [
     "--encoding", "coordinate", "--window", "20", "--epochs", "3", "--lr", "0.003",
     "--batch", "8", "--hidden-dims", "32,24", "--gru-hidden", "12", "--head-dim", "8",
@@ -444,6 +447,12 @@ class TestSpeed:
         assert sorted(doc) == ["cycles_per_second", "label", "period_frames"]
         assert doc["period_frames"] == 30
         assert doc["cycles_per_second"] == pytest.approx(1.0)
+
+    def test_start_positions_and_encoding_exit_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("speed", "seq.jsonl", "--start-positions", "start.json", "--encoding", "angle")
+        assert exc.value.code == 2
+        assert "argument --encoding: not allowed with argument --start-positions" in capsys.readouterr().err
 
     def test_standstill_exits_three(self, tmp_path, synth_dir):
         seq_file = synth_dir / next(n for n in data_files(synth_dir) if n.startswith("StandStill"))

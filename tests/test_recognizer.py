@@ -50,8 +50,14 @@ class TestEffectiveWindow:
             WindowConfig(retention=1.0)
         with pytest.raises(InvalidConfig):
             WindowConfig(speed_ratio=0.0)
+        with pytest.raises(InvalidConfig, match="speed_ratio must be positive and finite"):
+            WindowConfig(speed_ratio=math.inf)
+        with pytest.raises(InvalidConfig, match="base_fps must be positive and finite"):
+            WindowConfig(base_fps=math.inf)
         with pytest.raises(InvalidConfig):
             effective_window(WindowConfig(), fps=0.0)
+        with pytest.raises(InvalidConfig, match="fps must be positive and finite"):
+            effective_window(WindowConfig(), fps=math.inf)
 
 
 def reference_vote(history):

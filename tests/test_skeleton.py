@@ -239,7 +239,10 @@ class TestSequenceInvariants:
         with pytest.raises(ValueError):
             Sequence((random_pose(rng),), fps=0.0)
 
-    @pytest.mark.parametrize("fps, message", [(math.inf, "fps must be finite"), (math.nan, "fps must be positive")])
+    @pytest.mark.parametrize("fps, message", [
+        (math.inf, "fps must be finite"), (math.nan, "fps must be positive"),
+        ("30", "fps must be a number, got '30'"), (True, "fps must be a number, got True"),
+    ])
     def test_fps_must_be_finite_and_positive(self, rng, fps, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             Sequence((random_pose(rng),), fps=fps)

@@ -209,6 +209,8 @@ class TestGenerate:
             SynthConfig(gesture=GestureLabel.LeftHandWave, noise_sigma=-1.0)
         with pytest.raises(InvalidConfig):
             SynthConfig(gesture=GestureLabel.LeftHandWave, subject_scale=0.0)
+        with pytest.raises(InvalidConfig, match="fps must be positive and finite"):
+            SynthConfig(gesture=GestureLabel.LeftHandWave, fps=math.inf)
 
 
 class TestBitIdentityWithPerFrameReference:
