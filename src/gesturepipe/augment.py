@@ -15,14 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    InvalidConfig,
-    IoError,
-    MissingKeypoint,
-    NonPositiveRatio,
-    TooShort,
-    UnknownLabel,
-)
+from .errors import InvalidConfig, IoError, MissingKeypoint, TooShort, UnknownLabel
 from .skeleton import Body25, GestureLabel, Sequence
 
 # keypoints carrying manual depth estimates, in table column order
@@ -99,7 +92,7 @@ def resample_speed(seq: Sequence, ratio: float) -> Sequence:
     output longer than ``MAX_FRAMES`` is refused before anything is allocated.
     """
     if not ratio > 0:
-        raise NonPositiveRatio(f"speed ratio must be positive, got {ratio}")
+        raise InvalidConfig(f"speed ratio must be positive, got {ratio}")
     n = len(seq)
     if n < 2:
         raise TooShort("need at least 2 frames to resample")

@@ -13,8 +13,9 @@ of ``synth``, ``ingest``, ``stream`` and ``speed``, ``--per-class`` and
 ``--frames`` of ``synth``, ``--window``, ``--epochs``, ``--batch``, ``--lr``,
 ``--gru-hidden``, ``--head-dim``, ``--speed-ratio``, ``--base-fps`` and
 ``--vote-n`` must be positive, ``--hidden-dims`` must be two positive
-integers joined by a comma, and ``--stride`` must not be negative (0 means
-the window length). A jitter
+integers joined by a comma, and ``--stride``, the ``--seed`` of ``synth``
+and ``train`` and ``--split-seed`` must not be negative (a ``--stride`` of 0
+means the window length). A jitter
 range of ``synth`` whose minimum exceeds its maximum, or that reaches a
 non-positive scale, a negative noise or a period too short for a cyclic
 gesture, is a configuration error (exit 3). ``speed`` takes its encoding from
@@ -360,7 +361,7 @@ def cmd_speed(args) -> RunRecord | None:
     if args.start_positions:
         table, encoding = speed.load_start_positions(args.start_positions)
     else:
-        encoding = Encoding(args.encoding)
+        encoding = Encoding(args.encoding or "coordinate")
         table = speed.default_start_positions(encoding)
     window = features.encode_sequence(seq, encoding)
     estimate = speed.estimate_speed(window, label, table, args.fps or seq.fps)
@@ -407,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="noise sigma upper bound, fraction of subject scale")
     p.add_argument("--drop-prob", type=_finite, default=0.0,
                    help="probability of zeroing each keypoint's confidence")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_positive(int, zero_ok=True), default=0)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("ingest", help="convert OpenPose JSON output to a sequence file")
@@ -438,8 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=_positive(int), default=30)
     p.add_argument("--lr", type=_positive(float), default=1e-3)
     p.add_argument("--batch", type=_positive(int), default=16)
-    p.add_argument("--seed", type=int, default=0, help="weight init seed")
-    p.add_argument("--split-seed", type=int, default=0, help="60/10/30 split seed")
+    p.add_argument("--seed", type=_positive(int, zero_ok=True), default=0, help="weight init seed")
+    p.add_argument("--split-seed", type=_positive(int, zero_ok=True), default=0, help="60/10/30 split seed")
     p.add_argument("--hidden-dims", type=_layer_sizes, default="2048,1024")
     p.add_argument("--gru-hidden", type=_positive(int), default=256)
     p.add_argument("--head-dim", type=_positive(int), default=128)
@@ -473,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     references = p.add_mutually_exclusive_group()
     references.add_argument("--start-positions", default=None,
                             help="start-position JSON, with its encoding (default: built-in references)")
-    references.add_argument("--encoding", choices=[e.value for e in Encoding], default="coordinate",
-                            help="encoding for the built-in references")
+    references.add_argument("--encoding", choices=[e.value for e in Encoding], default=None,
+                            help="encoding for the built-in references (default: coordinate)")
     p.add_argument("--fps", type=_positive(float), default=None, help="override the sequence's stored fps")
     p.add_argument("--out", default=None, help="optional JSON result file")
     p.set_defaults(func=cmd_speed)

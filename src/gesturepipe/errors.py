@@ -1,4 +1,9 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline.
+
+Each class names one kind of refusal, and every stage raises the class that
+names its failure, whatever the function. The CLI maps ``NonFiniteGradient``
+to exit 4 and every other ``PipelineError`` to exit 3.
+"""
 
 
 class PipelineError(Exception):
@@ -12,10 +17,6 @@ class MalformedJson(PipelineError):
 
 
 class NoPerson(PipelineError):
-    pass
-
-
-class WrongArity(PipelineError):
     pass
 
 
@@ -55,29 +56,13 @@ class NonFiniteGradient(PipelineError):
     pass
 
 
-class EmptyDataset(PipelineError):
-    pass
-
-
-class InconsistentShapes(PipelineError):
-    pass
-
-
-# --- streaming / speed measurement ---
-
 class EncodingMismatch(PipelineError):
     pass
 
 
-class LengthMismatch(PipelineError):
-    pass
-
+# --- speed measurement ---
 
 class TooShort(PipelineError):
-    pass
-
-
-class NotCyclic(PipelineError):
     pass
 
 
@@ -92,8 +77,4 @@ class UnknownLabel(PipelineError):
 
 
 class InvalidConfig(PipelineError):
-    pass
-
-
-class NonPositiveRatio(PipelineError):
     pass

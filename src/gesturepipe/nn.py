@@ -39,14 +39,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    EmptyDataset,
     EncodingMismatch,
-    InconsistentShapes,
     IoError,
     LabelOutOfRange,
     MalformedJson,
     NonFiniteGradient,
     ShapeMismatch,
+    TooShort,
 )
 from .features import Encoding
 
@@ -58,6 +57,7 @@ PREDICT_CHUNK = 16  # windows per forward in predict_batch, which bounds the mem
 
 WEIGHT_FORMAT = "gesturepipe-weights"
 WEIGHT_VERSION = 2
+HEADER_LIMIT = 65536  # longest weight header line read, in bytes; a production header is under 1 kB
 
 
 @dataclass(frozen=True)
@@ -402,11 +402,11 @@ def train(
     """
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y)
     if x.ndim != 3 or x.shape[2] != config.input_dim or y.shape != x.shape[:1]:
-        raise InconsistentShapes(
+        raise ShapeMismatch(
             f"need (n, frames, {config.input_dim}) windows and n labels, got {x.shape} and {y.shape}"
         )
     if len(x) == 0:
-        raise EmptyDataset("dataset is empty")
+        raise TooShort("dataset is empty")
     if y.min() < 0 or y.max() >= config.output_dim:
         raise LabelOutOfRange(f"labels must lie in [0, {config.output_dim})")
     if epochs < 1 or batch_size < 1:
@@ -465,7 +465,9 @@ def load_model(
     if not path.is_file():
         raise IoError(f"{path} does not exist")
     with open(path, "rb") as fh:
-        header_line = fh.readline()
+        header_line = fh.readline(HEADER_LIMIT + 1)
+        if len(header_line) > HEADER_LIMIT:
+            raise MalformedJson(f"{path}: weight header is longer than {HEADER_LIMIT} bytes")
         try:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

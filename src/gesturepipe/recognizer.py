@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EncodingMismatch, InvalidConfig, ShapeMismatch
+from .errors import InvalidConfig, ShapeMismatch
 from .features import Encoding
 from .nn import ModelParams, forward_frames, forward_recurrent, softmax
 from .skeleton import GestureLabel
@@ -116,7 +116,7 @@ class WindowState:
     def push(self, row: np.ndarray, params: ModelParams) -> Emission | None:
         """Append one (dim,) feature row; evaluate the window when it is due. The first push binds ``params``."""
         if row.shape != (self.encoding.dim,):
-            raise EncodingMismatch(
+            raise ShapeMismatch(
                 f"row has shape {row.shape}, {self.encoding.value} features need ({self.encoding.dim},)"
             )
         if params is not self.model:

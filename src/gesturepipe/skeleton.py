@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoError, MalformedJson, NoPerson, PipelineError, WrongArity
+from .errors import IoError, MalformedJson, NoPerson, PipelineError
 
 log = logging.getLogger(__name__)
 
@@ -184,7 +184,7 @@ def parse_openpose_frame(json_text: str) -> np.ndarray:
     if raw is None:
         raise MalformedJson("person entry has no 'pose_keypoints_2d'")
     if len(raw) != 3 * N_KEYPOINTS:
-        raise WrongArity(f"expected {3 * N_KEYPOINTS} keypoint values, got {len(raw)}")
+        raise MalformedJson(f"expected {3 * N_KEYPOINTS} keypoint values, got {len(raw)}")
     try:
         return np.asarray(raw, dtype=np.float64).reshape(N_KEYPOINTS, 3)
     except (TypeError, ValueError) as exc:

@@ -17,13 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoError, LengthMismatch, MalformedJson, NoPeriod, NotCyclic, TooShort
+from . import synth
+from .errors import IoError, MalformedJson, NoPeriod, ShapeMismatch, TooShort, UnknownLabel
 from .features import Encoding, encode_frame
 from .skeleton import GestureLabel
 
 StartPositionTable = dict[GestureLabel, np.ndarray]
 
-CYCLIC_GESTURES = tuple(g for g in GestureLabel if g is not GestureLabel.StandStill)
+CYCLIC_GESTURES = tuple(synth.MOTIONS)
 
 # shortest period considered, in frames, and the share of the highest
 # autocorrelation peak that the period's peak must reach
@@ -48,9 +49,9 @@ def distance_series(window, reference: np.ndarray) -> np.ndarray:
     try:
         rows = np.asarray(window, dtype=np.float64)
     except ValueError as exc:
-        raise LengthMismatch(f"window rows differ in length: {exc}") from exc
+        raise ShapeMismatch(f"window rows differ in length: {exc}") from exc
     if rows.ndim != 2 or rows.shape[1:] != np.shape(reference):
-        raise LengthMismatch(
+        raise ShapeMismatch(
             f"window of shape {rows.shape} does not match a reference of shape {np.shape(reference)}"
         )
     return np.linalg.norm(rows - reference, axis=1)
@@ -67,7 +68,7 @@ def estimate_speed(window, label: GestureLabel, table: StartPositionTable, fps: 
     ``CLARITY`` is noise, not a period, and raises ``NoPeriod``.
     """
     if label not in table:
-        raise NotCyclic(f"{label.name} has no start position (not a cyclic gesture?)")
+        raise UnknownLabel(f"{label.name} has no start position (not a cyclic gesture?)")
     series = distance_series(window, table[label])
     n = len(series)
     if n // 2 <= MIN_LAG:
@@ -122,8 +123,6 @@ def default_start_positions(encoding: Encoding) -> StartPositionTable:
     a noiseless canonical synthetic cycle. Real deployments should supply
     references captured from their own recordings instead.
     """
-    from . import synth
-
     table: StartPositionTable = {}
     for gesture in CYCLIC_GESTURES:
         config = synth.SynthConfig(gesture=gesture, n_frames=1, noise_sigma=0.0, seed=0)

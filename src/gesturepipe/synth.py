@@ -39,7 +39,17 @@ BECKON_CENTER = (0.35, -0.30)
 CHAIN_A = ((2, 3, 4), -1.0)
 CHAIN_B = ((5, 6, 7), +1.0)
 
-STATIC_GESTURES = (GestureLabel.StandStill,)
+# every moving gesture, in GestureLabel order: the chain it animates, its
+# motion and its direction of travel; StandStill, absent here, holds still
+MOTIONS = {
+    GestureLabel.RightHandLeftCircle: (CHAIN_B, "circle", -1),
+    GestureLabel.RightHandRightCircle: (CHAIN_B, "circle", +1),
+    GestureLabel.LeftHandWave: (CHAIN_A, "wave", +1),
+    GestureLabel.RightHandWave: (CHAIN_B, "wave", +1),
+    GestureLabel.CallToPass: (CHAIN_B, "beckon", +1),
+    GestureLabel.LeftHandRightCircle: (CHAIN_A, "circle", +1),
+    GestureLabel.LeftHandLeftCircle: (CHAIN_A, "circle", -1),
+}
 # the shortest period, in frames, of the cyclic gestures
 MIN_CYCLIC_PERIOD = 4
 
@@ -64,7 +74,7 @@ class SynthConfig:
             raise InvalidConfig("subject_scale must be positive")
         if self.noise_sigma < 0:
             raise InvalidConfig("noise_sigma must be nonnegative")
-        min_period = 1 if self.gesture in STATIC_GESTURES else MIN_CYCLIC_PERIOD
+        min_period = MIN_CYCLIC_PERIOD if self.gesture in MOTIONS else 1
         if self.period_frames < min_period:
             raise InvalidConfig(
                 f"period_frames must be >= {min_period} for {self.gesture.name}"
@@ -125,63 +135,40 @@ def _upper_body_points(gesture: GestureLabel, n_frames: int, period: int, scale:
     Every expression keeps the operation order of the scalar per-frame
     formulas, so each frame is bit for bit what that frame alone would give.
     """
-    t = np.arange(n_frames)
     pts = np.zeros((n_frames, 9, 2))
     pts[:, 0] = (0.0, -NOSE_RAISE * scale)
     pts[:, 8] = (0.0, HIP_DROP * scale)
-    (ids_a, side_a), (ids_b, side_b) = CHAIN_A, CHAIN_B
     for ids, side in (CHAIN_A, CHAIN_B):
         shoulder = np.array([side * 0.5 * scale, 0.0])
         pts[:, ids[0]] = shoulder
         pts[:, ids[1]] = shoulder + (0.0, UPPER_ARM * scale)  # arms at rest
         pts[:, ids[2]] = pts[:, ids[1]] + (0.0, FOREARM * scale)
-
-    def phase(direction: int) -> np.ndarray:
-        return 2.0 * math.pi * ((direction * t) % period) / period
-
-    def ik_arm(ids, side, reach):
-        """Wrist at the shoulder plus reach, elbow by inverse kinematics."""
-        shoulder = pts[0, ids[0]]
-        wrist = shoulder + reach
-        pts[:, ids[1]] = _two_bone_elbow(shoulder, wrist, side, scale)
-        pts[:, ids[2]] = wrist
-
-    def circle(ids, side, direction):
-        psi = -math.pi / 2.0 + phase(direction)
-        ik_arm(ids, side, CIRCLE_RADIUS * scale * np.stack([np.cos(psi), np.sin(psi)], axis=1))
-
-    def wave(ids, side):
-        ik_arm(ids, side, np.stack([
+    if gesture not in MOTIONS:
+        return pts
+    (ids, side), motion, direction = MOTIONS[gesture]
+    phase = 2.0 * math.pi * ((direction * np.arange(n_frames)) % period) / period
+    if motion == "circle":
+        psi = -math.pi / 2.0 + phase
+        reach = CIRCLE_RADIUS * scale * np.stack([np.cos(psi), np.sin(psi)], axis=1)
+    elif motion == "wave":
+        reach = np.stack([
             np.full(n_frames, side * WAVE_SIDE_REACH * scale),
-            -WAVE_CENTER_RAISE * scale - WAVE_AMPLITUDE * scale * np.cos(phase(1)),
-        ], axis=1))
-
-    if gesture is GestureLabel.LeftHandLeftCircle:
-        circle(ids_a, side_a, -1)
-    elif gesture is GestureLabel.LeftHandRightCircle:
-        circle(ids_a, side_a, +1)
-    elif gesture is GestureLabel.RightHandLeftCircle:
-        circle(ids_b, side_b, -1)
-    elif gesture is GestureLabel.RightHandRightCircle:
-        circle(ids_b, side_b, +1)
-    elif gesture is GestureLabel.LeftHandWave:
-        wave(ids_a, side_a)
-    elif gesture is GestureLabel.RightHandWave:
-        wave(ids_b, side_b)
-    elif gesture is GestureLabel.CallToPass:
-        # arm A held out horizontally, wrist B beckoning
+            -WAVE_CENTER_RAISE * scale - WAVE_AMPLITUDE * scale * np.cos(phase),
+        ], axis=1)
+    else:  # beckon, with arm A held out horizontally
+        ids_a, side_a = CHAIN_A
         elbow = pts[0, ids_a[0]] + (side_a * UPPER_ARM * scale, 0.0)
         pts[:, ids_a[1]] = elbow
         pts[:, ids_a[2]] = elbow + (side_a * FOREARM * scale, 0.0)
-        phi = phase(1)
-        ik_arm(ids_b, side_b, scale * np.stack([
-            side_b * (BECKON_CENTER[0] + BECKON_RADIUS * np.cos(phi)),
-            BECKON_CENTER[1] + BECKON_RADIUS * np.sin(phi),
-        ], axis=1))
-    elif gesture is GestureLabel.StandStill:
-        pass
-    else:  # pragma: no cover - closed enum
-        raise InvalidConfig(f"unhandled gesture {gesture}")
+        reach = scale * np.stack([
+            side * (BECKON_CENTER[0] + BECKON_RADIUS * np.cos(phase)),
+            BECKON_CENTER[1] + BECKON_RADIUS * np.sin(phase),
+        ], axis=1)
+    # the wrist at the shoulder plus reach, the elbow by inverse kinematics
+    shoulder = pts[0, ids[0]]
+    wrist = shoulder + reach
+    pts[:, ids[1]] = _two_bone_elbow(shoulder, wrist, side, scale)
+    pts[:, ids[2]] = wrist
     return pts
 
 

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from gesturepipe import cli, recognizer
-from gesturepipe.skeleton import GestureLabel, read_sequence
+from gesturepipe import cli, recognizer, speed
+from gesturepipe.features import Encoding
+from gesturepipe.skeleton import GestureLabel, Sequence, read_sequence, write_sequence
 
 from conftest import make_openpose_doc
 
@@ -39,6 +40,18 @@ def synth_dir(tmp_path_factory):
 def trained_dir(tmp_path_factory, synth_dir):
     out = tmp_path_factory.mktemp("model")
     rc = run("train", "--data", synth_dir, "--out", out, *TRAIN_FLAGS)
+    assert rc == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def clean_synth_dir(tmp_path_factory):
+    """One noiseless sequence per gesture, each with a period of exactly 30 frames."""
+    out = tmp_path_factory.mktemp("clean")
+    rc = run(
+        "synth", "--out", out, "--per-class", "1", "--frames", "90",
+        "--period-min", "30", "--period-max", "30", "--noise-max", "0", "--seed", "2",
+    )
     assert rc == 0
     return out
 
@@ -82,6 +95,9 @@ class TestHelp:
         ("synth", "--out", "s", "--frames", "0"),
         ("synth", "--out", "s", "--per-class", "0"),
         ("synth", "--out", "s", "--fps", "0"),
+        ("synth", "--out", "s", "--seed", "-1"),
+        ("train", "--out", "m", *TRAIN_FLAGS, "--seed", "-1"),
+        ("train", "--out", "m", *TRAIN_FLAGS, "--split-seed", "-3"),
     ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
     def test_out_of_range_number_exits_two(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -174,6 +190,21 @@ class TestSynth:
         assert "error: " in err and "has a non-finite value" in err
         assert "Traceback" not in err
         assert not (tmp_path / "s").exists()
+
+    def test_drop_prob_zeroes_whole_keypoints_reproducibly(self, tmp_path):
+        argv = ("--per-class", "1", "--frames", "40", "--seed", "3")
+        for name, prob in (("clean", "0"), ("a", "0.05"), ("b", "0.05")):
+            assert run("synth", "--out", tmp_path / name, *argv, "--drop-prob", prob) == 0
+        names = data_files(tmp_path / "clean")
+        assert data_files(tmp_path / "a") == names
+        dropped = 0
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+            clean, kept = read_sequence(tmp_path / "clean" / name), read_sequence(tmp_path / "a" / name)
+            gone = (clean.kp != kept.kp).any(axis=2)
+            assert (kept.kp[gone] == 0.0).all()
+            dropped += gone.sum()
+        assert 0.02 < dropped / (len(names) * 40 * 9) < 0.08  # of the 9 keypoints synth animates
 
     def test_determinism_bitwise(self, tmp_path, synth_dir):
         again = tmp_path / "again"
@@ -278,6 +309,16 @@ class TestTrain:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
+    def test_unlabeled_sequence_exits_three(self, tmp_path, synth_dir, capsys):
+        src = read_sequence(synth_dir / data_files(synth_dir)[0])
+        data = tmp_path / "unlabeled"
+        data.mkdir()
+        write_sequence(data / "seq.jsonl", Sequence(src.kp, src.fps, label=None))
+        assert run("train", "--data", data, "--out", tmp_path / "m", *TRAIN_FLAGS) == 3
+        err = capsys.readouterr().err
+        assert err == "error: sequence has no label; cannot use it for training/eval\n"
+        assert not (tmp_path / "m").exists()
+
     def test_numeric_failure_exits_four(self, tmp_path, synth_dir, monkeypatch):
         from gesturepipe.errors import NonFiniteGradient
 
@@ -322,8 +363,6 @@ class TestEval:
 
     def test_sequences_without_view_angle(self, tmp_path, synth_dir, trained_dir):
         # strip the view-angle metadata; eval must render a blank angle cell
-        from gesturepipe.skeleton import Sequence, write_sequence
-
         data = tmp_path / "noview"
         data.mkdir()
         src = read_sequence(synth_dir / data_files(synth_dir)[0])
@@ -430,14 +469,8 @@ class TestStream:
 
 class TestSpeed:
     @pytest.mark.parametrize("encoding", ["coordinate", "angle"])
-    def test_reports_period(self, tmp_path, capsys, encoding):
-        out_dir = tmp_path / "s"
-        rc = run(
-            "synth", "--out", out_dir, "--per-class", "1", "--frames", "90",
-            "--period-min", "30", "--period-max", "30", "--noise-max", "0", "--seed", "2",
-        )
-        assert rc == 0
-        seq_file = next(p for p in out_dir.iterdir() if p.name.startswith("RightHandRightCircle"))
+    def test_reports_period(self, tmp_path, capsys, clean_synth_dir, encoding):
+        seq_file = clean_synth_dir / "RightHandRightCircle_000.jsonl"
         result = tmp_path / "speed.json"
         rc = run("speed", seq_file, "--encoding", encoding, "--out", result)
         assert rc == 0
@@ -449,10 +482,34 @@ class TestSpeed:
         assert doc["cycles_per_second"] == pytest.approx(1.0)
 
     def test_start_positions_and_encoding_exit_two(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run("speed", "seq.jsonl", "--start-positions", "start.json", "--encoding", "angle")
-        assert exc.value.code == 2
-        assert "argument --encoding: not allowed with argument --start-positions" in capsys.readouterr().err
+        for encoding in ("angle", "coordinate"):  # "coordinate", given explicitly, is a flag all the same
+            with pytest.raises(SystemExit) as exc:
+                run("speed", "seq.jsonl", "--start-positions", "start.json", "--encoding", encoding)
+            assert exc.value.code == 2
+            assert "argument --encoding: not allowed with argument --start-positions" in capsys.readouterr().err
+
+    def test_start_positions_file_reaches_a_period(self, tmp_path, capsys, clean_synth_dir):
+        table = speed.default_start_positions(Encoding.ANGLE)
+        start = tmp_path / "start.json"
+        start.write_text(json.dumps({
+            "encoding": "angle", "positions": {label.name: row.tolist() for label, row in table.items()},
+        }))
+        seq_file = clean_synth_dir / "LeftHandLeftCircle_000.jsonl"
+        assert run("speed", seq_file, "--start-positions", start, "--out", tmp_path / "speed.json") == 0
+        assert "period_frames=30 " in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "manifest.jsonl").read_text())
+        assert manifest["flags"]["start_positions"] == str(start)
+        assert manifest["flags"]["encoding"] is None
+
+    def test_label_overrides_the_file_label(self, tmp_path, capsys, clean_synth_dir):
+        seq_file = clean_synth_dir / "RightHandRightCircle_000.jsonl"
+        result = tmp_path / "speed.json"
+        # the two right-hand circles start from the same pose
+        assert run("speed", seq_file, "--label", "RightHandLeftCircle", "--out", result) == 0
+        assert json.loads(result.read_text())["label"] == "RightHandLeftCircle"
+        assert "period_frames=30 " in capsys.readouterr().out
+        assert run("speed", seq_file, "--label", "StandStill") == 3
+        assert "StandStill has no start position" in capsys.readouterr().err
 
     def test_standstill_exits_three(self, tmp_path, synth_dir):
         seq_file = synth_dir / next(n for n in data_files(synth_dir) if n.startswith("StandStill"))

@@ -80,3 +80,37 @@ def test_scan_finds_an_unreferenced_public_name():
 def test_every_public_name_is_used_outside_tests():
     modules = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert unreferenced_public_names(modules, [p.read_text(encoding="utf-8") for p in USERS]) == []
+
+
+def unraised_errors(errors_source: str, users: list[str]) -> list[str]:
+    """Each ``PipelineError`` subclass in ``errors_source`` that no ``raise``
+    in ``users`` names in the exception it raises: ``raise Name``,
+    ``raise Name(...)`` or ``raise tag(Name(...), ...)``, not the ``from`` cause."""
+    raised = set()
+    for source in users:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised.update(name.id for name in ast.walk(node.exc) if isinstance(name, ast.Name))
+    return [
+        node.name
+        for node in ast.parse(errors_source).body
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(base, ast.Name) and base.id == "PipelineError" for base in node.bases)
+        and node.name not in raised
+    ]
+
+
+def test_scan_finds_an_unraised_error():
+    errors = "class PipelineError(Exception): pass\n" + "".join(
+        f"class {name}(PipelineError): pass\n" for name in ("Called", "Bare", "Tagged", "Caught", "Cause", "Unused")
+    )
+    users = [
+        "raise Called('x')\n", "raise Bare\n", "raise tag(Tagged('x'), 3)\n",
+        "try:\n    pass\nexcept Caught:\n    raise\n", "raise Called('y') from Cause('z')\n",
+    ]
+    assert unraised_errors(errors, users) == ["Caught", "Cause", "Unused"]
+
+
+def test_every_error_class_is_raised_in_src():
+    errors = (ROOT / "src" / "gesturepipe" / "errors.py").read_text(encoding="utf-8")
+    assert unraised_errors(errors, [p.read_text(encoding="utf-8") for p in PACKAGE]) == []

@@ -9,13 +9,12 @@ import pytest
 
 from gesturepipe import nn
 from gesturepipe.errors import (
-    EmptyDataset,
     EncodingMismatch,
-    InconsistentShapes,
     LabelOutOfRange,
     MalformedJson,
     NonFiniteGradient,
     ShapeMismatch,
+    TooShort,
 )
 from gesturepipe.features import Encoding
 
@@ -381,20 +380,20 @@ class TestTrain:
         np.testing.assert_array_equal(together, np.arange(320))
 
     def test_empty_dataset(self):
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(TooShort, match="dataset is empty"):
             nn.train(np.empty((0, 4, 5)), np.empty(0, dtype=int), TINY, epochs=1)
 
     def test_inconsistent_shapes(self, rng):
-        with pytest.raises(InconsistentShapes):
+        with pytest.raises(ShapeMismatch, match="windows and n labels"):
             nn.train(rng.normal(size=(4, 5)), np.zeros(4, dtype=int), TINY, epochs=1)
 
     @pytest.mark.parametrize("n_labels", [2, 4])
     def test_x_and_y_lengths_differ(self, rng, n_labels):
-        with pytest.raises(InconsistentShapes):
+        with pytest.raises(ShapeMismatch, match="windows and n labels"):
             nn.train(rng.normal(size=(3, 4, 5)), np.zeros(n_labels, dtype=int), TINY, epochs=1)
 
     def test_wrong_feature_dim(self, rng):
-        with pytest.raises(InconsistentShapes):
+        with pytest.raises(ShapeMismatch, match="windows and n labels"):
             nn.train(rng.normal(size=(1, 4, 9)), np.zeros(1, dtype=int), TINY, epochs=1)
 
 
@@ -532,6 +531,30 @@ class TestWeightFile:
         path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
         with pytest.raises(MalformedJson, match="bad weight header"):
             nn.load_model(path)
+
+    def test_header_at_the_limit_loads(self, tmp_path):
+        path = tmp_path / "weights.gpw"
+        params = nn.init_params(TINY)
+        nn.save_model(path, params, Encoding.ANGLE)
+        header_line, blob = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(header_line.ljust(nn.HEADER_LIMIT - 1) + b"\n" + blob)  # JSON allows trailing spaces
+        loaded, _ = nn.load_model(path)
+        np.testing.assert_array_equal(loaded.weights, params.weights)
+        path.write_bytes(header_line.ljust(nn.HEADER_LIMIT) + b"\n" + blob)
+        with pytest.raises(MalformedJson, match=f"weight header is longer than {nn.HEADER_LIMIT} bytes"):
+            nn.load_model(path)
+
+    def test_header_without_newline_read_bounded(self, tmp_path):
+        path = tmp_path / "weights.gpw"
+        path.write_bytes(b"a" * (4 << 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(MalformedJson, match="weight header is longer than"):
+                nn.load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * nn.HEADER_LIMIT
 
     def test_garbage_refused(self, tmp_path):
         path = tmp_path / "weights.gpw"

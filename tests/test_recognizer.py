@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gesturepipe import nn
-from gesturepipe.errors import EncodingMismatch, InvalidConfig, ShapeMismatch
+from gesturepipe.errors import InvalidConfig, ShapeMismatch
 from gesturepipe.features import Encoding
 from gesturepipe.recognizer import (
     Emission,
@@ -116,9 +116,9 @@ class TestWindowState:
     def test_encoding_mismatch(self, rng):
         params = nn.init_params(MODEL)
         state = WindowState(capacity=4, vote_n=3, retention=0.5, encoding=Encoding.COORDINATE)
-        with pytest.raises(EncodingMismatch):
+        with pytest.raises(ShapeMismatch, match="row has shape"):
             state.push(angle_row(rng), params)
-        with pytest.raises(EncodingMismatch):
+        with pytest.raises(ShapeMismatch, match="row has shape"):
             state.push(np.zeros((1, 18)), params)
         assert state.frames_seen == 0
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gesturepipe import skeleton
-from gesturepipe.errors import IoError, MalformedJson, NoPerson, WrongArity
+from gesturepipe.errors import IoError, MalformedJson, NoPerson
 from gesturepipe.skeleton import (
     N_KEYPOINTS,
     GestureLabel,
@@ -38,7 +38,7 @@ class TestParseOpenposeFrame:
         assert tuple(kp[1]) == (320.0, 180.5, 0.93)
 
     def test_wrong_arity(self):
-        with pytest.raises(WrongArity):
+        with pytest.raises(MalformedJson, match="expected 75 keypoint values, got 74"):
             parse_openpose_frame(make_openpose_doc([0.0] * 74))
 
     def test_malformed_json(self):

@@ -5,11 +5,11 @@ import pytest
 
 from gesturepipe.augment import resample_speed
 from gesturepipe.errors import (
-    LengthMismatch,
     MalformedJson,
     NoPeriod,
-    NotCyclic,
+    ShapeMismatch,
     TooShort,
+    UnknownLabel,
 )
 from gesturepipe.features import Encoding, encode_sequence
 from gesturepipe.skeleton import GestureLabel
@@ -48,18 +48,18 @@ class TestDistanceSeries:
 
     def test_encoding_mismatch(self):
         # rows carry no encoding tag; a coordinate reference for angle rows
-        # shows up as a length mismatch
+        # shows up as a shape mismatch
         ref = fv([0.0] * 18)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ShapeMismatch, match="does not match a reference"):
             distance_series([fv([0.0] * 5)], ref)
 
     def test_length_mismatch_defensive(self):
         angle_ref = fv([0.0] * 5)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ShapeMismatch, match="does not match a reference"):
             distance_series(np.zeros((3, 4)), angle_ref)
-        with pytest.raises(LengthMismatch):  # ragged rows
+        with pytest.raises(ShapeMismatch, match="window rows differ in length"):  # ragged rows
             distance_series([fv([0.0] * 5), fv([0.0] * 4)], angle_ref)
-        with pytest.raises(LengthMismatch):  # one row, not a window
+        with pytest.raises(ShapeMismatch, match="does not match a reference"):  # one row, not a window
             distance_series(fv([0.0] * 5), angle_ref)
 
     def test_metric_symmetry_under_dimension_permutation(self, rng):
@@ -93,7 +93,7 @@ class TestEstimateSpeed:
     def test_standstill_not_cyclic(self):
         table = default_start_positions(Encoding.COORDINATE)
         _, window = circle_window(period=30, n=100)
-        with pytest.raises(NotCyclic):
+        with pytest.raises(UnknownLabel, match="StandStill has no start position"):
             estimate_speed(window, GestureLabel.StandStill, table, fps=30.0)
 
     def test_short_window_too_short(self):
