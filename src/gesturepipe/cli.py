@@ -33,6 +33,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Iterator
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -109,13 +110,16 @@ def _write_manifest(args: argparse.Namespace, started: tuple[str, float],
         fh.write(json.dumps(doc, default=str) + "\n")
 
 
-def _read_sequence_dir(path: Path) -> list[tuple[Path, skeleton.Sequence]]:
+def _read_sequence_dir(path: Path) -> Iterator[tuple[Path, skeleton.Sequence]]:
+    """(file, sequence) for each sequence file in ``path``, in name order. The
+    directory is listed and checked at the call; each file is read only when the
+    caller reaches it, so one sequence at a time is held."""
     if not path.is_dir():
         raise IoError(f"{path} is not a directory")
     files = sorted(p for p in path.glob("*.jsonl") if p.name != "manifest.jsonl")
     if not files:
         raise IoError(f"no sequence files in {path}")
-    return [(p, skeleton.read_sequence(p)) for p in files]
+    return ((p, skeleton.read_sequence(p)) for p in files)
 
 
 def _windows_from_sequences(seqs, encoding: Encoding, window: int, stride: int):
@@ -218,7 +222,7 @@ def cmd_augment(args) -> RunRecord:
 
 def cmd_train(args) -> RunRecord:
     encoding = Encoding(args.encoding)
-    seqs = [seq for _, seq in _read_sequence_dir(Path(args.data))]
+    seqs = (seq for _, seq in _read_sequence_dir(Path(args.data)))
     x, y, _ = _windows_from_sequences(seqs, encoding, args.window, args.stride)
     config = nn.ModelConfig(
         input_dim=encoding.dim,
@@ -268,7 +272,7 @@ def _row_sort_key(key):
 
 def cmd_eval(args) -> RunRecord:
     params, encoding = nn.load_model(args.weights)
-    seqs = [seq for _, seq in _read_sequence_dir(Path(args.data))]
+    seqs = (seq for _, seq in _read_sequence_dir(Path(args.data)))
     x, y, angles = _windows_from_sequences(seqs, encoding, args.window, args.stride)
     pred, _ = nn.predict_batch(params, x)
     correct = pred == y
@@ -407,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-max", type=_finite, default=0.02,
                    help="noise sigma upper bound, fraction of subject scale")
     p.add_argument("--drop-prob", type=_finite, default=0.0,
-                   help="probability of zeroing each keypoint's confidence")
+                   help="probability of zeroing each keypoint (x, y and confidence)")
     p.add_argument("--seed", type=_positive(int, zero_ok=True), default=0)
     p.set_defaults(func=cmd_synth)
 

@@ -19,6 +19,15 @@ product over all B·T rows. Training, ``predict_batch`` and ``forward``
 compose the halves; a stream keeps each frame's gate inputs between
 evaluations (``recognizer.WindowState``).
 
+The backward keeps only what a later gradient reads. The per-frame half
+caches dense2's output alone and the backward recomputes dense1 from the
+input, a product with K = N that is under 1 % of a training step's
+multiply-adds; the recurrent half caches each step's gates, entering hidden
+state and r*h. Each cached array is dropped after its last reader, and each
+layer's input gradient is written over the activation it replaces: the gate
+gradients over the gates, da2 over h2 and da1 over h1. No operation changes,
+so the gradients are the bits a backward that kept every activation gives.
+
 Everything runs in float64: exact gradient checking matters more than speed
 at this scale. The weights and a gradient are each one flat vector with named
 views per tensor; ``train`` owns Adam's two moments, as one (2, n) array, and
@@ -185,40 +194,39 @@ def forward_frames(params: ModelParams, x: np.ndarray, need_cache: bool = False)
     """The per-frame half: dense1, dense2 and the GRU input projection map
     (..., T, N) rows to (..., T, 3g) gate inputs, each row from its own row
     alone, each layer one product over all B·T rows. Returns (gate inputs,
-    cache); the cache is (h1, h2), each (B·T, width)."""
+    cache); the cache is (h2,), the (B·T, width) output of dense2. Dense1's
+    output is freed before the gate projection; the backward recomputes it."""
     t = params.tensors
-    h1 = _dense(x.reshape(-1, x.shape[-1]), t["w1"], t["b1"], relu=True)
-    h2 = _dense(h1, t["w2"], t["b2"], relu=True)
-    if not need_cache:
-        h1 = None  # free it before the gate projection is allocated
+    h2 = _dense(_dense(x.reshape(-1, x.shape[-1]), t["w1"], t["b1"], relu=True), t["w2"], t["b2"], relu=True)
     xg = _dense(h2, t["wg"], t["bg"], relu=False)
-    return xg.reshape(*x.shape[:-1], -1), ((h1, h2) if need_cache else None)
+    return xg.reshape(*x.shape[:-1], -1), ((h2,) if need_cache else None)
 
 
 def forward_recurrent(params: ModelParams, xg: np.ndarray, need_cache: bool = False):
     """The recurrent half: the GRU time loop and the head map (B, T, 3g) gate
-    inputs to (B, M) logits. Returns (logits, cache); the cache is (gates, hs, h3)."""
+    inputs to (B, M) logits. Returns (logits, cache); the cache is (gates, hs,
+    rhs, h, h3): per step, the gate activations z, r, c, the hidden state
+    entering the step and r*h, each (B, T, width); then the final hidden state
+    and the head's hidden layer."""
     t = params.tensors
     batch, steps, _ = xg.shape
     g = params.config.gru_hidden
     u_zr, u_c = t["ug"][: 2 * g], t["ug"][2 * g :]
     h = np.zeros((batch, g))
-    gates = hs = None
     if need_cache:
-        gates = np.empty((batch, steps, 3 * g))
-        hs = np.empty((batch, steps + 1, g))
-        hs[:, 0] = h
+        gates, hs, rhs = np.empty((batch, steps, 3 * g)), np.empty((batch, steps, g)), np.empty((batch, steps, g))
     for k in range(steps):
         zr = _sigmoid(xg[:, k, : 2 * g] + h @ u_zr.T)
         z, r = zr[:, :g], zr[:, g:]
-        c = np.tanh(xg[:, k, 2 * g :] + (r * h) @ u_c.T)
-        h = (1.0 - z) * h + z * c
+        rh = r * h
+        c = np.tanh(xg[:, k, 2 * g :] + rh @ u_c.T)
         if need_cache:
-            gates[:, k, : 2 * g], gates[:, k, 2 * g :], hs[:, k + 1] = zr, c, h
+            gates[:, k, : 2 * g], gates[:, k, 2 * g :], hs[:, k], rhs[:, k] = zr, c, h, rh
+        h = (1.0 - z) * h + z * c
 
     h3 = _dense(h, t["w3"], t["b3"], relu=True)
     logits = _dense(h3, t["w4"], t["b4"], relu=False)
-    return logits, ((gates, hs, h3) if need_cache else None)
+    return logits, ((gates, hs, rhs, h, h3) if need_cache else None)
 
 
 def _forward_batch(params: ModelParams, x: np.ndarray, need_cache: bool):
@@ -254,53 +262,59 @@ def cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
     return float(-log_p[onehot].sum()), np.exp(log_p) - onehot
 
 
+def _gru_backward(params: ModelParams, gates: np.ndarray, hs: np.ndarray, dh: np.ndarray) -> None:
+    """Backpropagation through the GRU's steps, last first, from ``dh``, the final hidden state's
+    gradient: each step's gates (z, r, c) are overwritten by the gradients of their pre-activations.
+    A function of its own so that no view of ``gates`` or ``hs`` outlives the loop."""
+    g = params.config.gru_hidden
+    u_zr, u_c = params.tensors["ug"][: 2 * g], params.tensors["ug"][2 * g :]
+    for k in range(gates.shape[1] - 1, -1, -1):
+        z, r, c, h_prev = gates[:, k, :g], gates[:, k, g : 2 * g], gates[:, k, 2 * g :], hs[:, k]
+        dac = dh * z * (1.0 - c * c)
+        drh = dac @ u_c
+        dz = dh * (c - h_prev) * z * (1.0 - z)
+        dr = drh * h_prev * r * (1.0 - r)
+        dh = dh * (1.0 - z) + drh * r
+        gates[:, k, :g], gates[:, k, g : 2 * g], gates[:, k, 2 * g :] = dz, dr, dac
+        dh += gates[:, k, : 2 * g] @ u_zr
+
+
 def _backward_batch(params: ModelParams, x: np.ndarray, labels: np.ndarray):
-    """Summed loss and summed gradient, one flat vector laid out as ``weights``, over a (B, T, N) batch."""
+    """Summed loss and summed gradient, one flat vector laid out as ``weights``, over a (B, T, N) batch.
+    Keeps only what a later gradient reads, as the module docstring says."""
     t = params.tensors
-    logits, cache = _forward_batch(params, x, need_cache=True)
+    logits, (h2, gates, hs, rhs, h, h3) = _forward_batch(params, x, need_cache=True)
     loss_sum, dlogits = cross_entropy(logits, labels)
-    steps = x.shape[1]
     g = params.config.gru_hidden
 
-    h1, h2, gates, hs, h3 = cache
     grad = np.empty_like(params.weights)
     grads = _views(params.config, grad)
     np.matmul(dlogits.T, h3, out=grads["w4"])
     dlogits.sum(axis=0, out=grads["b4"])
     da3 = dlogits @ t["w4"]
     np.multiply(da3, h3 > 0.0, out=da3)
-    np.matmul(da3.T, hs[:, steps], out=grads["w3"])
+    np.matmul(da3.T, h, out=grads["w3"])
     da3.sum(axis=0, out=grads["b3"])
-    dh = da3 @ t["w3"]
+    _gru_backward(params, gates, hs, da3 @ t["w3"])
 
-    # gate pre-activation gradients per step, blocks z, r, c
-    dgates = np.empty_like(gates)
-    u_zr, u_c = t["ug"][: 2 * g], t["ug"][2 * g :]
-    for k in range(steps - 1, -1, -1):
-        z, r, c, h_prev = gates[:, k, :g], gates[:, k, g : 2 * g], gates[:, k, 2 * g :], hs[:, k]
-        dac = dh * z * (1.0 - c * c)
-        drh = dac @ u_c
-        dgates[:, k, :g] = dh * (c - h_prev) * z * (1.0 - z)
-        dgates[:, k, g : 2 * g] = drh * h_prev * r * (1.0 - r)
-        dgates[:, k, 2 * g :] = dac
-        dh = dh * (1.0 - z) + drh * r + dgates[:, k, : 2 * g] @ u_zr
+    dgates = gates.reshape(-1, 3 * g)
+    np.matmul(dgates[:, : 2 * g].T, hs.reshape(-1, g), out=grads["ug"][: 2 * g])
+    np.matmul(dgates[:, 2 * g :].T, rhs.reshape(-1, g), out=grads["ug"][2 * g :])
+    np.matmul(dgates.T, h2, out=grads["wg"])
+    dgates.sum(axis=0, out=grads["bg"])
+    relu = h2 > 0.0
+    da2 = np.matmul(dgates, t["wg"], out=h2)
+    da2 *= relu
+    del gates, dgates, hs, rhs, h2, relu  # before dense1's output is recomputed
 
-    flat = dgates.reshape(-1, 3 * g)
-    h_prev = hs[:, :-1].reshape(-1, g)
-    rh_prev = (gates[:, :, g : 2 * g] * hs[:, :-1]).reshape(-1, g)
-    np.matmul(flat[:, : 2 * g].T, h_prev, out=grads["ug"][: 2 * g])
-    np.matmul(flat[:, 2 * g :].T, rh_prev, out=grads["ug"][2 * g :])
-    np.matmul(flat.T, h2, out=grads["wg"])
-    flat.sum(axis=0, out=grads["bg"])
-    da2 = flat @ t["wg"]
-    del dgates, flat, h_prev, rh_prev  # free them before the dense layers' gradients
-
-    np.multiply(da2, h2 > 0.0, out=da2)
+    rows = x.reshape(-1, x.shape[-1])
+    h1 = _dense(rows, t["w1"], t["b1"], relu=True)  # K = N: under 1 % of the step's multiply-adds
     np.matmul(da2.T, h1, out=grads["w2"])
     da2.sum(axis=0, out=grads["b2"])
-    da1 = da2 @ t["w2"]
-    np.multiply(da1, h1 > 0.0, out=da1)
-    np.matmul(da1.T, x.reshape(-1, x.shape[-1]), out=grads["w1"])
+    relu = h1 > 0.0
+    da1 = np.matmul(da2, t["w2"], out=h1)
+    da1 *= relu
+    np.matmul(da1.T, rows, out=grads["w1"])
     da1.sum(axis=0, out=grads["b1"])
     return loss_sum, grad
 

@@ -68,7 +68,8 @@ def estimate_speed(window, label: GestureLabel, table: StartPositionTable, fps: 
     ``CLARITY`` is noise, not a period, and raises ``NoPeriod``.
     """
     if label not in table:
-        raise UnknownLabel(f"{label.name} has no start position (not a cyclic gesture?)")
+        why = "the start-position table has no row for it" if label in CYCLIC_GESTURES else "not a cyclic gesture"
+        raise UnknownLabel(f"{label.name} has no start position ({why})")
     series = distance_series(window, table[label])
     n = len(series)
     if n // 2 <= MIN_LAG:

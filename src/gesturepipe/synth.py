@@ -218,7 +218,8 @@ def generate_dataset(per_class: int, base: SynthConfig, jitter: JitterSpec) -> l
 
 
 def drop_keypoints(seq: Sequence, prob: float, seed: int) -> Sequence:
-    """Zero random keypoint confidences to exercise missing-keypoint handling."""
+    """Zero each present keypoint, x, y and confidence, with probability ``prob``, to exercise
+    missing-keypoint handling."""
     if not 0.0 <= prob <= 1.0:
         raise InvalidConfig("drop probability must lie in [0, 1]")
     rng = np.random.default_rng(seed)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,16 @@ def random_pose(rng, present_mask=None):
     if present_mask is not None:
         kp[~np.asarray(present_mask, dtype=bool)] = 0.0
     return Pose(kp)
+
+
+def traced_peak(fn) -> int:
+    """Call ``fn()`` with tracemalloc on; returns the peak of bytes traced during the call."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -501,6 +501,16 @@ class TestSpeed:
         assert manifest["flags"]["start_positions"] == str(start)
         assert manifest["flags"]["encoding"] is None
 
+    def test_gesture_missing_from_a_start_position_file_exits_three(self, tmp_path, capsys, clean_synth_dir):
+        row = speed.default_start_positions(Encoding.COORDINATE)[GestureLabel.CallToPass]
+        start = tmp_path / "one.json"
+        start.write_text(json.dumps({"encoding": "coordinate", "positions": {"CallToPass": row.tolist()}}))
+        seq_file = clean_synth_dir / "LeftHandWave_000.jsonl"
+        assert run("speed", seq_file, "--start-positions", start) == 3
+        err = capsys.readouterr().err
+        assert "error: LeftHandWave has no start position (the start-position table has no row for it)" in err
+        assert "not a cyclic gesture" not in err
+
     def test_label_overrides_the_file_label(self, tmp_path, capsys, clean_synth_dir):
         seq_file = clean_synth_dir / "RightHandRightCircle_000.jsonl"
         result = tmp_path / "speed.json"

@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from gesturepipe.errors import (
 )
 from gesturepipe.features import Encoding
 
+from conftest import traced_peak
 from gradcheck import max_relative_error, numeric_grads, random_tiny_setup, window_grads
 
 TINY = nn.ModelConfig(input_dim=5, output_dim=3, hidden_dims=(8, 8), gru_hidden=4, head_dims=(4,), seed=7)
@@ -106,10 +106,10 @@ class TestForward:
         t = params.tensors
         x = rng.normal(size=(4, 8, 5))
         before = x.copy()
-        xg, (h1, h2) = nn.forward_frames(params, x, need_cache=True)
+        xg, (h2,) = nn.forward_frames(params, x, need_cache=True)
         np.testing.assert_array_equal(x, before)
-        g3, (d1, d2) = 3 * config.gru_hidden, config.hidden_dims
-        assert xg.shape == (4, 8, g3) and h1.shape == (32, d1) and h2.shape == (32, d2)
+        g3, d2 = 3 * config.gru_hidden, config.hidden_dims[1]
+        assert xg.shape == (4, 8, g3) and h2.shape == (32, d2)
         assert nn.forward_frames(params, x[0])[0].shape == (8, g3)
         for b in range(len(x)):
             a1 = np.maximum(x[b] @ t["w1"].T + t["b1"], 0.0)
@@ -199,6 +199,17 @@ class TestBackward:
         double = nn._views(TINY, nn._backward_batch(params, np.stack([window, window]), np.array([2, 2]))[1])
         for name in single:
             np.testing.assert_allclose(double[name], 2.0 * single[name], rtol=1e-12, atol=1e-15)
+
+    def test_peak_allocation_holds_one_activation_per_layer(self, rng):
+        # the gradient vector, plus one float64 per frame row and unit of dense1, dense2 and
+        # the gates: recomputing dense1 and writing each input gradient over the activation it
+        # replaces keeps the step under it, where holding them all at once does not
+        config = nn.ModelConfig(input_dim=18, output_dim=8, hidden_dims=(512, 256), gru_hidden=64, head_dims=(32,))
+        params = nn.init_params(config)
+        x, y = rng.normal(size=(16, 20, 18)), rng.integers(0, 8, size=16)
+        (d1, d2), g = config.hidden_dims, config.gru_hidden
+        bound = params.weights.nbytes + 8 * x[..., 0].size * (d1 + d2 + 3 * g)
+        assert traced_peak(lambda: nn._backward_batch(params, x, y)) < bound
 
     def test_label_out_of_range(self, rng):
         params = nn.init_params(TINY)
@@ -323,13 +334,7 @@ class TestAdamStep:
         params = nn.init_params(config)
         assert params.weights.size >= 1_000_000
         moments, grad = fresh_moments(params), rng.normal(size=params.weights.shape)
-        tracemalloc.start()
-        try:
-            nn.adam_step(params, moments, grad, 1e-3, 1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < params.weights.nbytes / 8
+        assert traced_peak(lambda: nn.adam_step(params, moments, grad, 1e-3, 1)) < params.weights.nbytes / 8
 
 
 def small_dataset(rng, n=40, t=6, classes=3):
@@ -547,14 +552,12 @@ class TestWeightFile:
     def test_header_without_newline_read_bounded(self, tmp_path):
         path = tmp_path / "weights.gpw"
         path.write_bytes(b"a" * (4 << 20))
-        tracemalloc.start()
-        try:
+
+        def refused():
             with pytest.raises(MalformedJson, match="weight header is longer than"):
                 nn.load_model(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * nn.HEADER_LIMIT
+
+        assert traced_peak(refused) < 4 * nn.HEADER_LIMIT
 
     def test_garbage_refused(self, tmp_path):
         path = tmp_path / "weights.gpw"
