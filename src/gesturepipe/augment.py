@@ -1,10 +1,10 @@
 """View-angle augmentation and speed resampling.
 
 Rotated-view samples are synthesized from frontal recordings by assigning
-manual relative depths to the arm keypoints (2..7), rotating the resulting
-pseudo-3D skeleton about the vertical axis through the neck, and dropping the
-depth again (orthographic projection). Execution speed is simulated by
-linear interpolation between frames.
+manual relative depths to the keypoints of both arm chains, rotating the
+resulting pseudo-3D skeleton about the vertical axis through the neck, and
+dropping the depth again (orthographic projection). Execution speed is
+simulated by linear interpolation between frames.
 """
 from __future__ import annotations
 
@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidConfig, IoError, MissingKeypoint, TooShort, UnknownLabel
-from .skeleton import Body25, GestureLabel, Sequence
+from .skeleton import ARM_A, ARM_B, NECK, GestureLabel, Sequence
 
 # keypoints carrying manual depth estimates, in table column order
-ARM_KEYPOINTS = tuple(range(2, 8))
+ARM_KEYPOINTS = ARM_A + ARM_B
 MAX_FRAMES = 100_000  # resample_speed's longest output, about 60 MB of keypoints
 
 DepthTable = dict[GestureLabel, tuple[float, ...]]
@@ -29,7 +29,7 @@ DepthTable = dict[GestureLabel, tuple[float, ...]]
 class RotationSpec:
     """Rotation about the vertical axis through the neck.
 
-    Positive angles turn the subject so the keypoint-2 shoulder moves toward
+    Positive angles turn the subject so the chain A shoulder moves toward
     the camera; negative angles turn the other way.
     """
 
@@ -43,9 +43,9 @@ class RotationSpec:
 def rotate_sequence(seq: Sequence, table: DepthTable, spec: RotationSpec) -> Sequence:
     """Rotate every frame about the vertical axis through its neck and reproject.
 
-    The label's table row holds six relative depths for keypoints 2..7, as
-    fractions of each frame's shoulder width (pixel distance between
-    keypoints 2 and 5); positive is farther from the camera. All other
+    The label's table row holds six relative depths for ``ARM_KEYPOINTS``, as
+    fractions of each frame's shoulder width (pixel distance between the
+    two shoulders); positive is farther from the camera. All other
     keypoints rotate with depth 0; y, confidences and missing keypoints pass
     through untouched. MissingKeypoint names the first frame lacking the
     neck or an arm keypoint.
@@ -56,16 +56,16 @@ def rotate_sequence(seq: Sequence, table: DepthTable, spec: RotationSpec) -> Seq
     depths = np.array([float(d) for d in table[seq.label]])
     if len(depths) != len(ARM_KEYPOINTS):
         raise InvalidConfig(f"expected {len(ARM_KEYPOINTS)} depths, got {len(depths)}")
-    needed = [int(Body25.NECK), *ARM_KEYPOINTS]
+    needed = [NECK, *ARM_KEYPOINTS]
     missing = seq.kp[:, needed, 2] <= 0.0
     if missing.any():
         t, k = np.argwhere(missing)[0]
         raise MissingKeypoint(needed[k], f"frame {t}: keypoint {needed[k]} is missing")
 
     kp = np.array(seq.kp)
-    neck_x = kp[:, Body25.NECK, 0, None]
+    neck_x = kp[:, NECK, 0, None]
     # math.hypot, not np.hypot: the two differ in the last bit for some inputs
-    shoulder = kp[:, Body25.R_SHOULDER, :2] - kp[:, Body25.L_SHOULDER, :2]
+    shoulder = kp[:, ARM_A[0], :2] - kp[:, ARM_B[0], :2]
     shoulder_w = np.array([math.hypot(dx, dy) for dx, dy in shoulder.tolist()])
     theta = math.radians(spec.angle_deg)
     c, s = math.cos(theta), math.sin(theta)
@@ -114,7 +114,7 @@ def resample_speed(seq: Sequence, ratio: float) -> Sequence:
 def parse_depth_table(text: str) -> DepthTable:
     """Parse the depth config format: one row per gesture, '#' comments.
 
-    Each row is a gesture label followed by six finite depths for keypoints 2..7.
+    Each row is a gesture label followed by six finite depths for ``ARM_KEYPOINTS``.
     """
     table: DepthTable = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

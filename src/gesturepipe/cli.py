@@ -123,18 +123,24 @@ def _read_sequence_dir(path: Path) -> Iterator[tuple[Path, skeleton.Sequence]]:
 
 
 def _windows_from_sequences(seqs, encoding: Encoding, window: int, stride: int):
-    """Encode sequences and cut them into labeled windows, one every ``stride``
-    frames, or every ``window`` frames when ``stride`` is 0.
+    """Encode (file, sequence) pairs and cut them into labeled windows, one
+    every ``stride`` frames, or every ``window`` frames when ``stride`` is 0.
+    A refusal names the file.
 
     Returns (x, y, angles): the (n, window, dim) windows, their (n,) labels,
     and an (n,) object array of the view angle (a float or None) of the
     sequence each window came from, for eval grouping.
     """
     parts, labels, angles = [], [], []
-    for seq in seqs:
+    for path, seq in seqs:
         if seq.label is None:
-            raise IoError("sequence has no label; cannot use it for training/eval")
-        windows = features.slice_windows(features.encode_sequence(seq, encoding), window, stride or window)
+            raise IoError(f"{path}: sequence has no label; cannot use it for training/eval")
+        try:
+            matrix = features.encode_sequence(seq, encoding)
+        except PipelineError as exc:  # args, not a new error, so the class and its fields stay
+            exc.args = (f"{path}: {exc}",)
+            raise
+        windows = features.slice_windows(matrix, window, stride or window)
         parts.append(windows)
         labels += [int(seq.label)] * len(windows)
         angles += [seq.view_angle_deg] * len(windows)
@@ -222,8 +228,7 @@ def cmd_augment(args) -> RunRecord:
 
 def cmd_train(args) -> RunRecord:
     encoding = Encoding(args.encoding)
-    seqs = (seq for _, seq in _read_sequence_dir(Path(args.data)))
-    x, y, _ = _windows_from_sequences(seqs, encoding, args.window, args.stride)
+    x, y, _ = _windows_from_sequences(_read_sequence_dir(Path(args.data)), encoding, args.window, args.stride)
     config = nn.ModelConfig(
         input_dim=encoding.dim,
         output_dim=len(GestureLabel),
@@ -272,8 +277,7 @@ def _row_sort_key(key):
 
 def cmd_eval(args) -> RunRecord:
     params, encoding = nn.load_model(args.weights)
-    seqs = (seq for _, seq in _read_sequence_dir(Path(args.data)))
-    x, y, angles = _windows_from_sequences(seqs, encoding, args.window, args.stride)
+    x, y, angles = _windows_from_sequences(_read_sequence_dir(Path(args.data)), encoding, args.window, args.stride)
     pred, _ = nn.predict_batch(params, x)
     correct = pred == y
 

@@ -2,12 +2,13 @@
 
 One encoder maps (T, 25, 3) keypoints, the per-person array OpenPose emits
 stacked over T frames, to a (T, dim) float64 matrix; a single pose is the
-T = 1 case. Every frame needs all 9 upper-body keypoints (nose, neck, both
-arm chains, mid-hip). Two representations feed the classifier:
+T = 1 case. Every frame needs all ``N_UPPER`` upper-body keypoints (nose,
+neck, both arm chains, mid-hip; see :mod:`.skeleton`). Two representations
+feed the classifier:
 
-* coordinate: the 9 upper-body points after :func:`normalize_1x1` (neck at
-  the origin, bounding box exactly 1 by 1), flattened to 18 values
-  (x0, y0, ..., x8, y8);
+* coordinate: the upper-body points after :func:`normalize_1x1` (neck at
+  the origin, bounding box exactly 1 by 1), flattened to x, y pairs in id
+  order;
 * angle: 5 joint angles (both elbows, both shoulders, the neck) mapped from
   [0, 180] degrees onto [0, 1].
 
@@ -22,14 +23,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateExtent, MissingKeypoint, PipelineError, ZeroLengthRay
-from .skeleton import Body25, Pose, Sequence
-
-N_UPPER = 9
-COORD_DIM = 18
-ANGLE_DIM = 5
+from .skeleton import ARM_A, ARM_B, MID_HIP, N_UPPER, NECK, NOSE, Pose, Sequence
 
 # (a, vertex, b) keypoint triples: elbows, shoulders, neck
-ANGLE_TRIPLES = ((2, 3, 4), (5, 6, 7), (1, 2, 3), (1, 5, 6), (0, 1, 8))
+ANGLE_TRIPLES = (ARM_A, ARM_B, (NECK, *ARM_A[:2]), (NECK, *ARM_B[:2]), (NOSE, NECK, MID_HIP))
+COORD_DIM = 2 * N_UPPER
+ANGLE_DIM = len(ANGLE_TRIPLES)
 _RAY_A, _VERTEX, _RAY_B = (list(column) for column in zip(*ANGLE_TRIPLES))
 
 
@@ -51,12 +50,12 @@ def _at_frame(error: PipelineError, bad: np.ndarray) -> PipelineError:
 def normalize_1x1(points: np.ndarray) -> np.ndarray:
     """Translate the neck to the origin and scale x and y so the box is exactly 1x1.
 
-    ``points`` holds all-present upper-body points, (9, 2) for one frame or
-    (T, 9, 2) for T frames. Extents are measured over these points only, so
+    ``points`` holds all-present upper-body points, (N_UPPER, 2) for one frame
+    or (T, N_UPPER, 2) for T frames. Extents are measured over these points only, so
     lower-body detection noise can never rescale arm geometry. Raises
     DegenerateExtent when a frame's points have zero width or height.
     """
-    shifted = points - points[..., Body25.NECK, None, :]
+    shifted = points - points[..., NECK, None, :]
     extent = shifted.max(axis=-2) - shifted.min(axis=-2)
     if not extent.all():
         bad = (extent == 0.0).any(axis=-1)

@@ -367,8 +367,6 @@ class TrainResult:
     params: ModelParams
     history: list[EpochStats]
     best_epoch: int
-    train_idx: np.ndarray
-    val_idx: np.ndarray
     test_idx: np.ndarray
 
 
@@ -448,7 +446,7 @@ def train(
         if val_acc >= best_acc:
             best_acc, best_epoch = val_acc, epoch
             best_params = ModelParams(config, params.weights.copy())
-    return TrainResult(best_params, history, best_epoch, train_idx, val_idx, test_idx)
+    return TrainResult(best_params, history, best_epoch, test_idx)
 
 
 def save_model(path: str | Path, params: ModelParams, encoding: Encoding) -> None:

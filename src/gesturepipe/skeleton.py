@@ -2,9 +2,9 @@
 
 A frame is 25 keypoints in image coordinates (x rightward, y downward), each
 with a confidence in [0, 1]. Confidence 0 marks a missing keypoint whose
-coordinates are meaningless and must never feed downstream math. Only
-indices 0..8 (nose, neck, both arm chains, mid-hip) are used by the rest of
-the pipeline; the remaining 16 are carried through untouched.
+coordinates are meaningless and must never feed downstream math. Only the
+upper body named below (nose, neck, both arm chains, mid-hip) is used by the
+rest of the pipeline; the remaining 16 are carried through untouched.
 """
 from __future__ import annotations
 
@@ -24,6 +24,11 @@ from .errors import IoError, MalformedJson, NoPerson, PipelineError
 log = logging.getLogger(__name__)
 
 N_KEYPOINTS = 25
+# the upper body the pipeline reads, the BODY-25 ids below N_UPPER: the nose,
+# the neck, the mid-hip and two arm chains, each (shoulder, elbow, wrist)
+NOSE, NECK, MID_HIP = 0, 1, 8
+ARM_A, ARM_B = (2, 3, 4), (5, 6, 7)
+N_UPPER = 9
 
 # write_sequence formats this many frames with one % and one write, which keeps
 # the text of a long recording in bounded memory
@@ -33,42 +38,12 @@ _FRAMES_PER_WRITE = 256
 _FRAME_LINE = '{"kp": [' + ", ".join(["[%r, %r, %r]"] * N_KEYPOINTS) + "]}\n"
 
 
-class Body25(IntEnum):
-    """BODY-25 keypoint ids."""
-    NOSE = 0
-    NECK = 1
-    R_SHOULDER = 2
-    R_ELBOW = 3
-    R_WRIST = 4
-    L_SHOULDER = 5
-    L_ELBOW = 6
-    L_WRIST = 7
-    MID_HIP = 8
-    R_HIP = 9
-    R_KNEE = 10
-    R_ANKLE = 11
-    L_HIP = 12
-    L_KNEE = 13
-    L_ANKLE = 14
-    R_EYE = 15
-    L_EYE = 16
-    R_EAR = 17
-    L_EAR = 18
-    L_BIG_TOE = 19
-    L_SMALL_TOE = 20
-    L_HEEL = 21
-    R_BIG_TOE = 22
-    R_SMALL_TOE = 23
-    R_HEEL = 24
-
-
 class GestureLabel(IntEnum):
     """Closed eight-gesture vocabulary; the enum value doubles as the class index.
 
-    Member names are the exact tokens used in files and on the CLI. In this
-    vocabulary the "LeftHand" gestures animate the keypoint 2-3-4 chain and
-    the "RightHand" gestures the 5-6-7 chain; the side words are display
-    labels, not BODY-25 anatomy.
+    Member names are the exact tokens used in files and on the CLI. The
+    "LeftHand" gestures animate chain A (ids 2-3-4) and the "RightHand"
+    gestures chain B (ids 5-6-7).
     """
     RightHandLeftCircle = 0
     RightHandRightCircle = 1
@@ -181,8 +156,8 @@ def parse_openpose_frame(json_text: str) -> np.ndarray:
     if len(people) > 1:
         log.warning("frame has %d people; using the first", len(people))
     raw = people[0].get("pose_keypoints_2d") if isinstance(people[0], dict) else None
-    if raw is None:
-        raise MalformedJson("person entry has no 'pose_keypoints_2d'")
+    if not isinstance(raw, list):
+        raise MalformedJson("person entry has no 'pose_keypoints_2d' array")
     if len(raw) != 3 * N_KEYPOINTS:
         raise MalformedJson(f"expected {3 * N_KEYPOINTS} keypoint values, got {len(raw)}")
     try:

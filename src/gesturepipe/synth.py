@@ -2,11 +2,11 @@
 
 Builds labeled keypoint sequences from a fixed 2-joint arm model over a
 static torso, in image coordinates (y grows downward). The "LeftHand"
-gestures animate the keypoint 2-3-4 chain (image left), the "RightHand"
-gestures the 5-6-7 chain (image right). Circles place the elbow by two-bone
-inverse kinematics with a deterministic outward branch; waves oscillate the
-wrist vertically; CallToPass holds the 2-3-4 arm out horizontally while the
-other wrist loops through a small beckoning cycle.
+gestures animate arm chain A (image left), the "RightHand" gestures chain B
+(image right). Circles place the elbow by two-bone inverse kinematics with a
+deterministic outward branch; waves oscillate the wrist vertically;
+CallToPass holds the chain A arm out horizontally while the other wrist
+loops through a small beckoning cycle.
 
 A sequence is built by whole-sequence array operations, with no per-frame
 loop. Cyclic phases are computed from the integer frame index modulo the
@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import InvalidConfig
-from .skeleton import N_KEYPOINTS, GestureLabel, Sequence
+from .skeleton import ARM_A, ARM_B, MID_HIP, N_KEYPOINTS, N_UPPER, NOSE, GestureLabel, Sequence
 
 # body proportions as fractions of the shoulder width
 NOSE_RAISE = 0.35
@@ -35,9 +35,9 @@ WAVE_CENTER_RAISE = 0.20
 BECKON_RADIUS = 0.15
 BECKON_CENTER = (0.35, -0.30)
 
-# (shoulder, elbow, wrist) keypoint ids and the horizontal side sign
-CHAIN_A = ((2, 3, 4), -1.0)
-CHAIN_B = ((5, 6, 7), +1.0)
+# each arm chain with its horizontal side sign
+CHAIN_A = (ARM_A, -1.0)
+CHAIN_B = (ARM_B, +1.0)
 
 # every moving gesture, in GestureLabel order: the chain it animates, its
 # motion and its direction of travel; StandStill, absent here, holds still
@@ -130,14 +130,14 @@ def _two_bone_elbow(shoulder: np.ndarray, wrist: np.ndarray, side: float, scale:
 
 
 def _upper_body_points(gesture: GestureLabel, n_frames: int, period: int, scale: float) -> np.ndarray:
-    """The (T, 9, 2) upper-body keypoint positions, neck at the origin.
+    """The (T, N_UPPER, 2) upper-body keypoint positions, neck at the origin.
 
     Every expression keeps the operation order of the scalar per-frame
     formulas, so each frame is bit for bit what that frame alone would give.
     """
-    pts = np.zeros((n_frames, 9, 2))
-    pts[:, 0] = (0.0, -NOSE_RAISE * scale)
-    pts[:, 8] = (0.0, HIP_DROP * scale)
+    pts = np.zeros((n_frames, N_UPPER, 2))
+    pts[:, NOSE] = (0.0, -NOSE_RAISE * scale)
+    pts[:, MID_HIP] = (0.0, HIP_DROP * scale)
     for ids, side in (CHAIN_A, CHAIN_B):
         shoulder = np.array([side * 0.5 * scale, 0.0])
         pts[:, ids[0]] = shoulder
@@ -182,8 +182,8 @@ def generate(config: SynthConfig) -> Sequence:
         if config.noise_sigma > 0.0:
             pts = pts + rng.normal(0.0, config.noise_sigma, size=pts.shape)
     kp = np.zeros((config.n_frames, N_KEYPOINTS, 3))
-    kp[:, :9, :2] = pts
-    kp[:, :9, 2] = 1.0
+    kp[:, :N_UPPER, :2] = pts
+    kp[:, :N_UPPER, 2] = 1.0
     try:
         return Sequence(kp, config.fps, label=config.gesture, view_angle_deg=0.0)
     except ValueError as exc:  # keypoints that overflow, at a scale or offset near the float limit

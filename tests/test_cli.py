@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from gesturepipe import cli, recognizer, speed
+from gesturepipe.errors import MissingKeypoint
 from gesturepipe.features import Encoding
 from gesturepipe.skeleton import GestureLabel, Sequence, read_sequence, write_sequence
 
@@ -236,6 +237,14 @@ class TestIngest:
         rc = run("ingest", tmp_path / "nope", "--fps", 30, "--out", tmp_path / "x.jsonl")
         assert rc == 3
 
+    def test_keypoints_not_an_array_exits_three(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"people":[{"pose_keypoints_2d": 5}]}\n')
+        assert run("ingest", bad, "--fps", 30, "--out", tmp_path / "o.jsonl") == 3
+        err = capsys.readouterr().err
+        assert err == "error: frame 0 (line 0): person entry has no 'pose_keypoints_2d' array\n"
+        assert not (tmp_path / "o.jsonl").exists()
+
 
 class TestAugment:
     def test_rotations_and_speeds(self, tmp_path, synth_dir):
@@ -316,8 +325,28 @@ class TestTrain:
         write_sequence(data / "seq.jsonl", Sequence(src.kp, src.fps, label=None))
         assert run("train", "--data", data, "--out", tmp_path / "m", *TRAIN_FLAGS) == 3
         err = capsys.readouterr().err
-        assert err == "error: sequence has no label; cannot use it for training/eval\n"
+        assert err == f"error: {data / 'seq.jsonl'}: sequence has no label; cannot use it for training/eval\n"
         assert not (tmp_path / "m").exists()
+
+    def test_refusal_names_the_file(self, tmp_path, synth_dir, trained_dir, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in data_files(synth_dir)[:2]:
+            (data / name).write_bytes((synth_dir / name).read_bytes())
+        bad = data / data_files(synth_dir)[1]
+        seq = read_sequence(bad)
+        kp = seq.kp.copy()
+        kp[4, 6] = 0.0
+        write_sequence(bad, Sequence(kp, seq.fps, label=seq.label))
+        expected = f"error: {bad}: frame 4: keypoint 6 is missing\n"
+        assert run("train", "--data", data, "--out", tmp_path / "m", *TRAIN_FLAGS) == 3
+        assert capsys.readouterr().err == expected
+        weights = trained_dir / "weights.gpw"
+        assert run("eval", "--weights", weights, "--data", data, "--window", "20", "--out", tmp_path / "e") == 3
+        assert capsys.readouterr().err == expected
+        with pytest.raises(MissingKeypoint) as err:  # the class and its fields survive the renaming
+            cli._windows_from_sequences([(bad, read_sequence(bad))], Encoding.COORDINATE, 20, 0)
+        assert (err.value.index, err.value.frame) == (6, 4)
 
     def test_numeric_failure_exits_four(self, tmp_path, synth_dir, monkeypatch):
         from gesturepipe.errors import NonFiniteGradient

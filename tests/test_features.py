@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from gesturepipe import synth
 from gesturepipe.errors import DegenerateExtent, MissingKeypoint, ZeroLengthRay
 from gesturepipe.features import (
-    ANGLE_TRIPLES,
     Encoding,
     angle_at,
     encode_frame,
@@ -29,6 +28,11 @@ def reference_angle(a, vertex, b):
     cross = ax * by - ay * bx
     dot = ax * bx + ay * by
     return math.degrees(math.atan2(float(abs(cross)), float(dot)))
+
+
+# the (a, vertex, b) BODY-25 ids of the five angle features, in feature
+# order: both elbows, both shoulders, the neck
+ANGLE_TRIPLES = ((2, 3, 4), (5, 6, 7), (1, 2, 3), (1, 5, 6), (0, 1, 8))
 
 
 def encode_angles(points):

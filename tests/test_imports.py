@@ -44,37 +44,50 @@ USERS = sorted((ROOT / "src").rglob("*.py")) + sorted(
 )
 
 
-def unreferenced_public_names(modules: dict[str, str], users: list[str]) -> list[str]:
-    """``module.name`` for each public top-level function or class in ``modules``
-    (module name -> source) that no source in ``users`` reads.
+def public_names(source: str) -> list[str]:
+    """Each public top-level function, class and UPPER_CASE constant of ``source``."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name) and n.id.isupper()]
+    return [name for name in names if not name.startswith("_")]
 
-    A read is a bare name, an attribute or a string equal to the name: the
-    benchmark's tracer looks functions up by string. The ``def`` or ``class``
-    statement itself is not a read.
+
+def unreferenced_public_names(modules: dict[str, str], users: list[str]) -> list[str]:
+    """``module.name`` for each public name of ``modules`` (module name ->
+    source) that no source in ``users`` reads.
+
+    A read is a bare name that is not assigned to, an attribute or a string
+    equal to the name: the benchmark's tracer looks functions up by string.
+    The ``def`` or ``class`` statement or the assignment itself is not a read.
     """
     read = set()
     for source in users:
         for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 read.add(node.value)
     return [
-        f"{module}.{node.name}"
+        f"{module}.{name}"
         for module, source in modules.items()
-        for node in ast.parse(source).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in read
+        for name in public_names(source)
+        if name not in read
     ]
 
 
 def test_scan_finds_an_unreferenced_public_name():
-    module = "def used(): pass\ndef unused(): pass\ndef _private(): pass\nclass Traced: pass\n"
-    users = [module + "used()\n", "getattr(m, 'Traced')\n"]
-    assert unreferenced_public_names({"m": module}, users) == ["m.unused"]
+    module = (
+        "def used(): pass\ndef unused(): pass\ndef _private(): pass\nclass Traced: pass\n"
+        "USED = 1\nUNREAD, READ = 2, 3\n_PRIVATE = 4\nAlias = int\nLIMIT: int = 5\n"
+    )
+    users = [module + "used()\nprint(USED)\n", "getattr(m, 'Traced')\nm.READ\n"]
+    assert unreferenced_public_names({"m": module}, users) == ["m.unused", "m.UNREAD", "m.LIMIT"]
 
 
 def test_every_public_name_is_used_outside_tests():

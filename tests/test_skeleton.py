@@ -41,6 +41,12 @@ class TestParseOpenposeFrame:
         with pytest.raises(MalformedJson, match="expected 75 keypoint values, got 74"):
             parse_openpose_frame(make_openpose_doc([0.0] * 74))
 
+    @pytest.mark.parametrize("raw", [5, 2.5, True, False], ids=["int", "float", "true", "false"])
+    def test_keypoints_not_an_array(self, raw):
+        doc = json.dumps({"people": [{"pose_keypoints_2d": raw}]})
+        with pytest.raises(MalformedJson, match="person entry has no 'pose_keypoints_2d' array"):
+            parse_openpose_frame(doc)
+
     def test_malformed_json(self):
         with pytest.raises(MalformedJson):
             parse_openpose_frame("{not json")
