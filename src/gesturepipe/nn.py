@@ -28,6 +28,11 @@ layer's input gradient is written over the activation it replaces: the gate
 gradients over the gates, da2 over h2 and da1 over h1. No operation changes,
 so the gradients are the bits a backward that kept every activation gives.
 
+Training holds five model-sized arrays at a time, and one batch's activations:
+the weights, Adam's two moments, one gradient (a step's is dropped before the
+next backward allocates its own) and the best epoch's snapshot. ``init_params``
+draws each tensor straight into its view of the weights.
+
 Everything runs in float64: exact gradient checking matters more than speed
 at this scale. The weights and a gradient are each one flat vector with named
 views per tensor; ``train`` owns Adam's two moments, as one (2, n) array, and
@@ -156,20 +161,23 @@ def init_params(config: ModelConfig) -> ModelParams:
     """
     rng = np.random.default_rng(config.seed)
 
-    def draw(shape, fan_in):
+    def draw(view, fan_in):
         bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
+        rng.random(out=view)  # then Generator.uniform's low + (high - low) * u, with no temporary
+        view *= bound - -bound
+        view += -bound
 
-    params = ModelParams(config, np.zeros(_weight_count(config)))
+    params = ModelParams(config, np.empty(_weight_count(config)))
     t = params.tensors
-    n, (h1, h2), g, hd = config.input_dim, config.hidden_dims, config.gru_hidden, config.head_dims[0]
+    n, h1, g, hd = config.input_dim, config.hidden_dims[0], config.gru_hidden, config.head_dims[0]
     for name, fan_in in (("w1", n), ("b1", n), ("w2", h1), ("b2", h1)):
-        t[name][...] = draw(t[name].shape, fan_in)
+        draw(t[name], fan_in)
     for k in range(3):
         rows = slice(k * g, (k + 1) * g)
-        t["wg"][rows], t["ug"][rows], t["bg"][rows] = draw((g, h2), g), draw((g, g), g), draw((g,), g)
+        for name in ("wg", "ug", "bg"):
+            draw(t[name][rows], g)
     for name, fan_in in (("w3", g), ("b3", g), ("w4", hd), ("b4", hd)):
-        t[name][...] = draw(t[name].shape, fan_in)
+        draw(t[name], fan_in)
     return params
 
 
@@ -440,6 +448,7 @@ def train(
             loss_sum, grad = _backward_batch(params, x[batch], y[batch])
             t += 1
             adam_step(params, moments, grad, lr, t)
+            del grad  # before the next backward allocates its own: one gradient alive at a time
             loss_total += loss_sum
         val_acc = accuracy(params, x[eval_idx], y[eval_idx])
         history.append(EpochStats(epoch, loss_total / len(order), val_acc))

@@ -160,9 +160,12 @@ def parse_openpose_frame(json_text: str) -> np.ndarray:
         raise MalformedJson("person entry has no 'pose_keypoints_2d' array")
     if len(raw) != 3 * N_KEYPOINTS:
         raise MalformedJson(f"expected {3 * N_KEYPOINTS} keypoint values, got {len(raw)}")
+    if not set(map(type, raw)) <= {int, float}:  # numpy would read "320" as 320 and true as 1
+        i = next(i for i, v in enumerate(raw) if type(v) not in (int, float))
+        raise MalformedJson(f"keypoint {i // 3}: {json.dumps(raw[i])} is not a JSON number")
     try:
         return np.asarray(raw, dtype=np.float64).reshape(N_KEYPOINTS, 3)
-    except (TypeError, ValueError) as exc:
+    except OverflowError as exc:  # an integer beyond float range
         raise MalformedJson(f"bad keypoint values: {exc}") from exc
 
 
@@ -247,8 +250,13 @@ def read_sequence(path: str | Path) -> Sequence:
         if not line.strip():
             continue
         try:
-            frames.append(np.asarray(json.loads(line)["kp"], dtype=np.float64))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            kp = json.loads(line)["kp"]
+            # the one string on a frame line is its "kp" key, and true, false and null each hold
+            # a t, f or n, which no JSON number does: a scan of the text, not of every value
+            if line.count('"') != 2 or "t" in line or "f" in line or "n" in line:
+                raise ValueError("a keypoint value is not a JSON number")
+            frames.append(np.asarray(kp, dtype=np.float64))
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedJson(f"{path}: frame {len(frames)}: {exc}") from exc
     if not frames:
         raise IoError(f"{path} has no frames")

@@ -245,6 +245,14 @@ class TestIngest:
         assert err == "error: frame 0 (line 0): person entry has no 'pose_keypoints_2d' array\n"
         assert not (tmp_path / "o.jsonl").exists()
 
+    def test_keypoint_value_not_a_number_exits_three(self, tmp_path, capsys):
+        values = [10.0, 20.0, 0.9] * 25
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(make_openpose_doc(values) + "\n" + make_openpose_doc([*values[:5], True, *values[6:]]) + "\n")
+        assert run("ingest", bad, "--fps", 30, "--out", tmp_path / "o.jsonl") == 3
+        assert capsys.readouterr().err == "error: frame 1 (line 1): keypoint 1: true is not a JSON number\n"
+        assert not (tmp_path / "o.jsonl").exists()
+
 
 class TestAugment:
     def test_rotations_and_speeds(self, tmp_path, synth_dir):
@@ -326,6 +334,19 @@ class TestTrain:
         assert run("train", "--data", data, "--out", tmp_path / "m", *TRAIN_FLAGS) == 3
         err = capsys.readouterr().err
         assert err == f"error: {data / 'seq.jsonl'}: sequence has no label; cannot use it for training/eval\n"
+        assert not (tmp_path / "m").exists()
+
+    def test_keypoint_value_not_a_number_exits_three(self, tmp_path, synth_dir, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        bad = data / data_files(synth_dir)[0]
+        meta, *frames = (synth_dir / bad.name).read_text().splitlines()
+        kp = json.loads(frames[3])["kp"]
+        kp[2][0] = str(kp[2][0])
+        frames[3] = json.dumps({"kp": kp})
+        bad.write_text("\n".join([meta, *frames]) + "\n")
+        assert run("train", "--data", data, "--out", tmp_path / "m", *TRAIN_FLAGS) == 3
+        assert capsys.readouterr().err == f"error: {bad}: frame 3: a keypoint value is not a JSON number\n"
         assert not (tmp_path / "m").exists()
 
     def test_refusal_names_the_file(self, tmp_path, synth_dir, trained_dir, capsys):

@@ -136,6 +136,33 @@ class TestForward:
         c = nn.init_params(nn.ModelConfig(**{**TINY.__dict__, "seed": 8}))
         assert any(not np.array_equal(a.tensors[n], c.tensors[n]) for n in a.tensors)
 
+    @pytest.mark.parametrize("config", [TINY, BLOCKS, nn.ModelConfig(input_dim=18, seed=3)], ids=["tiny", "blocks", "production"])
+    def test_init_matches_uniform_draws_in_v1_order(self, config):
+        # Generator.uniform per tensor, the GRU gate by gate: if numpy's uniform arithmetic
+        # ever parts from init_params' in-place draws, a seed stops giving the same model
+        rng = np.random.default_rng(config.seed)
+        n, (h1, h2), g, hd, m = config.input_dim, config.hidden_dims, config.gru_hidden, config.head_dims[0], config.output_dim
+
+        def draw(shape, fan_in):
+            bound = 1.0 / np.sqrt(fan_in)
+            return rng.uniform(-bound, bound, size=shape)
+
+        want = {"w1": draw((h1, n), n), "b1": draw((h1,), n), "w2": draw((h2, h1), h1), "b2": draw((h2,), h1)}
+        gates = [(draw((g, h2), g), draw((g, g), g), draw((g,), g)) for _ in range(3)]
+        for i, name in enumerate(("wg", "ug", "bg")):
+            want[name] = np.concatenate([gate[i] for gate in gates])
+        want.update(w3=draw((hd, g), g), b3=draw((hd,), g), w4=draw((m, hd), hd), b4=draw((m,), hd))
+        got = nn.init_params(config).tensors
+        assert got.keys() == want.keys()
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+    def test_init_draws_into_the_weights(self):
+        # no tensor-sized temporary beside the weights: b1 is far smaller than w2
+        config = nn.ModelConfig(input_dim=18, output_dim=8, hidden_dims=(1024, 512), gru_hidden=64, head_dims=(32,))
+        bound = 8 * nn._weight_count(config) + 8 * config.hidden_dims[0]
+        assert traced_peak(lambda: nn.init_params(config)) < bound
+
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
@@ -377,6 +404,17 @@ class TestTrain:
         stopped = nn.train(x, y, TINY, epochs=full.best_epoch, lr=0.1, batch_size=8, split_seed=1)
         assert stopped.best_epoch == full.best_epoch
         np.testing.assert_array_equal(full.params.weights, stopped.params.weights)
+
+    def test_peak_allocation_holds_one_gradient(self, rng):
+        # weights, Adam's two moments, one gradient and the best-epoch snapshot are five
+        # weight vectors; the half more covers adam_step's scratch blocks, and the second
+        # term one batch's activations. Keeping a step's gradient into the next backward
+        # holds two gradients, six weight vectors.
+        config = nn.ModelConfig(input_dim=18, output_dim=8, hidden_dims=(1024, 512), gru_hidden=64, head_dims=(32,))
+        x, y = rng.normal(size=(32, 4, 18)), rng.integers(0, 8, size=32)
+        (d1, d2), g = config.hidden_dims, config.gru_hidden
+        bound = 5.5 * 8 * nn._weight_count(config) + 8 * 4 * x.shape[1] * (d1 + d2 + 3 * g)
+        assert traced_peak(lambda: nn.train(x, y, config, epochs=2, batch_size=4)) < bound
 
     def test_split_is_60_10_30(self):
         train_idx, val_idx, test_idx = nn.split_dataset(320, split_seed=0)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,17 @@ class TestParseOpenposeFrame:
         doc = json.dumps({"people": [{"pose_keypoints_2d": raw}]})
         with pytest.raises(MalformedJson, match="person entry has no 'pose_keypoints_2d' array"):
             parse_openpose_frame(doc)
+
+    @pytest.mark.parametrize("value, message", [
+        ("320", 'keypoint 2: "320" is not a JSON number'), (True, "keypoint 2: true is not a JSON number"),
+        (False, "keypoint 2: false is not a JSON number"), (None, "keypoint 2: null is not a JSON number"),
+        ([1.0], "keypoint 2: [1.0] is not a JSON number"), (10**400, "bad keypoint values: int too large"),
+    ], ids=["string", "true", "false", "null", "array", "huge-int"])
+    def test_keypoint_value_not_a_number(self, value, message):
+        values = [0.0] * 75
+        values[7] = value  # keypoint 2's y
+        with pytest.raises(MalformedJson, match=re.escape(message)):
+            parse_openpose_frame(make_openpose_doc(values))
 
     def test_malformed_json(self):
         with pytest.raises(MalformedJson):
@@ -194,6 +206,21 @@ class TestSequenceFileFormat:
         kp[0, 4, 2] = -0.5
         path.write_text("\n".join([lines[0], lines[1], "", json.dumps({"kp": kp[0].tolist()})]))
         with pytest.raises(MalformedJson, match="frame 1: keypoint 4 has a confidence outside"):
+            read_sequence(path)
+
+    @pytest.mark.parametrize("value, message", [
+        ("320", "a keypoint value is not a JSON number"), (True, "a keypoint value is not a JSON number"),
+        (False, "a keypoint value is not a JSON number"), (None, "a keypoint value is not a JSON number"),
+        (10**400, "int too large"),
+    ], ids=["string", "true", "false", "null", "huge-int"])
+    def test_read_refuses_a_keypoint_value_not_a_number(self, tmp_path, rng, value, message):
+        path = tmp_path / "seq.jsonl"
+        write_sequence(path, Sequence((random_pose(rng), random_pose(rng)), fps=30.0))
+        meta, first, second = path.read_text().splitlines()
+        kp = json.loads(second)["kp"]
+        kp[4][1] = value
+        path.write_text("\n".join([meta, first, json.dumps({"kp": kp})]) + "\n")
+        with pytest.raises(MalformedJson, match=f"seq.jsonl: frame 1: {message}"):
             read_sequence(path)
 
 
