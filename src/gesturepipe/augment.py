@@ -16,11 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidConfig, IoError, MissingKeypoint, TooShort, UnknownLabel
-from .skeleton import ARM_A, ARM_B, NECK, GestureLabel, Sequence
+from .skeleton import ARM_A, ARM_B, MAX_FRAMES, NECK, GestureLabel, Sequence
 
 # keypoints carrying manual depth estimates, in table column order
 ARM_KEYPOINTS = ARM_A + ARM_B
-MAX_FRAMES = 100_000  # resample_speed's longest output, about 60 MB of keypoints
 
 DepthTable = dict[GestureLabel, tuple[float, ...]]
 

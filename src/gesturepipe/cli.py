@@ -18,8 +18,17 @@ and ``train`` and ``--split-seed`` must not be negative (a ``--stride`` of 0
 means the window length). A jitter
 range of ``synth`` whose minimum exceeds its maximum, or that reaches a
 non-positive scale, a negative noise or a period too short for a cyclic
-gesture, is a configuration error (exit 3). ``speed`` takes its encoding from
+gesture, is a configuration error (exit 3), and so are a ``synth --drop-prob``
+outside [0, 1], and a ``synth --frames`` or a ``stream`` window (from
+``--base-len``, ``--fps``, ``--base-fps`` and ``--speed-ratio``) above
+``skeleton.MAX_FRAMES``, 100,000. ``speed`` takes its encoding from
 ``--start-positions`` when given, so ``--encoding`` beside it is a bad flag.
+
+``train``'s held-out test accuracy splits windows, not sequences: at stride 10,
+50-frame windows of one sequence share 40 frames across the split. ``eval``
+on a separate directory gives the held-out figure. ``eval`` tags a row of
+sequences with no view angle ``@none`` (``no view angle`` per angle), right
+after the label's 0° row.
 
 Each ``cmd_*`` function computes, writes its outputs and returns its run
 record ``(out_dir, inputs, outputs, seeds)``, or None when it wrote no file.
@@ -45,14 +54,14 @@ from .features import Encoding
 from .skeleton import GestureLabel
 
 
-def _positive(kind, zero_ok: bool = False):
-    """An argparse type: ``kind`` of the text, refused unless finite and above
-    zero (or zero, if ``zero_ok``)."""
+def _number(kind=float, bound: str = ""):
+    """An argparse type: ``kind`` of the text, refused unless finite and inside
+    ``bound``, when it names one: "positive" or "at least 0"."""
     def parse(text: str):
         value = kind(text)
-        if not (value > 0 or zero_ok and value == 0):
-            raise argparse.ArgumentTypeError(f"must be {'at least 0' if zero_ok else 'positive'}, got {text}")
-        if value == math.inf:
+        if bound and not (value > 0 if bound == "positive" else value >= 0):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        if not -math.inf < value < math.inf:  # compares an int of any size without overflow
             raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         return value
 
@@ -71,21 +80,10 @@ def _layer_sizes(text: str) -> tuple[int, int]:
     return sizes
 
 
-def _finite(text: str) -> float:
-    """An argparse type: a float, refused unless finite."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return value
-
-
-_finite.__name__ = "float"  # argparse names the type in its "invalid float value" message
-
-
 def _parse_floats(text: str) -> list[float]:
     """An argparse type: finite numbers joined by commas; empty items are skipped."""
     try:
-        return [_finite(v) for v in text.split(",") if v.strip()]
+        return [_number()(v) for v in text.split(",") if v.strip()]
     except (ValueError, argparse.ArgumentTypeError):
         raise argparse.ArgumentTypeError(f"must be finite numbers joined by commas, got {text}") from None
 
@@ -164,7 +162,7 @@ def cmd_synth(args) -> RunRecord:
         noise_frac=(args.noise_min, args.noise_max),
     )
     sequences = synth.generate_dataset(args.per_class, base, jitter)
-    if args.drop_prob > 0.0:
+    if args.drop_prob != 0.0:  # drop_keypoints refuses a probability outside [0, 1]
         sequences = [
             synth.drop_keypoints(seq, args.drop_prob, args.seed + 1 + i)
             for i, seq in enumerate(sequences)
@@ -204,22 +202,18 @@ def cmd_augment(args) -> RunRecord:
         angles = [a for mag in angles for a in (mag, -mag)]
 
     outputs = []
+
+    def write(name: str, seq: skeleton.Sequence) -> None:
+        outputs.append(out_dir / name)
+        skeleton.write_sequence(outputs[-1], seq)
+
     for path, seq in _read_sequence_dir(in_dir):
-        stem = path.stem
         if args.include_original:
-            dst = out_dir / path.name
-            skeleton.write_sequence(dst, seq)
-            outputs.append(dst)
+            write(path.name, seq)
         for angle in angles:
-            rotated = augment.rotate_sequence(seq, table, augment.RotationSpec(angle))
-            dst = out_dir / f"{stem}_rot{angle:+g}.jsonl"
-            skeleton.write_sequence(dst, rotated)
-            outputs.append(dst)
+            write(f"{path.stem}_rot{angle:+g}.jsonl", augment.rotate_sequence(seq, table, augment.RotationSpec(angle)))
         for ratio in args.speed_ratios:
-            resampled = augment.resample_speed(seq, ratio)
-            dst = out_dir / f"{stem}_speed{ratio:g}.jsonl"
-            skeleton.write_sequence(dst, resampled)
-            outputs.append(dst)
+            write(f"{path.stem}_speed{ratio:g}.jsonl", augment.resample_speed(seq, ratio))
     print(f"wrote {len(outputs)} sequences to {out_dir}")
     return out_dir, [in_dir], outputs, {}
 
@@ -269,10 +263,12 @@ def cmd_train(args) -> RunRecord:
 
 # --- eval ---
 
-def _row_sort_key(key):
-    label, angle = key
-    frontal = angle is None or angle == 0.0
-    return (0 if frontal else 1, int(label), angle if angle is not None else 0.0)
+def _view(angle: float | None) -> tuple[tuple[float, bool], str, str]:
+    """Eval's names for a view angle (None: the file records none): its sort key,
+    which puts None right after 0°, its row-label suffix and its per-angle tag."""
+    if angle is None:
+        return (0.0, True), "@none", "no view angle"
+    return (angle, False), f"@{angle:+g}" if angle else "", f"{angle:+g} deg" if angle else "frontal"
 
 
 def cmd_eval(args) -> RunRecord:
@@ -282,7 +278,9 @@ def cmd_eval(args) -> RunRecord:
     correct = pred == y
 
     labels = list(GestureLabel)
-    groups = sorted(dict.fromkeys(zip(map(GestureLabel, y.tolist()), angles)), key=_row_sort_key)
+    # the frontal rows, 0° or no angle, come first
+    groups = sorted(dict.fromkeys(zip(map(GestureLabel, y.tolist()), angles)),
+                    key=lambda g: (_view(g[1])[0][0] != 0.0, g[0], _view(g[1])[0]))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -299,8 +297,7 @@ def cmd_eval(args) -> RunRecord:
             row = np.bincount(pred[mask], minlength=len(labels)) / mask.sum()
             angle_cell = "" if angle is None else f"{angle:g}"
             fh.write(f"{label.name},{angle_cell},{mask.sum()}," + ",".join(f"{r:.4f}" for r in row) + "\n")
-            tag = f"{label.name}@{angle:+g}" if angle not in (None, 0.0) else label.name
-            print(f"{tag:>32} " + " ".join(f"{r:5.2f}" for r in row))
+            print(f"{label.name + _view(angle)[1]:>32} " + " ".join(f"{r:5.2f}" for r in row))
 
     print("per-class accuracy:")
     for label in labels:
@@ -308,10 +305,9 @@ def cmd_eval(args) -> RunRecord:
         if mask.any():
             print(f"  {label.name}: {float(correct[mask].mean()):.4f}")
     print("per-angle accuracy:")
-    for angle in sorted(dict.fromkeys(angles), key=lambda a: (a is not None, a)):
+    for angle in sorted(dict.fromkeys(angles), key=lambda a: _view(a)[0]):
         mask = angles == angle
-        tag = "frontal" if angle in (None, 0.0) else f"{angle:+g} deg"
-        print(f"  {tag}: {correct[mask].mean():.4f} (n={mask.sum()})")
+        print(f"  {_view(angle)[2]}: {correct[mask].mean():.4f} (n={mask.sum()})")
     overall = float(correct.mean())
     print(f"overall accuracy: {overall:.4f} (n={len(y)})")
     return out_dir, [args.weights, args.data], [confusion_path], {}
@@ -400,30 +396,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"gesturepipe {__version__}")
     sub = parser.add_subparsers(required=True, metavar="command")
+    windows = argparse.ArgumentParser(add_help=False)  # the labeled windows train and eval read
+    windows.add_argument("--data", required=True, help="directory of labeled sequence files")
+    windows.add_argument("--window", type=_number(int, "positive"), default=50)
+    windows.add_argument("--stride", type=_number(int, "at least 0"), default=0,
+                         help="window stride (default: window length)")
+    replay = argparse.ArgumentParser(add_help=False)  # the recorded sequence stream and speed read
+    replay.add_argument("sequence", help="sequence file")
+    replay.add_argument("--fps", type=_number(float, "positive"), default=None,
+                        help="override the sequence's stored fps")
 
     p = sub.add_parser("synth", help="generate labeled synthetic sequences")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--per-class", type=_positive(int), default=40)
-    p.add_argument("--frames", type=_positive(int), default=100)
-    p.add_argument("--fps", type=_positive(float), default=30.0)
-    p.add_argument("--period-min", type=int, default=20)
-    p.add_argument("--period-max", type=int, default=40)
-    p.add_argument("--scale-min", type=_finite, default=80.0)
-    p.add_argument("--scale-max", type=_finite, default=120.0)
-    p.add_argument("--noise-min", type=_finite, default=0.0,
+    p.add_argument("--per-class", type=_number(int, "positive"), default=40)
+    p.add_argument("--frames", type=_number(int, "positive"), default=100)
+    p.add_argument("--fps", type=_number(float, "positive"), default=30.0)
+    p.add_argument("--period-min", type=_number(int), default=20)
+    p.add_argument("--period-max", type=_number(int), default=40)
+    p.add_argument("--scale-min", type=_number(), default=80.0)
+    p.add_argument("--scale-max", type=_number(), default=120.0)
+    p.add_argument("--noise-min", type=_number(), default=0.0,
                    help="noise sigma lower bound, fraction of subject scale")
-    p.add_argument("--noise-max", type=_finite, default=0.02,
+    p.add_argument("--noise-max", type=_number(), default=0.02,
                    help="noise sigma upper bound, fraction of subject scale")
-    p.add_argument("--drop-prob", type=_finite, default=0.0,
+    p.add_argument("--drop-prob", type=_number(), default=0.0,
                    help="probability of zeroing each keypoint (x, y and confidence)")
-    p.add_argument("--seed", type=_positive(int, zero_ok=True), default=0)
+    p.add_argument("--seed", type=_number(int, "at least 0"), default=0)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("ingest", help="convert OpenPose JSON output to a sequence file")
     p.add_argument("input", help="directory of per-frame *.json files, or a JSONL file")
-    p.add_argument("--fps", type=_positive(float), required=True)
+    p.add_argument("--fps", type=_number(float, "positive"), required=True)
     p.add_argument("--label", choices=[g.name for g in GestureLabel], default=None)
-    p.add_argument("--view-angle", type=_finite, default=None)
+    p.add_argument("--view-angle", type=_number(), default=None)
     p.add_argument("--out", required=True, help="output sequence file")
     p.set_defaults(func=cmd_ingest)
 
@@ -438,53 +443,42 @@ def build_parser() -> argparse.ArgumentParser:
                    help="do not copy the source sequences into the output")
     p.set_defaults(func=cmd_augment)
 
-    p = sub.add_parser("train", help="train the window classifier")
-    p.add_argument("--data", required=True, help="directory of labeled sequence files")
+    p = sub.add_parser("train", parents=[windows], help="train the window classifier")
     p.add_argument("--encoding", required=True, choices=[e.value for e in Encoding])
-    p.add_argument("--window", type=_positive(int), default=50)
-    p.add_argument("--stride", type=_positive(int, zero_ok=True), default=0,
-                   help="window stride (default: window length)")
-    p.add_argument("--epochs", type=_positive(int), default=30)
-    p.add_argument("--lr", type=_positive(float), default=1e-3)
-    p.add_argument("--batch", type=_positive(int), default=16)
-    p.add_argument("--seed", type=_positive(int, zero_ok=True), default=0, help="weight init seed")
-    p.add_argument("--split-seed", type=_positive(int, zero_ok=True), default=0, help="60/10/30 split seed")
+    p.add_argument("--epochs", type=_number(int, "positive"), default=30)
+    p.add_argument("--lr", type=_number(float, "positive"), default=1e-3)
+    p.add_argument("--batch", type=_number(int, "positive"), default=16)
+    p.add_argument("--seed", type=_number(int, "at least 0"), default=0, help="weight init seed")
+    p.add_argument("--split-seed", type=_number(int, "at least 0"), default=0, help="60/10/30 split seed")
     p.add_argument("--hidden-dims", type=_layer_sizes, default="2048,1024")
-    p.add_argument("--gru-hidden", type=_positive(int), default=256)
-    p.add_argument("--head-dim", type=_positive(int), default=128)
+    p.add_argument("--gru-hidden", type=_number(int, "positive"), default=256)
+    p.add_argument("--head-dim", type=_number(int, "positive"), default=128)
     p.add_argument("--out", required=True, help="output directory for weights and history")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="confusion matrix and accuracy on a test set")
+    p = sub.add_parser("eval", parents=[windows], help="confusion matrix and accuracy on a test set")
     p.add_argument("--weights", required=True)
-    p.add_argument("--data", required=True, help="directory of labeled sequence files")
-    p.add_argument("--window", type=_positive(int), default=50)
-    p.add_argument("--stride", type=_positive(int, zero_ok=True), default=0)
     p.add_argument("--out", required=True, help="output directory for confusion.csv")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("stream", help="replay a sequence through the streaming recognizer")
-    p.add_argument("sequence", help="sequence file")
+    p = sub.add_parser("stream", parents=[replay], help="replay a sequence through the streaming recognizer")
     p.add_argument("--weights", required=True)
-    p.add_argument("--fps", type=_positive(float), default=None, help="override the sequence's stored fps")
-    p.add_argument("--speed-ratio", type=_positive(float), default=1.0)
-    p.add_argument("--base-len", type=int, default=50)
-    p.add_argument("--base-fps", type=_positive(float), default=30.0)
-    p.add_argument("--vote-n", type=_positive(int), default=5)
-    p.add_argument("--retention", type=_finite, default=0.5)
+    p.add_argument("--speed-ratio", type=_number(float, "positive"), default=1.0)
+    p.add_argument("--base-len", type=_number(int), default=50)
+    p.add_argument("--base-fps", type=_number(float, "positive"), default=30.0)
+    p.add_argument("--vote-n", type=_number(int, "positive"), default=5)
+    p.add_argument("--retention", type=_number(), default=0.5)
     p.add_argument("--realtime", action="store_true", help="pace the replay at the stream fps")
     p.add_argument("--out", default=None, help="optional CSV of emissions")
     p.set_defaults(func=cmd_stream)
 
-    p = sub.add_parser("speed", help="estimate a cyclic gesture's period")
-    p.add_argument("sequence", help="sequence file")
+    p = sub.add_parser("speed", parents=[replay], help="estimate a cyclic gesture's period")
     p.add_argument("--label", choices=[g.name for g in GestureLabel], default=None)
     references = p.add_mutually_exclusive_group()
     references.add_argument("--start-positions", default=None,
                             help="start-position JSON, with its encoding (default: built-in references)")
     references.add_argument("--encoding", choices=[e.value for e in Encoding], default=None,
                             help="encoding for the built-in references (default: coordinate)")
-    p.add_argument("--fps", type=_positive(float), default=None, help="override the sequence's stored fps")
     p.add_argument("--out", default=None, help="optional JSON result file")
     p.set_defaults(func=cmd_speed)
     return parser

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import InvalidConfig, ShapeMismatch
 from .features import Encoding
 from .nn import ModelParams, forward_frames, forward_recurrent, softmax
-from .skeleton import GestureLabel
+from .skeleton import MAX_FRAMES, GestureLabel
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,16 @@ def effective_window(config: WindowConfig, fps: float) -> int:
 
     Scales the base length so the window spans the same wall-clock time as at
     base_fps, then divides by the speed ratio so faster gestures get shorter
-    windows (at 30 fps: ratio 0.5 -> 100 frames, ratio 2.0 -> 25 frames).
+    windows (at 30 fps: ratio 0.5 -> 100 frames, ratio 2.0 -> 25 frames). A
+    window longer than ``MAX_FRAMES`` is refused.
     """
     if not 0 < fps < math.inf:
         raise InvalidConfig("fps must be positive and finite")
-    return max(2, math.floor(config.base_len * (fps / config.base_fps) / config.speed_ratio + 0.5))
+    frames = config.base_len * (fps / config.base_fps) / config.speed_ratio
+    if not frames + 0.5 < MAX_FRAMES + 1:  # checked before flooring, so inf and nan are refused too
+        raise InvalidConfig(f"a window of {frames:.3g} frames is over {MAX_FRAMES} (base_len {config.base_len}, "
+                            f"fps {fps:g}, base_fps {config.base_fps:g}, speed_ratio {config.speed_ratio:g})")
+    return max(2, math.floor(frames + 0.5))
 
 
 def majority_vote(votes) -> int:

@@ -29,6 +29,8 @@ N_KEYPOINTS = 25
 NOSE, NECK, MID_HIP = 0, 1, 8
 ARM_A, ARM_B = (2, 3, 4), (5, 6, 7)
 N_UPPER = 9
+# the longest sequence synthesis or resampling writes, and the longest stream window
+MAX_FRAMES = 100_000  # about 60 MB of keypoints; a longer one is refused before it is allocated
 
 # write_sequence formats this many frames with one % and one write, which keeps
 # the text of a long recording in bounded memory

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import InvalidConfig
-from .skeleton import ARM_A, ARM_B, MID_HIP, N_KEYPOINTS, N_UPPER, NOSE, GestureLabel, Sequence
+from .skeleton import ARM_A, ARM_B, MAX_FRAMES, MID_HIP, N_KEYPOINTS, N_UPPER, NOSE, GestureLabel, Sequence
 
 # body proportions as fractions of the shoulder width
 NOSE_RAISE = 0.35
@@ -66,8 +66,8 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_frames < 1:
-            raise InvalidConfig("n_frames must be positive")
+        if not 1 <= self.n_frames <= MAX_FRAMES:
+            raise InvalidConfig(f"n_frames must lie in [1, {MAX_FRAMES}], got {self.n_frames}")
         if not 0 < self.fps < math.inf:
             raise InvalidConfig("fps must be positive and finite")
         if not self.subject_scale > 0:

@@ -184,6 +184,17 @@ class TestSynth:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--drop-prob", "-0.5"), "drop probability must lie in [0, 1]"),
+        (("--drop-prob", "1.5"), "drop probability must lie in [0, 1]"),
+        (("--frames", "10000000000000"), "n_frames must lie in [1, 100000], got 10000000000000"),
+    ])
+    def test_out_of_range_value_exits_three(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "s"
+        assert run("synth", "--out", out, "--per-class", "1", "--frames", "20", *flags) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_overflowing_keypoints_exit_three(self, tmp_path, capsys):
         argv = ("--per-class", "1", "--frames", "30", "--scale-min", "1e307", "--scale-max", "1e308")
         assert run("synth", "--out", tmp_path / "s", *argv) == 3
@@ -429,6 +440,28 @@ class TestEval:
         rows = (out / "confusion.csv").read_text().splitlines()
         assert rows[1].split(",")[1] == ""
 
+    def test_no_view_angle_has_its_own_tag(self, tmp_path, synth_dir, trained_dir, capsys):
+        # synth records 0 degrees and ingest without --view-angle records none:
+        # one table row per CSV row and one per-angle line per angle cell
+        data = tmp_path / "mixed"
+        data.mkdir()
+        name = data_files(synth_dir)[0]
+        src = read_sequence(synth_dir / name)
+        assert src.view_angle_deg == 0.0
+        (data / name).write_bytes((synth_dir / name).read_bytes())
+        write_sequence(data / "noview.jsonl", Sequence(src.kp, src.fps, label=src.label, view_angle_deg=None))
+        out = tmp_path / "e"
+        assert run("eval", "--weights", trained_dir / "weights.gpw", "--data", data, "--window", "20", "--out", out) == 0
+        printed = capsys.readouterr().out.splitlines()
+        header = next(i for i, line in enumerate(printed) if "true label @ view" in line)
+        rows = [line.split()[0] for line in printed[header + 1:printed.index("per-class accuracy:")]]
+        csv = [line.split(",")[:2] for line in (out / "confusion.csv").read_text().splitlines()[1:]]
+        assert csv == [[src.label.name, "0"], [src.label.name, ""]]
+        assert rows == [src.label.name, f"{src.label.name}@none"]
+        start = printed.index("per-angle accuracy:") + 1
+        tags = [line.split(":")[0].strip() for line in printed[start:-1]]
+        assert tags == ["frontal", "no view angle"]
+
     def test_window_longer_than_data_exits_three(self, tmp_path, synth_dir, trained_dir):
         rc = run(
             "eval", "--weights", trained_dir / "weights.gpw", "--data", synth_dir,
@@ -461,6 +494,17 @@ class TestStream:
         )
         assert rc == 0
         assert "window capacity: 10 frames" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags, window", [
+        (("--speed-ratio", "1e-300"), "5e+301"),
+        (("--speed-ratio", "1e-9"), "5e+10"),
+        (("--fps", "1e308", "--base-fps", "1e-300"), "inf"),
+    ])
+    def test_window_over_max_frames_exits_three(self, synth_dir, trained_dir, capsys, flags, window):
+        seq_file = synth_dir / data_files(synth_dir)[0]
+        assert run("stream", seq_file, "--weights", trained_dir / "weights.gpw", *flags) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: a window of {window} frames is over 100000 (") and err.count("\n") == 1
 
     def test_weight_file_without_tensor_index_exits_three(self, tmp_path, synth_dir, trained_dir, capsys):
         header_line, blob = (trained_dir / "weights.gpw").read_bytes().split(b"\n", 1)

@@ -15,7 +15,7 @@ from gesturepipe.recognizer import (
     majority_vote,
     make_window_state,
 )
-from gesturepipe.skeleton import GestureLabel
+from gesturepipe.skeleton import MAX_FRAMES, GestureLabel
 
 MODEL = nn.ModelConfig(input_dim=5, output_dim=8, hidden_dims=(6, 6), gru_hidden=4, head_dims=(4,), seed=3)
 
@@ -58,6 +58,20 @@ class TestEffectiveWindow:
             effective_window(WindowConfig(), fps=0.0)
         with pytest.raises(InvalidConfig, match="fps must be positive and finite"):
             effective_window(WindowConfig(), fps=math.inf)
+
+    @pytest.mark.parametrize("config, fps", [
+        (WindowConfig(base_len=MAX_FRAMES + 1), 30.0),
+        (WindowConfig(base_len=2 * MAX_FRAMES + 1, speed_ratio=2.0), 30.0),  # rounds half up to MAX_FRAMES + 1
+        (WindowConfig(speed_ratio=1e-300), 30.0),  # floors to more frames than numpy can index
+        (WindowConfig(base_fps=1e-300), 1e308),  # fps / base_fps overflows to inf
+    ])
+    def test_window_over_max_frames_is_refused(self, config, fps):
+        with pytest.raises(InvalidConfig, match=f"is over {MAX_FRAMES}"):
+            effective_window(config, fps)
+
+    def test_window_of_max_frames_is_accepted(self):
+        assert effective_window(WindowConfig(base_len=MAX_FRAMES), fps=30.0) == MAX_FRAMES
+        assert effective_window(WindowConfig(base_len=2 * MAX_FRAMES, speed_ratio=2.0), fps=30.0) == MAX_FRAMES
 
 
 def reference_vote(history):

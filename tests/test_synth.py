@@ -7,7 +7,7 @@ import pytest
 from gesturepipe import speed, synth
 from gesturepipe.errors import InvalidConfig, MissingKeypoint
 from gesturepipe.features import Encoding, encode_frame
-from gesturepipe.skeleton import N_KEYPOINTS, GestureLabel, Sequence
+from gesturepipe.skeleton import MAX_FRAMES, N_KEYPOINTS, GestureLabel, Sequence
 from gesturepipe.synth import (
     MIN_CYCLIC_PERIOD,
     JitterSpec,
@@ -205,6 +205,9 @@ class TestGenerate:
             SynthConfig(gesture=GestureLabel.LeftHandWave, period_frames=3)
         with pytest.raises(InvalidConfig):
             SynthConfig(gesture=GestureLabel.LeftHandWave, n_frames=0)
+        SynthConfig(gesture=GestureLabel.LeftHandWave, n_frames=MAX_FRAMES)
+        with pytest.raises(InvalidConfig, match=f"n_frames must lie in \\[1, {MAX_FRAMES}\\]"):
+            SynthConfig(gesture=GestureLabel.LeftHandWave, n_frames=MAX_FRAMES + 1)
         with pytest.raises(InvalidConfig):
             SynthConfig(gesture=GestureLabel.LeftHandWave, noise_sigma=-1.0)
         with pytest.raises(InvalidConfig):
