@@ -26,9 +26,13 @@ outside [0, 1], and a ``synth --frames`` or a ``stream`` window (from
 
 ``train``'s held-out test accuracy splits windows, not sequences: at stride 10,
 50-frame windows of one sequence share 40 frames across the split. ``eval``
-on a separate directory gives the held-out figure. ``eval`` tags a row of
-sequences with no view angle ``@none`` (``no view angle`` per angle), right
-after the label's 0° row.
+on a separate directory gives the held-out figure. ``train`` rewrites
+``weights.gpw`` atomically (``nn.save_model``) at each epoch whose validation
+accuracy matches or beats the best so far, so a run that ends in exit 4 leaves
+the best epoch it reached, and no ``history.csv`` and no manifest line.
+``augment`` writes each distinct angle and speed ratio once. ``eval`` tags a
+row of sequences with no view angle ``@none`` (``no view angle`` per angle),
+right after the label's 0° row.
 
 Each ``cmd_*`` function computes, writes its outputs and returns its run
 record ``(out_dir, inputs, outputs, seeds)``, or None when it wrote no file.
@@ -162,15 +166,12 @@ def cmd_synth(args) -> RunRecord:
         noise_frac=(args.noise_min, args.noise_max),
     )
     sequences = synth.generate_dataset(args.per_class, base, jitter)
-    if args.drop_prob != 0.0:  # drop_keypoints refuses a probability outside [0, 1]
-        sequences = [
-            synth.drop_keypoints(seq, args.drop_prob, args.seed + 1 + i)
-            for i, seq in enumerate(sequences)
-        ]
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     for i, seq in enumerate(sequences):  # per_class sequences of each gesture in turn
+        if args.drop_prob != 0.0:  # drop_keypoints refuses a probability outside [0, 1]
+            seq = synth.drop_keypoints(seq, args.drop_prob, args.seed + 1 + i)
+        out_dir.mkdir(parents=True, exist_ok=True)  # after drop_keypoints checks, so a refusal leaves no out_dir
         path = out_dir / f"{seq.label.name}_{i % args.per_class:03d}.jsonl"
         skeleton.write_sequence(path, seq)
         outputs.append(path)
@@ -197,9 +198,8 @@ def cmd_augment(args) -> RunRecord:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     table = augment.load_depth_table(args.depth_config) if args.depth_config else augment.default_depth_table()
-    angles = args.angles
-    if args.both_sides:
-        angles = [a for mag in angles for a in (mag, -mag)]
+    # each view and speed once, in first-seen order: 0 and -0 are one view, and --both-sides adds no -0
+    angles = dict.fromkeys(a for mag in args.angles for a in ((mag, -mag) if args.both_sides and mag else (mag,)))
 
     outputs = []
 
@@ -212,7 +212,7 @@ def cmd_augment(args) -> RunRecord:
             write(path.name, seq)
         for angle in angles:
             write(f"{path.stem}_rot{angle:+g}.jsonl", augment.rotate_sequence(seq, table, augment.RotationSpec(angle)))
-        for ratio in args.speed_ratios:
+        for ratio in dict.fromkeys(args.speed_ratios):
             write(f"{path.stem}_speed{ratio:g}.jsonl", augment.resample_speed(seq, ratio))
     print(f"wrote {len(outputs)} sequences to {out_dir}")
     return out_dir, [in_dir], outputs, {}
@@ -231,6 +231,13 @@ def cmd_train(args) -> RunRecord:
         head_dims=(args.head_dim,),
         seed=args.seed,
     )
+    out_dir = Path(args.out)
+    weights_path = out_dir / "weights.gpw"
+
+    def save_best(params: nn.ModelParams) -> None:  # from the first epoch's end on, so a refusal leaves no out_dir
+        out_dir.mkdir(parents=True, exist_ok=True)
+        nn.save_model(weights_path, params, encoding)
+
     result = nn.train(
         x,
         y,
@@ -239,12 +246,8 @@ def cmd_train(args) -> RunRecord:
         lr=args.lr,
         batch_size=args.batch,
         split_seed=args.split_seed,
+        on_best=save_best,
     )
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    weights_path = out_dir / "weights.gpw"
-    nn.save_model(weights_path, result.params, encoding)
     history_path = out_dir / "history.csv"
     with open(history_path, "w", encoding="utf-8") as fh:
         fh.write("epoch,train_loss,val_accuracy\n")
@@ -253,8 +256,9 @@ def cmd_train(args) -> RunRecord:
 
     best = max(row.val_accuracy for row in result.history)
     test_acc = float("nan")
-    if len(result.test_idx):
-        test_acc = nn.accuracy(result.params, x[result.test_idx], y[result.test_idx])
+    if len(result.test_idx):  # read back once training's arrays are gone
+        params, _ = nn.load_model(weights_path)
+        test_acc = nn.accuracy(params, x[result.test_idx], y[result.test_idx])
     print(f"windows: {len(x)}  best epoch: {result.best_epoch}")
     print(f"validation accuracy: {best:.4f}")
     print(f"held-out test accuracy: {test_acc:.4f}")

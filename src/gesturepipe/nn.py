@@ -28,10 +28,11 @@ layer's input gradient is written over the activation it replaces: the gate
 gradients over the gates, da2 over h2 and da1 over h1. No operation changes,
 so the gradients are the bits a backward that kept every activation gives.
 
-Training holds five model-sized arrays at a time, and one batch's activations:
-the weights, Adam's two moments, one gradient (a step's is dropped before the
-next backward allocates its own) and the best epoch's snapshot. ``init_params``
-draws each tensor straight into its view of the weights.
+Training holds four model-sized arrays at a time, and one batch's activations:
+the weights, Adam's two moments and one gradient (a step's is dropped before
+the next backward allocates its own). It keeps no copy of the best epoch: it
+hands the live weights to its caller's ``on_best``, which saves or copies them.
+``init_params`` draws each tensor straight into its view of the weights.
 
 Everything runs in float64: exact gradient checking matters more than speed
 at this scale. The weights and a gradient are each one flat vector with named
@@ -47,6 +48,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -372,7 +374,6 @@ class EpochStats:
 
 @dataclass
 class TrainResult:
-    params: ModelParams
     history: list[EpochStats]
     best_epoch: int
     test_idx: np.ndarray
@@ -411,8 +412,15 @@ def train(
     lr: float = 1e-3,
     batch_size: int = 16,
     split_seed: int = 0,
+    *,
+    on_best: Callable[[ModelParams], None],
 ) -> TrainResult:
-    """Minibatch-train on a 60/10/30 split; returns the best-validation params.
+    """Minibatch-train on a 60/10/30 split, handing each best-validation epoch to ``on_best``.
+
+    ``on_best`` gets the live params after each epoch whose validation accuracy
+    matches or beats every earlier one, so its last call holds the best epoch,
+    the latest on a tie. Training goes on updating them in place, so it must
+    save or copy them before it returns.
 
     ``x`` holds n windows as an (n, T, N) array and ``y`` their n labels. The
     split, the per-epoch shuffles, and the weight init are all seeded, so
@@ -439,7 +447,7 @@ def train(
     moments, t = np.zeros((2, params.weights.size)), 0
     shuffle_rng = np.random.default_rng([split_seed, config.seed, 1])
     history: list[EpochStats] = []
-    best_params, best_acc, best_epoch = None, -1.0, 0  # epoch 1 always replaces them
+    best_acc, best_epoch = -1.0, 0  # epoch 1 always replaces them
     for epoch in range(1, epochs + 1):
         order = train_idx[shuffle_rng.permutation(len(train_idx))]
         loss_total = 0.0
@@ -454,8 +462,8 @@ def train(
         history.append(EpochStats(epoch, loss_total / len(order), val_acc))
         if val_acc >= best_acc:
             best_acc, best_epoch = val_acc, epoch
-            best_params = ModelParams(config, params.weights.copy())
-    return TrainResult(best_params, history, best_epoch, test_idx)
+            on_best(params)
+    return TrainResult(history, best_epoch, test_idx)
 
 
 def save_model(path: str | Path, params: ModelParams, encoding: Encoding) -> None:
@@ -464,8 +472,10 @@ def save_model(path: str | Path, params: ModelParams, encoding: Encoding) -> Non
     Layout: one JSON header line (format, version, encoding, config, tensor
     index), then the raw little-endian float64 bytes of every tensor in index
     order. Adam moments are not stored; a loaded model starts a fresh
-    optimizer state.
+    optimizer state. The file is written beside ``path`` and renamed over it,
+    so ``path`` holds either its old bytes or the new ones, never a part.
     """
+    partial = Path(f"{path}.partial")
     header = {
         "format": WEIGHT_FORMAT,
         "version": WEIGHT_VERSION,
@@ -473,9 +483,14 @@ def save_model(path: str | Path, params: ModelParams, encoding: Encoding) -> Non
         "config": asdict(params.config),
         "tensors": _tensor_index(params.config),
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        fh.write(params.weights.astype("<f8", copy=False))
+    try:
+        with open(partial, "wb") as fh:
+            fh.write(json.dumps(header).encode("utf-8") + b"\n")
+            fh.write(params.weights.astype("<f8", copy=False))
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def load_model(

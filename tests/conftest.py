@@ -1,9 +1,11 @@
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from gesturepipe import nn
 from gesturepipe.skeleton import N_KEYPOINTS, Pose
 
 
@@ -34,6 +36,14 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def train_keeping_best(*args, **kwargs):
+    """``nn.train`` with an ``on_best`` that copies each best epoch's weights. Returns
+    the ``TrainResult``'s fields and ``params``, the best epoch's copy."""
+    best = []
+    result = nn.train(*args, **kwargs, on_best=lambda p: best.append(nn.ModelParams(p.config, p.weights.copy())))
+    return SimpleNamespace(**vars(result), params=best[-1])
 
 
 @pytest.fixture

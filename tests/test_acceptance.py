@@ -19,7 +19,7 @@ from gesturepipe.features import Encoding, encode_frame, normalize_1x1
 from gesturepipe.recognizer import WindowConfig, WindowState, effective_window
 from gesturepipe.skeleton import GestureLabel, Pose, Sequence
 
-from conftest import make_openpose_doc
+from conftest import make_openpose_doc, train_keeping_best
 from gradcheck import max_relative_error, numeric_grads, random_tiny_setup, window_grads
 
 ANGLES = (15.0, -15.0, 30.0, -30.0, 45.0, -45.0)
@@ -60,7 +60,7 @@ def coord_model(frontal_seqs):
     t0 = time.monotonic()
     x, y = build_windows(frontal_seqs, Encoding.COORDINATE)
     config = nn.ModelConfig(input_dim=18, output_dim=8, seed=0)
-    result = nn.train(x, y, config, epochs=5, lr=1e-3, batch_size=16, split_seed=0)
+    result = train_keeping_best(x, y, config, epochs=5, lr=1e-3, batch_size=16, split_seed=0)
     durations["coord_model"] = time.monotonic() - t0
     return result, x, y
 
@@ -75,7 +75,7 @@ def augmented_model(frontal_seqs):
             seqs.append(augment.rotate_sequence(s, table, augment.RotationSpec(angle)))
     x, y = build_windows(seqs, Encoding.COORDINATE)
     config = nn.ModelConfig(input_dim=18, output_dim=8, seed=0)
-    result = nn.train(x, y, config, epochs=3, lr=1e-3, batch_size=16, split_seed=0)
+    result = train_keeping_best(x, y, config, epochs=3, lr=1e-3, batch_size=16, split_seed=0)
     durations["augmented_model"] = time.monotonic() - t0
     return result
 
@@ -85,7 +85,7 @@ def angle_model(frontal_seqs):
     t0 = time.monotonic()
     x, y = build_windows(frontal_seqs, Encoding.ANGLE)
     config = nn.ModelConfig(input_dim=5, output_dim=8, seed=0)
-    result = nn.train(x, y, config, epochs=10, lr=1e-3, batch_size=16, split_seed=0)
+    result = train_keeping_best(x, y, config, epochs=10, lr=1e-3, batch_size=16, split_seed=0)
     durations["angle_model"] = time.monotonic() - t0
     return result
 

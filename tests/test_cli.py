@@ -7,11 +7,11 @@ from pathlib import Path
 import pytest
 
 from gesturepipe import cli, recognizer, speed
-from gesturepipe.errors import MissingKeypoint
+from gesturepipe.errors import MissingKeypoint, NonFiniteGradient
 from gesturepipe.features import Encoding
 from gesturepipe.skeleton import GestureLabel, Sequence, read_sequence, write_sequence
 
-from conftest import make_openpose_doc
+from conftest import make_openpose_doc, traced_peak
 
 # a refusal prints one error line: no numpy warning may reach stderr ahead of it
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -218,6 +218,12 @@ class TestSynth:
             dropped += gone.sum()
         assert 0.02 < dropped / (len(names) * 40 * 9) < 0.08  # of the 9 keypoints synth animates
 
+    def test_drop_prob_holds_one_dataset(self, tmp_path):
+        argv = ("--per-class", "1", "--frames", "1000", "--seed", "3")
+        clean = traced_peak(lambda: run("synth", "--out", tmp_path / "clean", *argv))
+        dropped = traced_peak(lambda: run("synth", "--out", tmp_path / "dropped", *argv, "--drop-prob", "0.05"))
+        assert dropped < 1.2 * clean
+
     def test_determinism_bitwise(self, tmp_path, synth_dir):
         again = tmp_path / "again"
         rc = run(
@@ -279,6 +285,19 @@ class TestAugment:
         assert len(names) == n_in * 6
         rotated = read_sequence(out / next(n for n in names if "_rot+15" in n))
         assert rotated.view_angle_deg == 15.0
+
+    def test_repeated_views_and_speeds_are_written_once(self, tmp_path, synth_dir, capsys):
+        out = tmp_path / "aug"
+        argv = ("--angles", "15,15,0,-0", "--both-sides", "--speed-ratios", "2,2.0", "--no-include-original")
+        assert run("augment", synth_dir, "--out", out, *argv) == 0
+        names = data_files(out)
+        n_in = len(data_files(synth_dir))
+        # _rot+15, _rot-15, _rot+0 and _speed2 per input
+        assert len(names) == n_in * 4
+        assert sum(n.endswith("_rot+0.jsonl") for n in names) == n_in
+        assert capsys.readouterr().out == f"wrote {n_in * 4} sequences to {out}\n"
+        outputs = json.loads((out / "manifest.jsonl").read_text())["outputs"]
+        assert sorted(Path(p).name for p in outputs) == names
 
     def test_empty_input_exits_three(self, tmp_path):
         empty = tmp_path / "empty"
@@ -381,14 +400,32 @@ class TestTrain:
         assert (err.value.index, err.value.frame) == (6, 4)
 
     def test_numeric_failure_exits_four(self, tmp_path, synth_dir, monkeypatch):
-        from gesturepipe.errors import NonFiniteGradient
-
         def explode(*args, **kwargs):
             raise NonFiniteGradient("gradient for w1 contains NaN or Inf")
 
         monkeypatch.setattr("gesturepipe.cli.nn.train", explode)
         rc = run("train", "--data", synth_dir, "--out", tmp_path / "m", *TRAIN_FLAGS)
         assert rc == 4
+
+    def test_numeric_failure_keeps_the_best_epoch_reached(self, tmp_path, synth_dir, monkeypatch):
+        assert run("train", "--data", synth_dir, "--out", tmp_path / "one", *TRAIN_FLAGS, "--epochs", "1") == 0
+        real_step, real_save, saved = cli.nn.adam_step, cli.nn.save_model, []
+
+        def save(*args):
+            real_save(*args)
+            saved.append(args[0])
+
+        def step(*args):
+            if saved:  # the first epoch's steps are done: fail in the second
+                raise NonFiniteGradient("gradient for w1 contains NaN or Inf")
+            return real_step(*args)
+
+        monkeypatch.setattr(cli.nn, "save_model", save)
+        monkeypatch.setattr(cli.nn, "adam_step", step)
+        out = tmp_path / "m"
+        assert run("train", "--data", synth_dir, "--out", out, *TRAIN_FLAGS) == 4
+        assert sorted(p.name for p in out.iterdir()) == ["weights.gpw"]  # no history.csv, no manifest
+        assert (out / "weights.gpw").read_bytes() == (tmp_path / "one" / "weights.gpw").read_bytes()
 
 
 class TestEval:

@@ -1,5 +1,7 @@
 import dataclasses
+import errno
 import hashlib
+import io
 import json
 import math
 
@@ -17,7 +19,7 @@ from gesturepipe.errors import (
 )
 from gesturepipe.features import Encoding
 
-from conftest import traced_peak
+from conftest import train_keeping_best, traced_peak
 from gradcheck import max_relative_error, numeric_grads, random_tiny_setup, window_grads
 
 TINY = nn.ModelConfig(input_dim=5, output_dim=3, hidden_dims=(8, 8), gru_hidden=4, head_dims=(4,), seed=7)
@@ -364,6 +366,10 @@ class TestAdamStep:
         assert traced_peak(lambda: nn.adam_step(params, moments, grad, 1e-3, 1)) < params.weights.nbytes / 8
 
 
+def ignore(params):
+    """An ``on_best`` that keeps nothing."""
+
+
 def small_dataset(rng, n=40, t=6, classes=3):
     """(x, y): windows drawn around class-specific anchors, linearly separable."""
     anchors = rng.normal(size=(classes, TINY.input_dim)) * 2.0
@@ -375,46 +381,59 @@ def small_dataset(rng, n=40, t=6, classes=3):
 class TestTrain:
     def test_single_class_degenerate(self, rng):
         x = np.stack([rng.normal(size=(4, 5)) for _ in range(40)])
-        result = nn.train(x, np.zeros(40, dtype=int), TINY, epochs=1, lr=0.1, batch_size=4, split_seed=0)
+        result = nn.train(x, np.zeros(40, dtype=int), TINY, epochs=1, lr=0.1, batch_size=4, split_seed=0, on_best=ignore)
         assert result.history[0].val_accuracy == 1.0
 
     def test_tied_validation_keeps_latest_epoch(self, rng):
         x = np.stack([rng.normal(size=(4, 5)) for _ in range(40)])
-        result = nn.train(x, np.zeros(40, dtype=int), TINY, epochs=3, lr=0.1, batch_size=4, split_seed=0)
+        result = nn.train(x, np.zeros(40, dtype=int), TINY, epochs=3, lr=0.1, batch_size=4, split_seed=0, on_best=ignore)
         assert [h.val_accuracy for h in result.history] == [1.0, 1.0, 1.0]
         assert result.best_epoch == 3
 
     def test_learns_separable_classes(self, rng):
         x, y = small_dataset(rng)
-        result = nn.train(x, y, TINY, epochs=30, lr=3e-3, batch_size=8, split_seed=1)
+        result = train_keeping_best(x, y, TINY, epochs=30, lr=3e-3, batch_size=8, split_seed=1)
         assert nn.accuracy(result.params, x[result.test_idx], y[result.test_idx]) == 1.0
 
     def test_same_seed_bitwise_identical_history(self, rng):
         x, y = small_dataset(rng)
-        a = nn.train(x, y, TINY, epochs=3, lr=1e-3, batch_size=8, split_seed=3)
-        b = nn.train(x, y, TINY, epochs=3, lr=1e-3, batch_size=8, split_seed=3)
+        a = train_keeping_best(x, y, TINY, epochs=3, lr=1e-3, batch_size=8, split_seed=3)
+        b = train_keeping_best(x, y, TINY, epochs=3, lr=1e-3, batch_size=8, split_seed=3)
         assert a.history == b.history
         for name in a.params.tensors:
             np.testing.assert_array_equal(a.params.tensors[name], b.params.tensors[name])
 
     def test_best_epoch_equals_a_run_stopped_there(self, rng):
         x, y = small_dataset(rng)
-        full = nn.train(x, y, TINY, epochs=6, lr=0.1, batch_size=8, split_seed=1)
+        full = train_keeping_best(x, y, TINY, epochs=6, lr=0.1, batch_size=8, split_seed=1)
         assert full.best_epoch < 6
-        stopped = nn.train(x, y, TINY, epochs=full.best_epoch, lr=0.1, batch_size=8, split_seed=1)
+        stopped = train_keeping_best(x, y, TINY, epochs=full.best_epoch, lr=0.1, batch_size=8, split_seed=1)
         assert stopped.best_epoch == full.best_epoch
         np.testing.assert_array_equal(full.params.weights, stopped.params.weights)
 
+    def test_on_best_gets_each_epoch_that_matches_or_beats_the_best(self, rng):
+        x, y = small_dataset(rng)
+        copies = []
+        result = nn.train(x, y, TINY, epochs=6, lr=0.1, batch_size=8, split_seed=1,
+                          on_best=lambda params: copies.append(params.weights.copy()))
+        accs = [h.val_accuracy for h in result.history]
+        best_epochs = [e for e, acc in enumerate(accs, 1) if acc >= max(accs[: e - 1], default=-1.0)]
+        assert len(copies) == len(best_epochs) > 1
+        assert best_epochs[-1] == result.best_epoch
+        for epoch, weights in zip(best_epochs, copies):
+            stopped = train_keeping_best(x, y, TINY, epochs=epoch, lr=0.1, batch_size=8, split_seed=1)
+            np.testing.assert_array_equal(weights, stopped.params.weights)
+
     def test_peak_allocation_holds_one_gradient(self, rng):
-        # weights, Adam's two moments, one gradient and the best-epoch snapshot are five
-        # weight vectors; the half more covers adam_step's scratch blocks, and the second
-        # term one batch's activations. Keeping a step's gradient into the next backward
-        # holds two gradients, six weight vectors.
+        # weights, Adam's two moments and one gradient are four weight vectors; the half
+        # more covers adam_step's scratch blocks, and the second term one batch's
+        # activations. A best-epoch snapshot inside train would make five, and keeping a
+        # step's gradient into the next backward would hold two gradients.
         config = nn.ModelConfig(input_dim=18, output_dim=8, hidden_dims=(1024, 512), gru_hidden=64, head_dims=(32,))
         x, y = rng.normal(size=(32, 4, 18)), rng.integers(0, 8, size=32)
         (d1, d2), g = config.hidden_dims, config.gru_hidden
-        bound = 5.5 * 8 * nn._weight_count(config) + 8 * 4 * x.shape[1] * (d1 + d2 + 3 * g)
-        assert traced_peak(lambda: nn.train(x, y, config, epochs=2, batch_size=4)) < bound
+        bound = 4.5 * 8 * nn._weight_count(config) + 8 * 4 * x.shape[1] * (d1 + d2 + 3 * g)
+        assert traced_peak(lambda: nn.train(x, y, config, epochs=2, batch_size=4, on_best=ignore)) < bound
 
     def test_split_is_60_10_30(self):
         train_idx, val_idx, test_idx = nn.split_dataset(320, split_seed=0)
@@ -424,20 +443,20 @@ class TestTrain:
 
     def test_empty_dataset(self):
         with pytest.raises(TooShort, match="dataset is empty"):
-            nn.train(np.empty((0, 4, 5)), np.empty(0, dtype=int), TINY, epochs=1)
+            nn.train(np.empty((0, 4, 5)), np.empty(0, dtype=int), TINY, epochs=1, on_best=ignore)
 
     def test_inconsistent_shapes(self, rng):
         with pytest.raises(ShapeMismatch, match="windows and n labels"):
-            nn.train(rng.normal(size=(4, 5)), np.zeros(4, dtype=int), TINY, epochs=1)
+            nn.train(rng.normal(size=(4, 5)), np.zeros(4, dtype=int), TINY, epochs=1, on_best=ignore)
 
     @pytest.mark.parametrize("n_labels", [2, 4])
     def test_x_and_y_lengths_differ(self, rng, n_labels):
         with pytest.raises(ShapeMismatch, match="windows and n labels"):
-            nn.train(rng.normal(size=(3, 4, 5)), np.zeros(n_labels, dtype=int), TINY, epochs=1)
+            nn.train(rng.normal(size=(3, 4, 5)), np.zeros(n_labels, dtype=int), TINY, epochs=1, on_best=ignore)
 
     def test_wrong_feature_dim(self, rng):
         with pytest.raises(ShapeMismatch, match="windows and n labels"):
-            nn.train(rng.normal(size=(1, 4, 9)), np.zeros(1, dtype=int), TINY, epochs=1)
+            nn.train(rng.normal(size=(1, 4, 9)), np.zeros(1, dtype=int), TINY, epochs=1, on_best=ignore)
 
 
 class TestNumericalHygiene:
@@ -471,7 +490,7 @@ class TestNumericalHygiene:
 class TestWeightFile:
     def test_round_trip_bitwise(self, tmp_path, rng):
         params = nn.init_params(TINY)
-        result = nn.train(*small_dataset(rng, n=12), TINY, epochs=2, lr=1e-3, batch_size=4)
+        result = train_keeping_best(*small_dataset(rng, n=12), TINY, epochs=2, lr=1e-3, batch_size=4)
         path = tmp_path / "weights.gpw"
         nn.save_model(path, result.params, Encoding.ANGLE)
         loaded, encoding = nn.load_model(path)
@@ -481,6 +500,22 @@ class TestWeightFile:
             np.testing.assert_array_equal(loaded.tensors[name], result.params.tensors[name])
         assert [f.name for f in dataclasses.fields(loaded)] == ["config", "weights"]
         assert loaded.weights.flags.writeable
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "weights.gpw"
+        nn.save_model(path, nn.init_params(TINY), Encoding.ANGLE)
+        before = path.read_bytes()
+
+        class FullDisk(io.FileIO):
+            def write(self, data):
+                super().write(bytes(data)[:10])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(nn, "open", lambda file, mode: FullDisk(file, mode), raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            nn.save_model(path, nn.init_params(dataclasses.replace(TINY, seed=8)), Encoding.ANGLE)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["weights.gpw"]
 
     def test_file_bytes_are_pinned(self, tmp_path):
         # weight format v2 and init_params' draw order, TINY at seed 7
