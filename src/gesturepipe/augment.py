@@ -103,11 +103,16 @@ def resample_speed(seq: Sequence, ratio: float) -> Sequence:
     alpha = t - i0
     a, b = seq.kp[i0], seq.kp[np.minimum(i0 + 1, n - 1)]
     conf = np.minimum(a[:, :, 2], b[:, :, 2])
-    xy = a[:, :, :2] + alpha[:, None, None] * (b[:, :, :2] - a[:, :, :2])
+    with np.errstate(over="ignore", invalid="ignore"):  # Sequence refuses what overflows, below
+        xy = a[:, :, :2] + alpha[:, None, None] * (b[:, :, :2] - a[:, :, :2])
     xy[conf == 0.0] = 0.0
     out = np.concatenate([xy, conf[:, :, None]], axis=2)
     out[alpha == 0.0] = a[alpha == 0.0]
-    return Sequence(out, seq.fps, label=seq.label, view_angle_deg=seq.view_angle_deg)
+    try:
+        return Sequence(out, seq.fps, label=seq.label, view_angle_deg=seq.view_angle_deg)
+    except ValueError as exc:  # only an interpolated x or y can be out of range, near the float limit
+        raise InvalidConfig(f"resampling {getattr(seq.label, 'name', 'an unlabeled sequence')} "
+                            f"at speed ratio {ratio:g}: {exc}") from exc
 
 
 def parse_depth_table(text: str) -> DepthTable:

@@ -38,6 +38,12 @@ Each ``cmd_*`` function computes, writes its outputs and returns its run
 record ``(out_dir, inputs, outputs, seeds)``, or None when it wrote no file.
 After a command succeeds, :func:`main` appends the record as one JSON line to
 ``manifest.jsonl`` in ``out_dir``, beside the outputs.
+
+A flag that fills a field of a library config takes its default from that
+field: ``recognizer.WindowConfig`` for the window and vote flags,
+``nn.ModelConfig`` for the layer sizes and ``train --seed``, and
+``synth.SynthConfig`` and ``synth.JitterSpec`` for ``synth``'s length, fps,
+seed and jitter ranges. So each default is written once, in the library.
 """
 from __future__ import annotations
 
@@ -47,6 +53,7 @@ import math
 import sys
 import time
 from collections.abc import Iterator
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -225,7 +232,6 @@ def cmd_train(args) -> RunRecord:
     x, y, _ = _windows_from_sequences(_read_sequence_dir(Path(args.data)), encoding, args.window, args.stride)
     config = nn.ModelConfig(
         input_dim=encoding.dim,
-        output_dim=len(GestureLabel),
         hidden_dims=args.hidden_dims,
         gru_hidden=args.gru_hidden,
         head_dims=(args.head_dim,),
@@ -238,7 +244,7 @@ def cmd_train(args) -> RunRecord:
         out_dir.mkdir(parents=True, exist_ok=True)
         nn.save_model(weights_path, params, encoding)
 
-    result = nn.train(
+    history = nn.train(
         x,
         y,
         config,
@@ -251,16 +257,17 @@ def cmd_train(args) -> RunRecord:
     history_path = out_dir / "history.csv"
     with open(history_path, "w", encoding="utf-8") as fh:
         fh.write("epoch,train_loss,val_accuracy\n")
-        for row in result.history:
+        for row in history:
             fh.write(f"{row.epoch},{row.train_loss!r},{row.val_accuracy!r}\n")
 
-    best = max(row.val_accuracy for row in result.history)
+    best = max(history, key=lambda row: (row.val_accuracy, row.epoch))  # the epoch on_best saved last
+    test_idx = nn.split_dataset(len(x), args.split_seed)[2]
     test_acc = float("nan")
-    if len(result.test_idx):  # read back once training's arrays are gone
+    if len(test_idx):  # read back once training's arrays are gone
         params, _ = nn.load_model(weights_path)
-        test_acc = nn.accuracy(params, x[result.test_idx], y[result.test_idx])
-    print(f"windows: {len(x)}  best epoch: {result.best_epoch}")
-    print(f"validation accuracy: {best:.4f}")
+        test_acc = nn.accuracy(params, x[test_idx], y[test_idx])
+    print(f"windows: {len(x)}  best epoch: {best.epoch}")
+    print(f"validation accuracy: {best.val_accuracy:.4f}")
     print(f"held-out test accuracy: {test_acc:.4f}")
     return out_dir, [args.data], [weights_path, history_path], {"seed": args.seed, "split_seed": args.split_seed}
 
@@ -323,13 +330,7 @@ def cmd_stream(args) -> RunRecord | None:
     params, encoding = nn.load_model(args.weights)
     seq = skeleton.read_sequence(args.sequence)
     fps = args.fps if args.fps else seq.fps
-    config = recognizer.WindowConfig(
-        base_len=args.base_len,
-        base_fps=args.base_fps,
-        speed_ratio=args.speed_ratio,
-        vote_n=args.vote_n,
-        retention=args.retention,
-    )
+    config = recognizer.WindowConfig(**{f.name: getattr(args, f.name) for f in fields(recognizer.WindowConfig)})
     state = recognizer.make_window_state(config, fps, encoding)
     print(f"window capacity: {state.capacity} frames, re-evaluating every {state.cadence}")
     emissions = []
@@ -402,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(required=True, metavar="command")
     windows = argparse.ArgumentParser(add_help=False)  # the labeled windows train and eval read
     windows.add_argument("--data", required=True, help="directory of labeled sequence files")
-    windows.add_argument("--window", type=_number(int, "positive"), default=50)
+    windows.add_argument("--window", type=_number(int, "positive"), default=recognizer.WindowConfig.base_len)
     windows.add_argument("--stride", type=_number(int, "at least 0"), default=0,
                          help="window stride (default: window length)")
     replay = argparse.ArgumentParser(add_help=False)  # the recorded sequence stream and speed read
@@ -413,19 +414,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate labeled synthetic sequences")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--per-class", type=_number(int, "positive"), default=40)
-    p.add_argument("--frames", type=_number(int, "positive"), default=100)
-    p.add_argument("--fps", type=_number(float, "positive"), default=30.0)
-    p.add_argument("--period-min", type=_number(int), default=20)
-    p.add_argument("--period-max", type=_number(int), default=40)
-    p.add_argument("--scale-min", type=_number(), default=80.0)
-    p.add_argument("--scale-max", type=_number(), default=120.0)
-    p.add_argument("--noise-min", type=_number(), default=0.0,
+    p.add_argument("--frames", type=_number(int, "positive"), default=synth.SynthConfig.n_frames)
+    p.add_argument("--fps", type=_number(float, "positive"), default=synth.SynthConfig.fps)
+    p.add_argument("--period-min", type=_number(int), default=synth.JitterSpec.period[0])
+    p.add_argument("--period-max", type=_number(int), default=synth.JitterSpec.period[1])
+    p.add_argument("--scale-min", type=_number(), default=synth.JitterSpec.scale[0])
+    p.add_argument("--scale-max", type=_number(), default=synth.JitterSpec.scale[1])
+    p.add_argument("--noise-min", type=_number(), default=synth.JitterSpec.noise_frac[0],
                    help="noise sigma lower bound, fraction of subject scale")
-    p.add_argument("--noise-max", type=_number(), default=0.02,
+    p.add_argument("--noise-max", type=_number(), default=synth.JitterSpec.noise_frac[1],
                    help="noise sigma upper bound, fraction of subject scale")
     p.add_argument("--drop-prob", type=_number(), default=0.0,
                    help="probability of zeroing each keypoint (x, y and confidence)")
-    p.add_argument("--seed", type=_number(int, "at least 0"), default=0)
+    p.add_argument("--seed", type=_number(int, "at least 0"), default=synth.SynthConfig.seed)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("ingest", help="convert OpenPose JSON output to a sequence file")
@@ -452,11 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=_number(int, "positive"), default=30)
     p.add_argument("--lr", type=_number(float, "positive"), default=1e-3)
     p.add_argument("--batch", type=_number(int, "positive"), default=16)
-    p.add_argument("--seed", type=_number(int, "at least 0"), default=0, help="weight init seed")
+    p.add_argument("--seed", type=_number(int, "at least 0"), default=nn.ModelConfig.seed, help="weight init seed")
     p.add_argument("--split-seed", type=_number(int, "at least 0"), default=0, help="60/10/30 split seed")
-    p.add_argument("--hidden-dims", type=_layer_sizes, default="2048,1024")
-    p.add_argument("--gru-hidden", type=_number(int, "positive"), default=256)
-    p.add_argument("--head-dim", type=_number(int, "positive"), default=128)
+    p.add_argument("--hidden-dims", type=_layer_sizes, default=nn.ModelConfig.hidden_dims)
+    p.add_argument("--gru-hidden", type=_number(int, "positive"), default=nn.ModelConfig.gru_hidden)
+    p.add_argument("--head-dim", type=_number(int, "positive"), default=nn.ModelConfig.head_dims[0])
     p.add_argument("--out", required=True, help="output directory for weights and history")
     p.set_defaults(func=cmd_train)
 
@@ -467,11 +468,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stream", parents=[replay], help="replay a sequence through the streaming recognizer")
     p.add_argument("--weights", required=True)
-    p.add_argument("--speed-ratio", type=_number(float, "positive"), default=1.0)
-    p.add_argument("--base-len", type=_number(int), default=50)
-    p.add_argument("--base-fps", type=_number(float, "positive"), default=30.0)
-    p.add_argument("--vote-n", type=_number(int, "positive"), default=5)
-    p.add_argument("--retention", type=_number(), default=0.5)
+    p.add_argument("--speed-ratio", type=_number(float, "positive"), default=recognizer.WindowConfig.speed_ratio)
+    p.add_argument("--base-len", type=_number(int), default=recognizer.WindowConfig.base_len)
+    p.add_argument("--base-fps", type=_number(float, "positive"), default=recognizer.WindowConfig.base_fps)
+    p.add_argument("--vote-n", type=_number(int, "positive"), default=recognizer.WindowConfig.vote_n)
+    p.add_argument("--retention", type=_number(), default=recognizer.WindowConfig.retention)
     p.add_argument("--realtime", action="store_true", help="pace the replay at the stream fps")
     p.add_argument("--out", default=None, help="optional CSV of emissions")
     p.set_defaults(func=cmd_stream)

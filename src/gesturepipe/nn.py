@@ -64,6 +64,7 @@ from .errors import (
     TooShort,
 )
 from .features import Encoding
+from .skeleton import GestureLabel
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -84,7 +85,7 @@ class ModelConfig:
     """
 
     input_dim: int
-    output_dim: int = 8
+    output_dim: int = len(GestureLabel)
     hidden_dims: tuple[int, int] = (2048, 1024)
     gru_hidden: int = 256
     head_dims: tuple[int, ...] = (128,)
@@ -372,13 +373,6 @@ class EpochStats:
     val_accuracy: float
 
 
-@dataclass
-class TrainResult:
-    history: list[EpochStats]
-    best_epoch: int
-    test_idx: np.ndarray
-
-
 def split_dataset(n: int, split_seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deterministic 60/10/30 index split."""
     perm = np.random.default_rng(split_seed).permutation(n)
@@ -408,19 +402,21 @@ def train(
     x: np.ndarray,
     y: np.ndarray,
     config: ModelConfig,
-    epochs: int = 30,
-    lr: float = 1e-3,
-    batch_size: int = 16,
-    split_seed: int = 0,
     *,
+    epochs: int,
+    lr: float,
+    batch_size: int,
+    split_seed: int,
     on_best: Callable[[ModelParams], None],
-) -> TrainResult:
-    """Minibatch-train on a 60/10/30 split, handing each best-validation epoch to ``on_best``.
+) -> list[EpochStats]:
+    """Minibatch-train on a 60/10/30 split, handing each best-validation epoch to ``on_best``;
+    returns the history, one ``EpochStats`` per epoch.
 
     ``on_best`` gets the live params after each epoch whose validation accuracy
     matches or beats every earlier one, so its last call holds the best epoch,
     the latest on a tie. Training goes on updating them in place, so it must
-    save or copy them before it returns.
+    save or copy them before it returns. The test slice is
+    ``split_dataset(len(x), split_seed)[2]``; training never reads it.
 
     ``x`` holds n windows as an (n, T, N) array and ``y`` their n labels. The
     split, the per-epoch shuffles, and the weight init are all seeded, so
@@ -440,14 +436,14 @@ def train(
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be positive")
 
-    train_idx, val_idx, test_idx = split_dataset(len(x), split_seed)
+    train_idx, val_idx, _ = split_dataset(len(x), split_seed)
     eval_idx = val_idx if len(val_idx) else train_idx
 
     params = init_params(config)
     moments, t = np.zeros((2, params.weights.size)), 0
     shuffle_rng = np.random.default_rng([split_seed, config.seed, 1])
     history: list[EpochStats] = []
-    best_acc, best_epoch = -1.0, 0  # epoch 1 always replaces them
+    best_acc = -1.0  # epoch 1 always replaces it
     for epoch in range(1, epochs + 1):
         order = train_idx[shuffle_rng.permutation(len(train_idx))]
         loss_total = 0.0
@@ -461,9 +457,9 @@ def train(
         val_acc = accuracy(params, x[eval_idx], y[eval_idx])
         history.append(EpochStats(epoch, loss_total / len(order), val_acc))
         if val_acc >= best_acc:
-            best_acc, best_epoch = val_acc, epoch
+            best_acc = val_acc
             on_best(params)
-    return TrainResult(history, best_epoch, test_idx)
+    return history
 
 
 def save_model(path: str | Path, params: ModelParams, encoding: Encoding) -> None:
@@ -512,7 +508,11 @@ def load_model(
             raise MalformedJson(f"{path}: not a {WEIGHT_FORMAT} v{WEIGHT_VERSION} file")
         try:
             encoding = Encoding(header["encoding"])
-            config = ModelConfig(**{f.name: header["config"][f.name] for f in fields(ModelConfig)})
+            values = {f.name: header["config"][f.name] for f in fields(ModelConfig)}
+            for name, value in values.items():  # ModelConfig would truncate 4.7 or "8" to an int
+                if not all(type(v) is int for v in (value if type(value) is list else [value])):
+                    raise ValueError(f"config {name} is not a JSON integer: {json.dumps(value)}")
+            config = ModelConfig(**values)
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedJson(f"{path}: bad weight header: {exc!r}") from exc
         if expect_encoding is not None and encoding is not expect_encoding:

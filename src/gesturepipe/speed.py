@@ -12,6 +12,7 @@ FPS by the period yields cycles per second.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -100,15 +101,19 @@ def load_start_positions(path: str | Path) -> tuple[StartPositionTable, Encoding
     if not path.is_file():
         raise IoError(f"{path} does not exist")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        # every number a float, so an int beyond float range reads as inf and is refused below
+        doc = json.loads(path.read_text(encoding="utf-8"), parse_int=float)
         encoding = Encoding(doc["encoding"])
-        table = {
-            GestureLabel[name]: np.asarray(values, dtype=np.float64)
-            for name, values in doc["positions"].items()
-        }
+        if not isinstance(doc["positions"], dict):
+            raise TypeError("'positions' is not an object")
+        table = {GestureLabel[name]: values for name, values in doc["positions"].items()}
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedJson(f"{path}: bad start-position file: {exc}") from exc
-    for label, row in table.items():
+    for label, values in table.items():
+        # numpy would read "0.5" as 0.5, true as 1 and null as nan
+        if not isinstance(values, list) or not all(type(v) is float and math.isfinite(v) for v in values):
+            raise MalformedJson(f"{path}: {label.name} start position is not an array of finite JSON numbers")
+        row = table[label] = np.asarray(values)
         if row.shape != (encoding.dim,):
             raise MalformedJson(
                 f"{path}: {label.name} start position has shape {row.shape}, "

@@ -1,6 +1,5 @@
 import json
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,10 +39,15 @@ def traced_peak(fn) -> int:
 
 def train_keeping_best(*args, **kwargs):
     """``nn.train`` with an ``on_best`` that copies each best epoch's weights. Returns
-    the ``TrainResult``'s fields and ``params``, the best epoch's copy."""
+    (history, params): the history and the best epoch's copy."""
     best = []
-    result = nn.train(*args, **kwargs, on_best=lambda p: best.append(nn.ModelParams(p.config, p.weights.copy())))
-    return SimpleNamespace(**vars(result), params=best[-1])
+    history = nn.train(*args, **kwargs, on_best=lambda p: best.append(nn.ModelParams(p.config, p.weights.copy())))
+    return history, best[-1]
+
+
+def best_epoch(history) -> int:
+    """The latest epoch with the highest validation accuracy: the one ``on_best`` gets last."""
+    return max(history, key=lambda row: (row.val_accuracy, row.epoch)).epoch
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ import pytest
 
 from gesturepipe import augment, cli, features, nn, recognizer, speed, synth
 from gesturepipe.features import Encoding, encode_frame, normalize_1x1
-from gesturepipe.recognizer import WindowConfig, WindowState, effective_window
+from gesturepipe.recognizer import WindowConfig, effective_window
 from gesturepipe.skeleton import GestureLabel, Pose, Sequence
 
 from conftest import make_openpose_doc, train_keeping_best
@@ -60,9 +60,9 @@ def coord_model(frontal_seqs):
     t0 = time.monotonic()
     x, y = build_windows(frontal_seqs, Encoding.COORDINATE)
     config = nn.ModelConfig(input_dim=18, output_dim=8, seed=0)
-    result = train_keeping_best(x, y, config, epochs=5, lr=1e-3, batch_size=16, split_seed=0)
+    _, params = train_keeping_best(x, y, config, epochs=5, lr=1e-3, batch_size=16, split_seed=0)
     durations["coord_model"] = time.monotonic() - t0
-    return result, x, y
+    return params, x, y
 
 
 @pytest.fixture(scope="module")
@@ -75,9 +75,9 @@ def augmented_model(frontal_seqs):
             seqs.append(augment.rotate_sequence(s, table, augment.RotationSpec(angle)))
     x, y = build_windows(seqs, Encoding.COORDINATE)
     config = nn.ModelConfig(input_dim=18, output_dim=8, seed=0)
-    result = train_keeping_best(x, y, config, epochs=3, lr=1e-3, batch_size=16, split_seed=0)
+    _, params = train_keeping_best(x, y, config, epochs=3, lr=1e-3, batch_size=16, split_seed=0)
     durations["augmented_model"] = time.monotonic() - t0
-    return result
+    return params
 
 
 @pytest.fixture(scope="module")
@@ -85,9 +85,9 @@ def angle_model(frontal_seqs):
     t0 = time.monotonic()
     x, y = build_windows(frontal_seqs, Encoding.ANGLE)
     config = nn.ModelConfig(input_dim=5, output_dim=8, seed=0)
-    result = train_keeping_best(x, y, config, epochs=10, lr=1e-3, batch_size=16, split_seed=0)
+    _, params = train_keeping_best(x, y, config, epochs=10, lr=1e-3, batch_size=16, split_seed=0)
     durations["angle_model"] = time.monotonic() - t0
-    return result
+    return params
 
 
 class TestA1GradientCorrectness:
@@ -154,13 +154,14 @@ class TestA2NormalizationProperties:
 class TestA3FrontalRecognition:
     def test_a3(self, coord_model):
         t0 = time.monotonic()
-        result, x, y = coord_model
-        acc = nn.accuracy(result.params, x[result.test_idx], y[result.test_idx])
+        params, x, y = coord_model
+        test_idx = nn.split_dataset(len(x), split_seed=0)[2]
+        acc = nn.accuracy(params, x[test_idx], y[test_idx])
         elapsed = durations["coord_model"] + (time.monotonic() - t0)
         report(
             "A3 frontal-recognition",
             acc >= 0.95 and elapsed < 900.0,
-            f"held-out accuracy {acc:.4f} on {len(result.test_idx)} windows "
+            f"held-out accuracy {acc:.4f} on {len(test_idx)} windows "
             f"(320 sequences, 60/10/30 split) in {elapsed:.0f}s",
         )
 
@@ -169,7 +170,7 @@ class TestA3FrontalRecognition:
 class TestA4RotatedViewRobustness:
     def test_a4(self, coord_model, augmented_model, test_seqs):
         t0 = time.monotonic()
-        frontal_result, _, _ = coord_model
+        frontal_params, _, _ = coord_model
         table = augment.default_depth_table()
         true_table = {g: tuple(TEST_DEPTH_SCALE * d for d in row) for g, row in table.items()}
         aug_ok = True
@@ -179,8 +180,8 @@ class TestA4RotatedViewRobustness:
             spec = augment.RotationSpec(angle)
             rotated = [augment.rotate_sequence(s, true_table, spec) for s in test_seqs]
             x, y = build_windows(rotated, Encoding.COORDINATE)
-            frontal_acc = nn.accuracy(frontal_result.params, x, y)
-            aug_acc = nn.accuracy(augmented_model.params, x, y)
+            frontal_acc = nn.accuracy(frontal_params, x, y)
+            aug_acc = nn.accuracy(augmented_model, x, y)
             aug_ok &= aug_acc >= 0.85
             if abs(angle) >= 30.0:
                 dominance_ok &= aug_acc > frontal_acc
@@ -198,14 +199,14 @@ class TestA5SpeedInsensitivity:
     def test_a5(self, angle_model, test_seqs):
         t0 = time.monotonic()
         x, y = build_windows(test_seqs, Encoding.ANGLE, window=50, stride=50)
-        baseline = nn.accuracy(angle_model.params, x, y)
+        baseline = nn.accuracy(angle_model, x, y)
         ok = True
         lines = [f"1.0x {baseline:.3f}"]
         for ratio in SPEED_RATIOS:
             window = effective_window(WindowConfig(speed_ratio=ratio), fps=30.0)
             resampled = [augment.resample_speed(s, ratio) for s in test_seqs]
             x, y = build_windows(resampled, Encoding.ANGLE, window=window, stride=window)
-            acc = nn.accuracy(angle_model.params, x, y)
+            acc = nn.accuracy(angle_model, x, y)
             ok &= abs(acc - baseline) <= 0.05
             lines.append(f"{ratio}x W{window} {acc:.3f}")
         elapsed = durations["angle_model"] + (time.monotonic() - t0)
@@ -304,8 +305,7 @@ class TestA8RotationGeometry:
 @pytest.mark.slow  # streams through the A3 model, so it trains it
 class TestA9StreamingContract:
     def test_a9(self, coord_model):
-        result, _, _ = coord_model
-        params = result.params
+        params, _, _ = coord_model
 
         seq = synth.generate(
             synth.SynthConfig(gesture=GestureLabel.StandStill, n_frames=130, noise_sigma=1.0, seed=10)
@@ -313,9 +313,7 @@ class TestA9StreamingContract:
         config = WindowConfig()
 
         def fold(rows):
-            state = WindowState(
-                effective_window(config, 30.0), config.vote_n, config.retention, Encoding.COORDINATE
-            )
+            state = recognizer.make_window_state(config, 30.0, Encoding.COORDINATE)
             emissions = (state.push(row, params) for row in rows)
             return [(e.frame_index, e.raw, e.smoothed, e.confidence) for e in emissions if e is not None]
 

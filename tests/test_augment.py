@@ -318,6 +318,20 @@ class TestResampleSpeed:
         with pytest.raises(InvalidConfig, match=f"speed ratio {ratio:g} would resample 10 frames"):
             resample_speed(seq, ratio)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("keypoint", [4, 20])  # present, and missing from every frame
+    def test_keypoints_near_the_float_limit(self, keypoint):
+        seq = generate(SynthConfig(gesture=GestureLabel.LeftHandWave, n_frames=10))
+        kp = seq.kp.copy()
+        kp[0, keypoint, 0], kp[1, keypoint, 0] = 1.5e308, -1.5e308  # their difference overflows
+        seq = Sequence(kp, seq.fps, label=seq.label)
+        if keypoint == 4:
+            with pytest.raises(InvalidConfig, match="resampling LeftHandWave at speed ratio 0.7: frame 1: keypoint 4"):
+                resample_speed(seq, 0.7)
+        else:
+            out = resample_speed(seq, 0.7)
+            assert np.isfinite(out.kp).all() and not out.kp[:, keypoint, 2].any()
+
     def test_output_of_max_frames_allowed(self, rng, monkeypatch):
         monkeypatch.setattr(augment, "MAX_FRAMES", 20)
         seq = Sequence(tuple(full_pose(rng) for _ in range(10)), fps=30.0)

@@ -311,6 +311,18 @@ class TestAugment:
         assert "speed ratio 1e-300 would resample 40 frames" in err
         assert "Traceback" not in err
 
+    def test_keypoints_near_the_float_limit_exit_three(self, tmp_path, synth_dir, capsys):
+        data = tmp_path / "in"
+        data.mkdir()
+        name = next(n for n in data_files(synth_dir) if n.startswith("LeftHandWave"))
+        seq = read_sequence(synth_dir / name)
+        kp = seq.kp.copy()
+        kp[0, 4, 0], kp[1, 4, 0] = 1.5e308, -1.5e308  # their difference overflows
+        write_sequence(data / name, Sequence(kp, seq.fps, label=seq.label))
+        assert run("augment", data, "--out", tmp_path / "aug", "--speed-ratios", "0.7") == 3
+        assert capsys.readouterr().err == (
+            "error: resampling LeftHandWave at speed ratio 0.7: frame 1: keypoint 4 has a non-finite value\n")
+
     @pytest.mark.parametrize("depth, message", [
         ("nan", "depth table line 1: depths must be finite"),
         ("1e307", "rotating StandStill by 30 degrees: frame 0: keypoint 2 has a non-finite value"),
@@ -341,6 +353,18 @@ class TestTrain:
         assert rc == 0
         assert (again / "weights.gpw").read_bytes() == (trained_dir / "weights.gpw").read_bytes()
         assert (again / "history.csv").read_bytes() == (trained_dir / "history.csv").read_bytes()
+
+    def test_best_epoch_is_the_last_of_tied_epochs(self, tmp_path, synth_dir, capsys):
+        # at this seed the 5 validation windows tie at the top over several epochs, then fall
+        assert run("train", "--data", synth_dir, "--out", tmp_path / "m", *TRAIN_FLAGS, "--epochs", "6",
+                   "--seed", "2") == 0
+        accs = [float(line.split(",")[2]) for line in (tmp_path / "m" / "history.csv").read_text().splitlines()[1:]]
+        tied = [epoch for epoch, acc in enumerate(accs, 1) if acc == max(accs)]
+        assert len(tied) > 1 and tied[-1] < len(accs)
+        assert f"best epoch: {tied[-1]}\n" in capsys.readouterr().out
+        assert run("train", "--data", synth_dir, "--out", tmp_path / "stopped", *TRAIN_FLAGS, "--epochs", tied[-1],
+                   "--seed", "2") == 0
+        assert (tmp_path / "m" / "weights.gpw").read_bytes() == (tmp_path / "stopped" / "weights.gpw").read_bytes()
 
     def test_missing_data_exits_three(self, tmp_path):
         rc = run("train", "--data", tmp_path / "nope", "--out", tmp_path / "m", *TRAIN_FLAGS)
@@ -641,6 +665,17 @@ class TestSpeed:
         err = capsys.readouterr().err
         assert "error: LeftHandWave has no start position (the start-position table has no row for it)" in err
         assert "not a cyclic gesture" not in err
+
+    def test_start_position_not_a_number_exits_three(self, tmp_path, capsys, clean_synth_dir):
+        table = speed.default_start_positions(Encoding.COORDINATE)
+        positions = {label.name: row.tolist() for label, row in table.items()}
+        positions["LeftHandLeftCircle"][3] = str(positions["LeftHandLeftCircle"][3])
+        start = tmp_path / "start.json"
+        start.write_text(json.dumps({"encoding": "coordinate", "positions": positions}))
+        seq_file = clean_synth_dir / "LeftHandLeftCircle_000.jsonl"
+        assert run("speed", seq_file, "--start-positions", start) == 3
+        assert capsys.readouterr().err == (
+            f"error: {start}: LeftHandLeftCircle start position is not an array of finite JSON numbers\n")
 
     def test_label_overrides_the_file_label(self, tmp_path, capsys, clean_synth_dir):
         seq_file = clean_synth_dir / "RightHandRightCircle_000.jsonl"

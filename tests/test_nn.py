@@ -19,7 +19,7 @@ from gesturepipe.errors import (
 )
 from gesturepipe.features import Encoding
 
-from conftest import train_keeping_best, traced_peak
+from conftest import best_epoch, train_keeping_best, traced_peak
 from gradcheck import max_relative_error, numeric_grads, random_tiny_setup, window_grads
 
 TINY = nn.ModelConfig(input_dim=5, output_dim=3, hidden_dims=(8, 8), gru_hidden=4, head_dims=(4,), seed=7)
@@ -381,48 +381,53 @@ def small_dataset(rng, n=40, t=6, classes=3):
 class TestTrain:
     def test_single_class_degenerate(self, rng):
         x = np.stack([rng.normal(size=(4, 5)) for _ in range(40)])
-        result = nn.train(x, np.zeros(40, dtype=int), TINY, epochs=1, lr=0.1, batch_size=4, split_seed=0, on_best=ignore)
-        assert result.history[0].val_accuracy == 1.0
+        history = nn.train(x, np.zeros(40, dtype=int), TINY, epochs=1, lr=0.1, batch_size=4, split_seed=0, on_best=ignore)
+        assert history[0].val_accuracy == 1.0
 
     def test_tied_validation_keeps_latest_epoch(self, rng):
         x = np.stack([rng.normal(size=(4, 5)) for _ in range(40)])
-        result = nn.train(x, np.zeros(40, dtype=int), TINY, epochs=3, lr=0.1, batch_size=4, split_seed=0, on_best=ignore)
-        assert [h.val_accuracy for h in result.history] == [1.0, 1.0, 1.0]
-        assert result.best_epoch == 3
+        handed = []
+        history = nn.train(x, np.zeros(40, dtype=int), TINY, epochs=3, lr=0.1, batch_size=4, split_seed=0,
+                           on_best=handed.append)
+        assert [h.val_accuracy for h in history] == [1.0, 1.0, 1.0]
+        assert len(handed) == 3  # every tied epoch is handed over, so the last one is kept
+        assert best_epoch(history) == 3
 
     def test_learns_separable_classes(self, rng):
         x, y = small_dataset(rng)
-        result = train_keeping_best(x, y, TINY, epochs=30, lr=3e-3, batch_size=8, split_seed=1)
-        assert nn.accuracy(result.params, x[result.test_idx], y[result.test_idx]) == 1.0
+        _, params = train_keeping_best(x, y, TINY, epochs=30, lr=3e-3, batch_size=8, split_seed=1)
+        test_idx = nn.split_dataset(len(x), split_seed=1)[2]
+        assert nn.accuracy(params, x[test_idx], y[test_idx]) == 1.0
 
     def test_same_seed_bitwise_identical_history(self, rng):
         x, y = small_dataset(rng)
-        a = train_keeping_best(x, y, TINY, epochs=3, lr=1e-3, batch_size=8, split_seed=3)
-        b = train_keeping_best(x, y, TINY, epochs=3, lr=1e-3, batch_size=8, split_seed=3)
-        assert a.history == b.history
-        for name in a.params.tensors:
-            np.testing.assert_array_equal(a.params.tensors[name], b.params.tensors[name])
+        history_a, a = train_keeping_best(x, y, TINY, epochs=3, lr=1e-3, batch_size=8, split_seed=3)
+        history_b, b = train_keeping_best(x, y, TINY, epochs=3, lr=1e-3, batch_size=8, split_seed=3)
+        assert history_a == history_b
+        for name in a.tensors:
+            np.testing.assert_array_equal(a.tensors[name], b.tensors[name])
 
     def test_best_epoch_equals_a_run_stopped_there(self, rng):
         x, y = small_dataset(rng)
-        full = train_keeping_best(x, y, TINY, epochs=6, lr=0.1, batch_size=8, split_seed=1)
-        assert full.best_epoch < 6
-        stopped = train_keeping_best(x, y, TINY, epochs=full.best_epoch, lr=0.1, batch_size=8, split_seed=1)
-        assert stopped.best_epoch == full.best_epoch
-        np.testing.assert_array_equal(full.params.weights, stopped.params.weights)
+        full_history, full = train_keeping_best(x, y, TINY, epochs=6, lr=0.1, batch_size=8, split_seed=1)
+        best = best_epoch(full_history)
+        assert best < 6
+        stopped_history, stopped = train_keeping_best(x, y, TINY, epochs=best, lr=0.1, batch_size=8, split_seed=1)
+        assert best_epoch(stopped_history) == best
+        np.testing.assert_array_equal(full.weights, stopped.weights)
 
     def test_on_best_gets_each_epoch_that_matches_or_beats_the_best(self, rng):
         x, y = small_dataset(rng)
         copies = []
-        result = nn.train(x, y, TINY, epochs=6, lr=0.1, batch_size=8, split_seed=1,
-                          on_best=lambda params: copies.append(params.weights.copy()))
-        accs = [h.val_accuracy for h in result.history]
+        history = nn.train(x, y, TINY, epochs=6, lr=0.1, batch_size=8, split_seed=1,
+                           on_best=lambda params: copies.append(params.weights.copy()))
+        accs = [h.val_accuracy for h in history]
         best_epochs = [e for e, acc in enumerate(accs, 1) if acc >= max(accs[: e - 1], default=-1.0)]
         assert len(copies) == len(best_epochs) > 1
-        assert best_epochs[-1] == result.best_epoch
+        assert best_epochs[-1] == best_epoch(history)
         for epoch, weights in zip(best_epochs, copies):
-            stopped = train_keeping_best(x, y, TINY, epochs=epoch, lr=0.1, batch_size=8, split_seed=1)
-            np.testing.assert_array_equal(weights, stopped.params.weights)
+            _, stopped = train_keeping_best(x, y, TINY, epochs=epoch, lr=0.1, batch_size=8, split_seed=1)
+            np.testing.assert_array_equal(weights, stopped.weights)
 
     def test_peak_allocation_holds_one_gradient(self, rng):
         # weights, Adam's two moments and one gradient are four weight vectors; the half
@@ -433,7 +438,7 @@ class TestTrain:
         x, y = rng.normal(size=(32, 4, 18)), rng.integers(0, 8, size=32)
         (d1, d2), g = config.hidden_dims, config.gru_hidden
         bound = 4.5 * 8 * nn._weight_count(config) + 8 * 4 * x.shape[1] * (d1 + d2 + 3 * g)
-        assert traced_peak(lambda: nn.train(x, y, config, epochs=2, batch_size=4, on_best=ignore)) < bound
+        assert traced_peak(lambda: nn.train(x, y, config, epochs=2, lr=1e-3, batch_size=4, split_seed=0, on_best=ignore)) < bound
 
     def test_split_is_60_10_30(self):
         train_idx, val_idx, test_idx = nn.split_dataset(320, split_seed=0)
@@ -443,20 +448,20 @@ class TestTrain:
 
     def test_empty_dataset(self):
         with pytest.raises(TooShort, match="dataset is empty"):
-            nn.train(np.empty((0, 4, 5)), np.empty(0, dtype=int), TINY, epochs=1, on_best=ignore)
+            nn.train(np.empty((0, 4, 5)), np.empty(0, dtype=int), TINY, epochs=1, lr=1e-3, batch_size=16, split_seed=0, on_best=ignore)
 
     def test_inconsistent_shapes(self, rng):
         with pytest.raises(ShapeMismatch, match="windows and n labels"):
-            nn.train(rng.normal(size=(4, 5)), np.zeros(4, dtype=int), TINY, epochs=1, on_best=ignore)
+            nn.train(rng.normal(size=(4, 5)), np.zeros(4, dtype=int), TINY, epochs=1, lr=1e-3, batch_size=16, split_seed=0, on_best=ignore)
 
     @pytest.mark.parametrize("n_labels", [2, 4])
     def test_x_and_y_lengths_differ(self, rng, n_labels):
         with pytest.raises(ShapeMismatch, match="windows and n labels"):
-            nn.train(rng.normal(size=(3, 4, 5)), np.zeros(n_labels, dtype=int), TINY, epochs=1, on_best=ignore)
+            nn.train(rng.normal(size=(3, 4, 5)), np.zeros(n_labels, dtype=int), TINY, epochs=1, lr=1e-3, batch_size=16, split_seed=0, on_best=ignore)
 
     def test_wrong_feature_dim(self, rng):
         with pytest.raises(ShapeMismatch, match="windows and n labels"):
-            nn.train(rng.normal(size=(1, 4, 9)), np.zeros(1, dtype=int), TINY, epochs=1, on_best=ignore)
+            nn.train(rng.normal(size=(1, 4, 9)), np.zeros(1, dtype=int), TINY, epochs=1, lr=1e-3, batch_size=16, split_seed=0, on_best=ignore)
 
 
 class TestNumericalHygiene:
@@ -489,15 +494,14 @@ class TestNumericalHygiene:
 
 class TestWeightFile:
     def test_round_trip_bitwise(self, tmp_path, rng):
-        params = nn.init_params(TINY)
-        result = train_keeping_best(*small_dataset(rng, n=12), TINY, epochs=2, lr=1e-3, batch_size=4)
+        _, params = train_keeping_best(*small_dataset(rng, n=12), TINY, epochs=2, lr=1e-3, batch_size=4, split_seed=0)
         path = tmp_path / "weights.gpw"
-        nn.save_model(path, result.params, Encoding.ANGLE)
+        nn.save_model(path, params, Encoding.ANGLE)
         loaded, encoding = nn.load_model(path)
         assert encoding is Encoding.ANGLE
         assert loaded.config == TINY
-        for name in result.params.tensors:
-            np.testing.assert_array_equal(loaded.tensors[name], result.params.tensors[name])
+        for name in params.tensors:
+            np.testing.assert_array_equal(loaded.tensors[name], params.tensors[name])
         assert [f.name for f in dataclasses.fields(loaded)] == ["config", "weights"]
         assert loaded.weights.flags.writeable
 
@@ -608,6 +612,21 @@ class TestWeightFile:
         edit(header)
         path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
         with pytest.raises(MalformedJson, match="bad weight header"):
+            nn.load_model(path)
+
+    @pytest.mark.parametrize("name, value", [
+        ("gru_hidden", 4.7), ("input_dim", 5.0), ("seed", 7.5), ("seed", True), ("output_dim", "3"),
+        ("hidden_dims", [8.9, 8]), ("head_dims", [4.0]),
+    ])
+    def test_config_value_not_an_integer_refused(self, tmp_path, name, value):
+        # ModelConfig's int() takes each of these, so the file would load under a config it does not state
+        path = tmp_path / "weights.gpw"
+        nn.save_model(path, nn.init_params(TINY), Encoding.ANGLE)
+        header_line, blob = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        header["config"][name] = value
+        path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+        with pytest.raises(MalformedJson, match=f"bad weight header: .*config {name} is not a JSON integer"):
             nn.load_model(path)
 
     def test_header_at_the_limit_loads(self, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -213,3 +214,20 @@ class TestStartPositionTable:
             self.write_table(path, Encoding.ANGLE, [0.1, 0.2, bad, 0.0, 0.5])
             with pytest.raises(MalformedJson):
                 load_start_positions(path)
+
+    @pytest.mark.parametrize("value", ['"0.5"', "true", "null", "NaN", "Infinity", "1" + "0" * 400],
+                             ids=["string", "boolean", "null", "nan", "infinity", "huge integer"])
+    def test_load_rejects_a_value_that_is_not_a_finite_number(self, tmp_path, value):
+        # numpy would read "0.5" as 0.5, true as 1 and null as nan
+        path = tmp_path / "starts.json"
+        self.write_table(path, Encoding.COORDINATE, [0.5] * 18)
+        path.write_text(path.read_text().replace("0.5", value, 1), encoding="utf-8")
+        with pytest.raises(MalformedJson, match=f"{re.escape(str(path))}: RightHandLeftCircle start position is not an array "
+                                                "of finite JSON numbers"):
+            load_start_positions(path)
+
+    def test_load_rejects_positions_that_are_not_an_object(self, tmp_path):
+        path = tmp_path / "starts.json"
+        path.write_text(json.dumps({"encoding": "coordinate", "positions": []}), encoding="utf-8")
+        with pytest.raises(MalformedJson, match=f"{re.escape(str(path))}: bad start-position file: 'positions' is not an object"):
+            load_start_positions(path)
