@@ -42,6 +42,11 @@ Gradients come from full backpropagation through time (no truncation); the
 optimizer is Adam with bias correction. All functions are deterministic given
 the seeds, and batch gradients are plain sums over the batch, so duplicating a
 sample exactly doubles its gradient.
+
+Every ``ModelConfig`` value is an integer: the config refuses a bool, a float
+or a string rather than truncate it, so a weight file whose header states one
+is refused as ``MalformedJson`` (exit 3), as is any header that is not a JSON
+object.
 """
 from __future__ import annotations
 
@@ -82,6 +87,9 @@ class ModelConfig:
     """Layer sizes and the init seed.
 
     Defaults are the production architecture; tests shrink every dimension.
+    Every value is an integer, and ``hidden_dims``/``head_dims`` are sequences
+    of them. A bool, a float (4.0 included) or a string is refused with
+    ``ValueError`` rather than truncated; a numpy integer is stored as ``int``.
     """
 
     input_dim: int
@@ -92,14 +100,17 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("input_dim", "output_dim", "gru_hidden", "seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            sizes = f.name in ("hidden_dims", "head_dims")
+            for v in value if sizes else [value]:
+                if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                    raise ValueError(f"config {f.name} is not an integer: {v!r}")
+            object.__setattr__(self, f.name, tuple(map(int, value)) if sizes else int(value))
         if self.input_dim < 1 or self.output_dim < 1:
             raise ValueError("input_dim and output_dim must be positive")
         if len(self.hidden_dims) != 2 or len(self.head_dims) != 1:
             raise ValueError("architecture is fixed at two dense layers, a GRU, and a two-layer head")
-        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
-        object.__setattr__(self, "head_dims", tuple(int(d) for d in self.head_dims))
         if min(*self.hidden_dims, self.gru_hidden, *self.head_dims) < 1:
             raise ValueError("hidden_dims, gru_hidden and head_dims must be positive")
 
@@ -492,7 +503,12 @@ def save_model(path: str | Path, params: ModelParams, encoding: Encoding) -> Non
 def load_model(
     path: str | Path, expect_encoding: Encoding | None = None
 ) -> tuple[ModelParams, Encoding]:
-    """Read a weight file; refuses encoding or layout mismatches."""
+    """Read a weight file; refuses encoding or layout mismatches.
+
+    The header is checked in one guarded step (a JSON object, the format and
+    version, the encoding, then ``ModelConfig``'s own checks), and each of
+    those refusals is ``MalformedJson`` "bad weight header".
+    """
     path = Path(path)
     if not path.is_file():
         raise IoError(f"{path} does not exist")
@@ -500,20 +516,15 @@ def load_model(
         header_line = fh.readline(HEADER_LIMIT + 1)
         if len(header_line) > HEADER_LIMIT:
             raise MalformedJson(f"{path}: weight header is longer than {HEADER_LIMIT} bytes")
-        try:
+        try:  # a decode error is a ValueError, and nesting past the stack a RecursionError
             header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise MalformedJson(f"{path}: bad weight header: {exc}") from exc
-        if header.get("format") != WEIGHT_FORMAT or header.get("version") != WEIGHT_VERSION:
-            raise MalformedJson(f"{path}: not a {WEIGHT_FORMAT} v{WEIGHT_VERSION} file")
-        try:
+            if not isinstance(header, dict):
+                raise TypeError("not a JSON object")
+            if header.get("format") != WEIGHT_FORMAT or header.get("version") != WEIGHT_VERSION:
+                raise ValueError(f"not a {WEIGHT_FORMAT} v{WEIGHT_VERSION} file")
             encoding = Encoding(header["encoding"])
-            values = {f.name: header["config"][f.name] for f in fields(ModelConfig)}
-            for name, value in values.items():  # ModelConfig would truncate 4.7 or "8" to an int
-                if not all(type(v) is int for v in (value if type(value) is list else [value])):
-                    raise ValueError(f"config {name} is not a JSON integer: {json.dumps(value)}")
-            config = ModelConfig(**values)
-        except (KeyError, TypeError, ValueError) as exc:
+            config = ModelConfig(**{f.name: header["config"][f.name] for f in fields(ModelConfig)})
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise MalformedJson(f"{path}: bad weight header: {exc!r}") from exc
         if expect_encoding is not None and encoding is not expect_encoding:
             raise EncodingMismatch(

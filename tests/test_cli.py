@@ -483,6 +483,21 @@ class TestEval:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "model takes 18 features, angle has 5" in err
 
+    @pytest.mark.parametrize("header_line", [b"[]", b'"x"', b"1", b"null"])
+    @pytest.mark.parametrize("command", ["eval", "stream"])
+    def test_weight_header_not_an_object_exits_three(self, tmp_path, synth_dir, trained_dir, capsys,
+                                                     command, header_line):
+        weights = tmp_path / "weights.gpw"
+        weights.write_bytes(header_line + b"\n" + (trained_dir / "weights.gpw").read_bytes().split(b"\n", 1)[1])
+        if command == "eval":
+            argv = ("eval", "--weights", weights, "--data", synth_dir, "--window", "20", "--out", tmp_path / "e")
+        else:
+            argv = ("stream", synth_dir / data_files(synth_dir)[0], "--weights", weights, "--base-len", "20")
+        assert run(*argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{weights}: bad weight header: " in err and "not a JSON object" in err
+
     def test_sequences_without_view_angle(self, tmp_path, synth_dir, trained_dir):
         # strip the view-angle metadata; eval must render a blank angle cell
         data = tmp_path / "noview"

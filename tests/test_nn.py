@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,23 @@ class TestModelConfig:
     def test_layer_size_below_one_refused(self, field, value):
         with pytest.raises(ValueError, match="hidden_dims, gru_hidden and head_dims must be positive"):
             nn.ModelConfig(**{**TINY.__dict__, field: value})
+
+    @pytest.mark.parametrize("field, value, shown", [
+        ("gru_hidden", 4.7, "4.7"), ("input_dim", 5.0, "5.0"), ("output_dim", "3", "'3'"), ("seed", True, "True"),
+        ("hidden_dims", [8.9, 8], "8.9"), ("head_dims", [4.0], "4.0"), ("gru_hidden", np.float64(4.0), repr(np.float64(4.0))),
+    ])
+    def test_value_not_an_integer_refused(self, field, value, shown):
+        # each of these would build a model of another shape or seed if it were truncated
+        with pytest.raises(ValueError, match=re.escape(f"config {field} is not an integer: {shown}")):
+            nn.ModelConfig(**{**TINY.__dict__, field: value})
+
+    def test_numpy_integers_stored_as_int(self, tmp_path):
+        config = nn.ModelConfig(**{**TINY.__dict__, "gru_hidden": np.int64(5), "hidden_dims": np.array([8, 6])})
+        assert type(config.gru_hidden) is int and config.gru_hidden == 5
+        assert config.hidden_dims == (8, 6) and all(type(d) is int for d in config.hidden_dims)
+        path = tmp_path / "weights.gpw"
+        nn.save_model(path, nn.init_params(config), Encoding.ANGLE)
+        assert nn.load_model(path)[0].config == config
 
 
 class TestForward:
@@ -619,14 +637,26 @@ class TestWeightFile:
         ("hidden_dims", [8.9, 8]), ("head_dims", [4.0]),
     ])
     def test_config_value_not_an_integer_refused(self, tmp_path, name, value):
-        # ModelConfig's int() takes each of these, so the file would load under a config it does not state
+        # a truncated value would load the file under a config it does not state
         path = tmp_path / "weights.gpw"
         nn.save_model(path, nn.init_params(TINY), Encoding.ANGLE)
         header_line, blob = path.read_bytes().split(b"\n", 1)
         header = json.loads(header_line)
         header["config"][name] = value
         path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
-        with pytest.raises(MalformedJson, match=f"bad weight header: .*config {name} is not a JSON integer"):
+        with pytest.raises(MalformedJson, match=f"bad weight header: .*config {name} is not an integer"):
+            nn.load_model(path)
+
+    @pytest.mark.parametrize("header_line, cause", [
+        (b"[]", "not a JSON object"), (b'"x"', "not a JSON object"), (b"1", "not a JSON object"),
+        (b"null", "not a JSON object"),
+        (b"[" * 30000 + b"]" * 30000, "RecursionError"),  # under HEADER_LIMIT, past the parser's stack
+    ], ids=["list", "string", "number", "null", "nested"])
+    def test_header_not_an_object_refused(self, tmp_path, header_line, cause):
+        path = tmp_path / "weights.gpw"
+        nn.save_model(path, nn.init_params(TINY), Encoding.ANGLE)
+        path.write_bytes(header_line + b"\n" + path.read_bytes().split(b"\n", 1)[1])
+        with pytest.raises(MalformedJson, match=f"bad weight header: .*{cause}"):
             nn.load_model(path)
 
     def test_header_at_the_limit_loads(self, tmp_path):
