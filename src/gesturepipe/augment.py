@@ -148,7 +148,10 @@ def load_depth_table(path: str | Path) -> DepthTable:
     path = Path(path)
     if not path.is_file():
         raise IoError(f"{path} does not exist")
-    return parse_depth_table(path.read_text(encoding="utf-8"))
+    try:
+        return parse_depth_table(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"{path}: {exc}") from exc
 
 
 def default_depth_table() -> DepthTable:

@@ -43,10 +43,10 @@ optimizer is Adam with bias correction. All functions are deterministic given
 the seeds, and batch gradients are plain sums over the batch, so duplicating a
 sample exactly doubles its gradient.
 
-Every ``ModelConfig`` value is an integer: the config refuses a bool, a float
-or a string rather than truncate it, so a weight file whose header states one
-is refused as ``MalformedJson`` (exit 3), as is any header that is not a JSON
-object.
+Every ``ModelConfig`` value is an integer, and the config refuses a bool, a
+float or a string rather than truncate it. The weight header, read by
+``skeleton.load_json``, must be a JSON object whose version is the integer 2;
+any other header is refused as ``MalformedJson`` (exit 3).
 """
 from __future__ import annotations
 
@@ -69,7 +69,7 @@ from .errors import (
     TooShort,
 )
 from .features import Encoding
-from .skeleton import GestureLabel
+from .skeleton import GestureLabel, load_json
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -503,12 +503,10 @@ def save_model(path: str | Path, params: ModelParams, encoding: Encoding) -> Non
 def load_model(
     path: str | Path, expect_encoding: Encoding | None = None
 ) -> tuple[ModelParams, Encoding]:
-    """Read a weight file; refuses encoding or layout mismatches.
-
-    The header is checked in one guarded step (a JSON object, the format and
-    version, the encoding, then ``ModelConfig``'s own checks), and each of
-    those refusals is ``MalformedJson`` "bad weight header".
-    """
+    """Read a weight file; refuses encoding or layout mismatches. The header line
+    goes through ``skeleton.load_json`` and one guarded check (a JSON object, the
+    format and integer version, the encoding, then ``ModelConfig``'s own checks);
+    each refusal there is ``MalformedJson`` "bad weight header"."""
     path = Path(path)
     if not path.is_file():
         raise IoError(f"{path} does not exist")
@@ -516,15 +514,16 @@ def load_model(
         header_line = fh.readline(HEADER_LIMIT + 1)
         if len(header_line) > HEADER_LIMIT:
             raise MalformedJson(f"{path}: weight header is longer than {HEADER_LIMIT} bytes")
-        try:  # a decode error is a ValueError, and nesting past the stack a RecursionError
-            header = json.loads(header_line.decode("utf-8"))
+        header = load_json(header_line, f"{path}: bad weight header")
+        try:
             if not isinstance(header, dict):
                 raise TypeError("not a JSON object")
-            if header.get("format") != WEIGHT_FORMAT or header.get("version") != WEIGHT_VERSION:
+            version = header.get("version")
+            if header.get("format") != WEIGHT_FORMAT or type(version) is not int or version != WEIGHT_VERSION:
                 raise ValueError(f"not a {WEIGHT_FORMAT} v{WEIGHT_VERSION} file")
             encoding = Encoding(header["encoding"])
             config = ModelConfig(**{f.name: header["config"][f.name] for f in fields(ModelConfig)})
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise MalformedJson(f"{path}: bad weight header: {exc!r}") from exc
         if expect_encoding is not None and encoding is not expect_encoding:
             raise EncodingMismatch(

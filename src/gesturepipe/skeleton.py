@@ -136,39 +136,53 @@ class Sequence:
         return len(self.kp)
 
 
-def parse_openpose_frame(json_text: str) -> np.ndarray:
-    """Parse one OpenPose per-frame output document into the first person's keypoints.
+def _finite_int(text: str) -> int:
+    if math.isfinite(float(text)):
+        return int(text)
+    raise ValueError(f"{text:.12}{'...' * (len(text) > 12)} is not a finite JSON number")
 
-    The document carries a ``people`` array whose entries hold
-    ``pose_keypoints_2d``: 75 numbers laid out as x, y, confidence triples in
-    BODY-25 order. Multi-person frames use the first entry and log a warning.
-    The (25, 3) array is not range-checked; :func:`load_sequence` checks all frames.
-    """
-    try:
-        doc = json.loads(json_text)
-    except json.JSONDecodeError as exc:
-        raise MalformedJson(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "people" not in doc:
-        raise MalformedJson("document has no 'people' array")
-    people = doc["people"]
+
+# one decoder, built once (a decoder per call costs more than parsing a frame line), whose
+# int and constant hook refuses NaN, Infinity, -Infinity and an integer beyond float range
+_DECODER = json.JSONDecoder(parse_int=_finite_int, parse_constant=_finite_int)
+
+
+def load_json(data: bytes | str, where: str):
+    """The package's one JSON step: the value in ``data``, UTF-8 bytes or text.
+    Bytes that are not UTF-8, text that is not JSON, nesting past the parser's
+    stack and a number ``_finite_int`` refuses are MalformedJson "<where>: <cause>"."""
+    try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        return _DECODER.decode(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:
+        raise MalformedJson(f"{where}: {exc}") from exc
+
+
+def json_numbers(values, n: int, what: str) -> np.ndarray:
+    """``values`` as a float64 array if it is a JSON array of ``n`` finite numbers,
+    else MalformedJson naming ``what``: numpy would read "320" as 320, true as 1
+    and null as nan, and a float beyond range reads as inf."""
+    if isinstance(values, list) and len(values) == n and set(map(type, values)) <= {int, float}:
+        row = np.array(values, dtype=np.float64)
+        if np.isfinite(row).all():
+            return row
+    raise MalformedJson(f"{what} is not an array of {n} finite JSON numbers")
+
+
+def parse_openpose_frame(json_text: bytes | str) -> np.ndarray:
+    """The first person's (25, 3) keypoints in one OpenPose per-frame document,
+    whose ``people`` entries hold ``pose_keypoints_2d``, 75 numbers as x, y,
+    confidence triples in BODY-25 order. A multi-person frame uses the first entry
+    and logs a warning. No range check; :func:`load_sequence` checks all frames."""
+    doc = load_json(json_text, "document")
+    people = doc.get("people") if isinstance(doc, dict) else None
     if not isinstance(people, list):
-        raise MalformedJson("'people' is not an array")
+        raise MalformedJson("document has no 'people' array")
     if not people:
         raise NoPerson("no person detected in frame")
     if len(people) > 1:
         log.warning("frame has %d people; using the first", len(people))
     raw = people[0].get("pose_keypoints_2d") if isinstance(people[0], dict) else None
-    if not isinstance(raw, list):
-        raise MalformedJson("person entry has no 'pose_keypoints_2d' array")
-    if len(raw) != 3 * N_KEYPOINTS:
-        raise MalformedJson(f"expected {3 * N_KEYPOINTS} keypoint values, got {len(raw)}")
-    if not set(map(type, raw)) <= {int, float}:  # numpy would read "320" as 320 and true as 1
-        i = next(i for i, v in enumerate(raw) if type(v) not in (int, float))
-        raise MalformedJson(f"keypoint {i // 3}: {json.dumps(raw[i])} is not a JSON number")
-    try:
-        return np.asarray(raw, dtype=np.float64).reshape(N_KEYPOINTS, 3)
-    except OverflowError as exc:  # an integer beyond float range
-        raise MalformedJson(f"bad keypoint values: {exc}") from exc
+    return json_numbers(raw, 3 * N_KEYPOINTS, "pose_keypoints_2d").reshape(N_KEYPOINTS, 3)
 
 
 def load_sequence(
@@ -177,26 +191,19 @@ def load_sequence(
     label: GestureLabel | None = None,
     view_angle_deg: float | None = None,
 ) -> Sequence:
-    """Load OpenPose output into a Sequence.
-
-    ``path`` is either a directory of per-frame ``*.json`` files (frame order =
-    lexicographic filename order) or a JSONL file with one frame document per
-    line. Per-frame parse errors are re-raised with the 0-based frame index.
-    """
+    """Load OpenPose output into a Sequence: a directory of per-frame ``*.json``
+    files, in filename order, or a JSONL file with one frame document per line.
+    Per-frame parse errors are re-raised with the 0-based frame index."""
     path = Path(path)
     if path.is_dir():
-        files = sorted(p for p in path.iterdir() if p.suffix == ".json" and p.is_file())
-        if not files:
-            raise IoError(f"no frames in {path}")
-        texts = [(p.name, p.read_text(encoding="utf-8")) for p in files]
+        texts = [(p.name, p.read_bytes()) for p in sorted(path.iterdir()) if p.suffix == ".json" and p.is_file()]
     elif path.is_file():
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = path.read_bytes().splitlines()
         texts = [(f"line {i}", line) for i, line in enumerate(lines) if line.strip()]
-        if not texts:
-            raise IoError(f"no frames in {path}")
     else:
         raise IoError(f"{path} does not exist")
-
+    if not texts:
+        raise IoError(f"no frames in {path}")
     frames = []
     for i, (name, text) in enumerate(texts):
         try:
@@ -237,28 +244,29 @@ def read_sequence(path: str | Path) -> Sequence:
     path = Path(path)
     if not path.is_file():
         raise IoError(f"{path} does not exist")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = path.read_bytes().splitlines()
     if not lines:
         raise IoError(f"{path} is empty")
+    meta = load_json(lines[0], f"{path}: bad metadata line")
     try:
-        meta = json.loads(lines[0], parse_int=float)  # so an int beyond float range reads as inf
         fps = meta["fps"]
         label = GestureLabel[meta["label"]] if meta.get("label") else None
         view = meta.get("view_angle_deg")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise MalformedJson(f"{path}: bad metadata line: {exc}") from exc
     frames = []
+    t, f, n = b"tfn"  # as ints: a bytes line finds an int faster than a one-byte string
     for line in lines[1:]:
         if not line.strip():
             continue
+        doc = load_json(line, f"{path}: frame {len(frames)}")
         try:
-            kp = json.loads(line)["kp"]
             # the one string on a frame line is its "kp" key, and true, false and null each hold
             # a t, f or n, which no JSON number does: a scan of the text, not of every value
-            if line.count('"') != 2 or "t" in line or "f" in line or "n" in line:
+            if line.count(b'"') != 2 or t in line or f in line or n in line:
                 raise ValueError("a keypoint value is not a JSON number")
-            frames.append(np.asarray(kp, dtype=np.float64))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            frames.append(np.asarray(doc["kp"], dtype=np.float64))
+        except (KeyError, TypeError, ValueError) as exc:
             raise MalformedJson(f"{path}: frame {len(frames)}: {exc}") from exc
     if not frames:
         raise IoError(f"{path} has no frames")

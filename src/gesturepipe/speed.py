@@ -11,8 +11,6 @@ FPS by the period yields cycles per second.
 """
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +19,7 @@ import numpy as np
 from . import synth
 from .errors import IoError, MalformedJson, NoPeriod, ShapeMismatch, TooShort, UnknownLabel
 from .features import Encoding, encode_frame
-from .skeleton import GestureLabel
+from .skeleton import GestureLabel, json_numbers, load_json
 
 StartPositionTable = dict[GestureLabel, np.ndarray]
 
@@ -100,25 +98,16 @@ def load_start_positions(path: str | Path) -> tuple[StartPositionTable, Encoding
     path = Path(path)
     if not path.is_file():
         raise IoError(f"{path} does not exist")
+    doc = load_json(path.read_bytes(), f"{path}: bad start-position file")
     try:
-        # every number a float, so an int beyond float range reads as inf and is refused below
-        doc = json.loads(path.read_text(encoding="utf-8"), parse_int=float)
         encoding = Encoding(doc["encoding"])
         if not isinstance(doc["positions"], dict):
             raise TypeError("'positions' is not an object")
         table = {GestureLabel[name]: values for name, values in doc["positions"].items()}
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise MalformedJson(f"{path}: bad start-position file: {exc}") from exc
     for label, values in table.items():
-        # numpy would read "0.5" as 0.5, true as 1 and null as nan
-        if not isinstance(values, list) or not all(type(v) is float and math.isfinite(v) for v in values):
-            raise MalformedJson(f"{path}: {label.name} start position is not an array of finite JSON numbers")
-        row = table[label] = np.asarray(values)
-        if row.shape != (encoding.dim,):
-            raise MalformedJson(
-                f"{path}: {label.name} start position has shape {row.shape}, "
-                f"{encoding.value} features need ({encoding.dim},)"
-            )
+        row = table[label] = json_numbers(values, encoding.dim, f"{path}: {label.name} start position")
         if encoding is Encoding.ANGLE and not np.all((row >= 0.0) & (row <= 1.0)):
             raise MalformedJson(f"{path}: {label.name} angle start position lies outside [0, 1]")
     return table, encoding

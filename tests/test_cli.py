@@ -259,7 +259,7 @@ class TestIngest:
         bad.write_text('{"people":[{"pose_keypoints_2d": 5}]}\n')
         assert run("ingest", bad, "--fps", 30, "--out", tmp_path / "o.jsonl") == 3
         err = capsys.readouterr().err
-        assert err == "error: frame 0 (line 0): person entry has no 'pose_keypoints_2d' array\n"
+        assert err == "error: frame 0 (line 0): pose_keypoints_2d is not an array of 75 finite JSON numbers\n"
         assert not (tmp_path / "o.jsonl").exists()
 
     def test_keypoint_value_not_a_number_exits_three(self, tmp_path, capsys):
@@ -267,7 +267,8 @@ class TestIngest:
         bad = tmp_path / "bad.jsonl"
         bad.write_text(make_openpose_doc(values) + "\n" + make_openpose_doc([*values[:5], True, *values[6:]]) + "\n")
         assert run("ingest", bad, "--fps", 30, "--out", tmp_path / "o.jsonl") == 3
-        assert capsys.readouterr().err == "error: frame 1 (line 1): keypoint 1: true is not a JSON number\n"
+        err = capsys.readouterr().err
+        assert err == "error: frame 1 (line 1): pose_keypoints_2d is not an array of 75 finite JSON numbers\n"
         assert not (tmp_path / "o.jsonl").exists()
 
 
@@ -690,7 +691,7 @@ class TestSpeed:
         seq_file = clean_synth_dir / "LeftHandLeftCircle_000.jsonl"
         assert run("speed", seq_file, "--start-positions", start) == 3
         assert capsys.readouterr().err == (
-            f"error: {start}: LeftHandLeftCircle start position is not an array of finite JSON numbers\n")
+            f"error: {start}: LeftHandLeftCircle start position is not an array of 18 finite JSON numbers\n")
 
     def test_label_overrides_the_file_label(self, tmp_path, capsys, clean_synth_dir):
         seq_file = clean_synth_dir / "RightHandRightCircle_000.jsonl"
@@ -717,6 +718,48 @@ class TestSpeed:
         rc = run("eval", "--weights", trained_dir / "weights.gpw", "--data", data, "--out", tmp_path / "e")
         assert rc == 3
         assert "view_angle_deg must be null or a finite number, got '15'" in capsys.readouterr().err
+
+
+NESTED = b"[" * 60_000 + b"]" * 60_000  # past the JSON parser's stack
+
+
+class TestHostileFiles:
+    """Nesting past the parser's stack and bytes that are not UTF-8 exit 3 with one error line."""
+
+    @pytest.mark.parametrize("case", [
+        "ingest-nested", "ingest-0xff", "stream-metadata-nested", "stream-frame-nested", "stream-frame-0xff",
+        "stream-weight-file", "speed-nested", "speed-start-positions-nested", "augment-depth-config-0xff",
+    ])
+    def test_exits_three(self, tmp_path, synth_dir, trained_dir, capsys, case):
+        seq_file = synth_dir / data_files(synth_dir)[0]
+        meta, frame, *frames = seq_file.read_bytes().splitlines(keepends=True)
+        bad = tmp_path / "bad.jsonl"
+        weights = trained_dir / "weights.gpw"
+        openpose = make_openpose_doc().encode() + b"\n"
+        ingest = ("ingest", bad, "--fps", 30, "--out", tmp_path / "o.jsonl")
+        stream = ("stream", bad, "--weights", weights, "--base-len", 20)
+        argv, content, message = {
+            "ingest-nested": (ingest, openpose + NESTED, "frame 1 (line 1): document: maximum recursion depth"),
+            "ingest-0xff": (ingest, openpose + b"\xff" + openpose,
+                            "frame 1 (line 1): document: 'utf-8' codec can't decode byte 0xff"),
+            "stream-metadata-nested": (stream, NESTED + b"\n" + frame,
+                                       f"{bad}: bad metadata line: maximum recursion depth"),
+            "stream-frame-nested": (stream, meta + frame + NESTED, f"{bad}: frame 1: maximum recursion depth"),
+            "stream-frame-0xff": (stream, meta + frame + frame.replace(b"[", b"\xff", 1),
+                                  f"{bad}: frame 1: 'utf-8' codec can't decode byte 0xff"),
+            "stream-weight-file": (("stream", bad, "--weights", bad), weights.read_bytes(),
+                                   f"{bad}: bad metadata line: 'fps'"),
+            "speed-nested": (("speed", bad), NESTED, f"{bad}: bad metadata line: maximum recursion depth"),
+            "speed-start-positions-nested": (("speed", seq_file, "--start-positions", bad), NESTED,
+                                             f"{bad}: bad start-position file: maximum recursion depth"),
+            "augment-depth-config-0xff": (("augment", synth_dir, "--out", tmp_path / "aug", "--depth-config", bad),
+                                          b"StandStill 0 0.1 -0.1 0 0.1 \xff\n",
+                                          f"{bad}: 'utf-8' codec can't decode byte 0xff"),
+        }[case]
+        bad.write_bytes(content)
+        assert run(*argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 class TestManifest:

@@ -1,0 +1,142 @@
+"""Hostile input against every file reader of the package.
+
+The JSON readers share ``skeleton.load_json``; the table below feeds each of
+them the tokens that one step must refuse, and the property mutates valid
+files of all five readers, the depth table included.
+"""
+import json
+import re
+from importlib import resources
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gesturepipe import augment, nn, speed
+from gesturepipe.errors import MalformedJson, PipelineError
+from gesturepipe.features import Encoding
+from gesturepipe.skeleton import GestureLabel, Sequence, load_sequence, read_sequence, write_sequence
+
+from conftest import make_openpose_doc, random_pose
+
+TINY = nn.ModelConfig(input_dim=5, output_dim=3, hidden_dims=(8, 8), gru_hidden=4, head_dims=(4,), seed=7)
+
+# each hostile token and what the refusal says of it; a float beyond range
+# reads as inf, which each reader's own finiteness check refuses
+HOSTILE = {
+    "nested": (b"[" * 60_000 + b"]" * 60_000, "maximum recursion depth"),
+    "NaN": (b"NaN", "NaN is not a finite JSON number"),
+    "Infinity": (b"Infinity", "Infinity is not a finite JSON number"),
+    "-Infinity": (b"-Infinity", "-Infinity is not a finite JSON number"),
+    "1e400": (b"1e400", None),
+    "10**400": (b"1" + b"0" * 400, "100000000000... is not a finite JSON number"),
+    "0xff": (b"\xff", "'utf-8' codec can't decode byte 0xff"),
+}
+
+
+def sequence_file(path):
+    rng = np.random.default_rng(0)
+    write_sequence(path, Sequence([random_pose(rng) for _ in range(3)], 30.0, GestureLabel.LeftHandWave, 15.0))
+    return path.read_bytes()
+
+
+def openpose_file():
+    doc = make_openpose_doc([12.5, 20, 0.75] * 25)
+    return (doc + "\n" + doc + "\n").encode()
+
+
+def start_position_file():
+    table = speed.default_start_positions(Encoding.COORDINATE)
+    doc = {"encoding": "coordinate", "positions": {label.name: row.tolist() for label, row in table.items()}}
+    return json.dumps(doc).encode()
+
+
+def weight_file(path):
+    nn.save_model(path, nn.init_params(TINY), Encoding.ANGLE)
+    return path.read_bytes()
+
+
+# each writes a valid file with its first number replaced by a token, and
+# returns the read and the start of its refusal message
+def hostile_openpose(path, token, cause):
+    first, second, _ = openpose_file().split(b"\n")
+    path.write_bytes(first + b"\n" + second.replace(b"12.5", token, 1))
+    where = "frame 1 (line 1): "
+    return lambda: load_sequence(path, 30.0), where + (
+        f"document: {cause}" if cause else "pose_keypoints_2d is not an array of 75 finite JSON numbers")
+
+
+def hostile_metadata(path, token, cause):
+    meta, rest = sequence_file(path).split(b"\n", 1)
+    path.write_bytes(meta.replace(b"30.0", token, 1) + b"\n" + rest)
+    return lambda: read_sequence(path), f"{path}: " + (f"bad metadata line: {cause}" if cause else "fps must be finite")
+
+
+def hostile_frame(path, token, cause):
+    meta, first, second, rest = sequence_file(path).split(b"\n", 3)
+    second = re.sub(rb"\d[\d.e+-]*", lambda _: token, second, count=1)
+    path.write_bytes(b"\n".join([meta, first, second, rest]))
+    return lambda: read_sequence(path), f"{path}: frame 1: " + (cause or "keypoint 0 has a non-finite value")
+
+
+def hostile_weight_header(path, token, cause):
+    path.write_bytes(weight_file(path).replace(b'"seed": 7', b'"seed": ' + token, 1))
+    if len(token) > nn.HEADER_LIMIT:  # refused unread, before any parse
+        return lambda: nn.load_model(path), f"{path}: weight header is longer than {nn.HEADER_LIMIT} bytes"
+    return lambda: nn.load_model(path), f"{path}: bad weight header: " + (
+        cause or "ValueError('config seed is not an integer: inf')")
+
+
+@pytest.mark.parametrize("case", HOSTILE)
+@pytest.mark.parametrize("reader", [hostile_openpose, hostile_metadata, hostile_frame, hostile_weight_header],
+                         ids=["openpose", "sequence-metadata", "sequence-frame", "weight-header"])
+def test_hostile_json_refused(tmp_path, reader, case):
+    token, cause = HOSTILE[case]
+    read, message = reader(tmp_path / "file", token, cause)
+    with pytest.raises(MalformedJson) as exc:
+        read()
+    assert str(exc.value).startswith(message)
+
+
+# a mutation replaces, inserts or cuts one token: a string, a number, a word,
+# a run of whitespace or any other single byte
+TOKEN = re.compile(rb'"[^"\n]*"|-?\d[\d.eE+-]*|[A-Za-z]+|\s+|.', re.DOTALL)
+REPLACEMENTS = [
+    b"\xff", b"\xc3", b"NaN", b"Infinity", b"-Infinity", b"1e400", b"1" + b"0" * 400, b"-0", b"7",
+    b"true", b"null", b'"x"', b'"kp"', b'"fps"', b"[", b"]", b"{", b"}", b",", b":", b"\n", b" ", b"#",
+]
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    scratch = tmp_path_factory.mktemp("valid")
+    return {
+        "read_sequence": (sequence_file(scratch / "seq.jsonl"), read_sequence),
+        "load_sequence": (openpose_file(), lambda path: load_sequence(path, 30.0)),
+        "load_start_positions": (start_position_file(), speed.load_start_positions),
+        "load_model": (weight_file(scratch / "weights.gpw"), nn.load_model),
+        "load_depth_table": (resources.files("gesturepipe").joinpath("data/depths.cfg").read_bytes(),
+                             augment.load_depth_table),
+    }
+
+
+@pytest.mark.parametrize("reader", ["read_sequence", "load_sequence", "load_start_positions", "load_model",
+                                    "load_depth_table"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_file_is_read_or_refused(valid_files, tmp_path_factory, reader, data):
+    valid, read = valid_files[reader]
+    if reader == "load_model":  # mutate the header line; the tensor bytes have no tokens
+        valid, blob = valid.split(b"\n", 1)
+    tokens = TOKEN.findall(valid)
+    i = data.draw(st.integers(0, len(tokens) - 1), label="token")
+    edit = data.draw(st.sampled_from(["replace", "insert", "cut"]), label="edit")
+    tokens[i:i + (edit != "insert")] = [] if edit == "cut" else [data.draw(st.sampled_from(REPLACEMENTS))]
+    mutant = b"".join(tokens) + (b"\n" + blob if reader == "load_model" else b"")
+    path = tmp_path_factory.getbasetemp() / f"mutant-{reader}"
+    path.write_bytes(mutant)
+    try:
+        read(path)
+    except PipelineError:
+        pass

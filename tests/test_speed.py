@@ -175,6 +175,10 @@ class TestEstimateSpeed:
             assert len(missed) <= cases // 100, (encoding.value, len(missed), missed[:10])
 
 
+BAD_FILE = "bad start-position file"
+NOT_NUMBERS = "RightHandLeftCircle start position is not an array of 18 finite JSON numbers"
+
+
 class TestStartPositionTable:
     def test_default_covers_cyclic_gestures_only(self):
         table = default_start_positions(Encoding.COORDINATE)
@@ -215,15 +219,21 @@ class TestStartPositionTable:
             with pytest.raises(MalformedJson):
                 load_start_positions(path)
 
-    @pytest.mark.parametrize("value", ['"0.5"', "true", "null", "NaN", "Infinity", "1" + "0" * 400],
-                             ids=["string", "boolean", "null", "nan", "infinity", "huge integer"])
-    def test_load_rejects_a_value_that_is_not_a_finite_number(self, tmp_path, value):
+    @pytest.mark.parametrize("value, message", [
+        (b'"0.5"', NOT_NUMBERS), (b"true", NOT_NUMBERS), (b"null", NOT_NUMBERS),
+        (b"NaN", f"{BAD_FILE}: NaN is not a finite JSON number"),
+        (b"Infinity", f"{BAD_FILE}: Infinity is not a finite JSON number"),
+        (b"1" + b"0" * 400, f"{BAD_FILE}: 100000000000... is not a finite JSON number"),
+        (b"-Infinity", f"{BAD_FILE}: -Infinity is not a finite JSON number"), (b"1e400", NOT_NUMBERS),
+        (b"[" * 60_000 + b"]" * 60_000, f"{BAD_FILE}: maximum recursion depth"),
+        (b"\xff", f"{BAD_FILE}: 'utf-8' codec can't decode byte 0xff"),
+    ], ids=["string", "boolean", "null", "nan", "infinity", "huge integer", "-infinity", "1e400", "nested", "0xff"])
+    def test_load_rejects_a_value_that_is_not_a_finite_number(self, tmp_path, value, message):
         # numpy would read "0.5" as 0.5, true as 1 and null as nan
         path = tmp_path / "starts.json"
         self.write_table(path, Encoding.COORDINATE, [0.5] * 18)
-        path.write_text(path.read_text().replace("0.5", value, 1), encoding="utf-8")
-        with pytest.raises(MalformedJson, match=f"{re.escape(str(path))}: RightHandLeftCircle start position is not an array "
-                                                "of finite JSON numbers"):
+        path.write_bytes(path.read_bytes().replace(b"0.5", value, 1))
+        with pytest.raises(MalformedJson, match=re.escape(f"{path}: {message}")):
             load_start_positions(path)
 
     def test_load_rejects_positions_that_are_not_an_object(self, tmp_path):
