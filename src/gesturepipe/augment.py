@@ -5,6 +5,11 @@ manual relative depths to the keypoints of both arm chains, rotating the
 resulting pseudo-3D skeleton about the vertical axis through the neck, and
 dropping the depth again (orthographic projection). Execution speed is
 simulated by linear interpolation between frames.
+
+The depth table shipped as data/depths.json takes its StandStill,
+LeftHandWave and LeftHandLeftCircle rows from the paper's setup; the other
+five rows are mirrors and analogues of those, estimated by this project, to
+be edited to match one's own recordings.
 """
 from __future__ import annotations
 
@@ -15,13 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidConfig, IoError, MissingKeypoint, TooShort, UnknownLabel
-from .skeleton import ARM_A, ARM_B, MAX_FRAMES, NECK, GestureLabel, Sequence
+from .errors import InvalidConfig, IoError, MalformedJson, MissingKeypoint, TooShort, UnknownLabel
+from .skeleton import ARM_A, ARM_B, MAX_FRAMES, NECK, GestureLabel, Sequence, gesture_table, load_json
 
 # keypoints carrying manual depth estimates, in table column order
 ARM_KEYPOINTS = ARM_A + ARM_B
 
-DepthTable = dict[GestureLabel, tuple[float, ...]]
+DepthTable = dict[GestureLabel, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -52,7 +57,7 @@ def rotate_sequence(seq: Sequence, table: DepthTable, spec: RotationSpec) -> Seq
     if seq.label is None or seq.label not in table:
         name = seq.label.name if seq.label is not None else "<unlabeled>"
         raise UnknownLabel(f"no depth row for {name}")
-    depths = np.array([float(d) for d in table[seq.label]])
+    depths = np.asarray(table[seq.label], dtype=np.float64)
     if len(depths) != len(ARM_KEYPOINTS):
         raise InvalidConfig(f"expected {len(ARM_KEYPOINTS)} depths, got {len(depths)}")
     needed = [NECK, *ARM_KEYPOINTS]
@@ -115,46 +120,15 @@ def resample_speed(seq: Sequence, ratio: float) -> Sequence:
                             f"at speed ratio {ratio:g}: {exc}") from exc
 
 
-def parse_depth_table(text: str) -> DepthTable:
-    """Parse the depth config format: one row per gesture, '#' comments.
-
-    Each row is a gesture label followed by six finite depths for ``ARM_KEYPOINTS``.
-    """
-    table: DepthTable = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 1 + len(ARM_KEYPOINTS):
-            raise InvalidConfig(f"depth table line {lineno}: expected label + 6 values")
-        try:
-            label = GestureLabel[fields[0]]
-        except KeyError as exc:
-            raise UnknownLabel(f"depth table line {lineno}: unknown gesture {fields[0]!r}") from exc
-        try:
-            values = tuple(float(v) for v in fields[1:])
-        except ValueError as exc:
-            raise InvalidConfig(f"depth table line {lineno}: bad number: {exc}") from exc
-        if not all(map(math.isfinite, values)):
-            raise InvalidConfig(f"depth table line {lineno}: depths must be finite")
-        if label in table:
-            raise InvalidConfig(f"depth table line {lineno}: duplicate row for {label.name}")
-        table[label] = values
-    return table
-
-
-def load_depth_table(path: str | Path) -> DepthTable:
-    path = Path(path)
+def load_depth_table(path: str | Path | None = None) -> DepthTable:
+    """The depth table in the JSON file at ``path``, by default the one shipped as
+    data/depths.json: an object from gesture names to six depths, one per
+    ``ARM_KEYPOINTS`` keypoint, read by :func:`~gesturepipe.skeleton.gesture_table`."""
+    path = Path(path) if path is not None else resources.files(__package__).joinpath("data/depths.json")
     if not path.is_file():
         raise IoError(f"{path} does not exist")
+    doc = load_json(path.read_bytes(), where := f"{path}: bad depth table")
     try:
-        return parse_depth_table(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise InvalidConfig(f"{path}: {exc}") from exc
-
-
-def default_depth_table() -> DepthTable:
-    """The depth table shipped with the package (see data/depths.cfg)."""
-    text = resources.files("gesturepipe").joinpath("data/depths.cfg").read_text(encoding="utf-8")
-    return parse_depth_table(text)
+        return gesture_table(doc, len(ARM_KEYPOINTS), path, "the document", "depth row")
+    except (KeyError, TypeError) as exc:
+        raise MalformedJson(f"{where}: {exc}") from exc

@@ -204,7 +204,7 @@ def cmd_augment(args) -> RunRecord:
     in_dir = Path(args.input)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    table = augment.load_depth_table(args.depth_config) if args.depth_config else augment.default_depth_table()
+    table = augment.load_depth_table(args.depth_config)
     # each view and speed once, in first-seen order: 0 and -0 are one view, and --both-sides adds no -0
     angles = dict.fromkeys(a for mag in args.angles for a in ((mag, -mag) if args.both_sides and mag else (mag,)))
 
@@ -443,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angles", type=_parse_floats, default="", help='rotation angles, e.g. "15,30,45"')
     p.add_argument("--both-sides", action="store_true", help="also rotate by the negated angles")
     p.add_argument("--speed-ratios", type=_parse_floats, default="", help='speed ratios, e.g. "0.5,2.0"')
-    p.add_argument("--depth-config", default=None, help="depth table file (default: built-in)")
+    p.add_argument("--depth-config", default=None, help="JSON depth table (default: the built-in data/depths.json)")
     p.add_argument("--no-include-original", dest="include_original", action="store_false",
                    help="do not copy the source sequences into the output")
     p.set_defaults(func=cmd_augment)

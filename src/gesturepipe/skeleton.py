@@ -12,6 +12,7 @@ import json
 import logging
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from enum import IntEnum
@@ -102,8 +103,8 @@ class Pose:
 class Sequence:
     """T frames at a fixed frame rate as one read-only (T, 25, 3) float64 array
     ``kp``, copied and checked once from what :func:`_keypoint_frames` takes.
-    ``fps`` is a finite positive number; ``view_angle_deg`` is None or a finite
-    number."""
+    ``fps``, a finite positive number, is stored as a float, ``view_angle_deg``
+    as None or a finite float, and ``label`` must be a GestureLabel or None."""
 
     kp: np.ndarray
     fps: float
@@ -112,17 +113,20 @@ class Sequence:
 
     def __post_init__(self):
         object.__setattr__(self, "kp", _keypoint_frames(self.kp))
-        if isinstance(self.fps, bool) or not isinstance(self.fps, numbers.Real):
-            raise ValueError(f"fps must be a number, got {self.fps!r}")
-        if not self.fps > 0:
+        fps, view = self.fps, self.view_angle_deg
+        if isinstance(fps, bool) or not isinstance(fps, numbers.Real):
+            raise ValueError(f"fps must be a number, got {fps!r}")
+        if not fps > 0:
             raise ValueError("fps must be positive")
-        if self.fps == math.inf:
+        if not fps <= sys.float_info.max:  # an exact comparison: inf and an int beyond float range fail it
             raise ValueError("fps must be finite")
-        view = self.view_angle_deg
-        if view is not None and (
-            isinstance(view, bool) or not isinstance(view, numbers.Real) or not math.isfinite(view)
-        ):
-            raise ValueError(f"view_angle_deg must be null or a finite number, got {view!r}")
+        object.__setattr__(self, "fps", float(fps))
+        if view is not None:
+            if isinstance(view, bool) or not isinstance(view, numbers.Real) or not abs(view) <= sys.float_info.max:
+                raise ValueError(f"view_angle_deg must be null or a finite number, got {view!r}")
+            object.__setattr__(self, "view_angle_deg", float(view))
+        if self.label is not None and not isinstance(self.label, GestureLabel):
+            raise ValueError(f"label must be a GestureLabel or None, got {self.label!r}")
 
     @cached_property
     def frames(self) -> tuple[Pose, ...]:
@@ -142,15 +146,25 @@ def _finite_int(text: str) -> int:
     raise ValueError(f"{text:.12}{'...' * (len(text) > 12)} is not a finite JSON number")
 
 
+def _unique_names(pairs: list) -> dict:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        name = next(name for i, (name, _) in enumerate(pairs) if name in dict(pairs[:i]))
+        raise ValueError(f"name {name!r} is given twice")
+    return doc
+
+
 # one decoder, built once (a decoder per call costs more than parsing a frame line), whose
-# int and constant hook refuses NaN, Infinity, -Infinity and an integer beyond float range
-_DECODER = json.JSONDecoder(parse_int=_finite_int, parse_constant=_finite_int)
+# int and constant hook refuses NaN, Infinity, -Infinity and an integer beyond float range,
+# and whose object hook refuses an object that gives one name twice
+_DECODER = json.JSONDecoder(parse_int=_finite_int, parse_constant=_finite_int, object_pairs_hook=_unique_names)
 
 
 def load_json(data: bytes | str, where: str):
     """The package's one JSON step: the value in ``data``, UTF-8 bytes or text.
     Bytes that are not UTF-8, text that is not JSON, nesting past the parser's
-    stack and a number ``_finite_int`` refuses are MalformedJson "<where>: <cause>"."""
+    stack, a number ``_finite_int`` refuses and a name given twice in one object
+    are MalformedJson "<where>: <cause>"."""
     try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
         return _DECODER.decode(data.decode("utf-8") if isinstance(data, bytes) else data)
     except (ValueError, RecursionError) as exc:
@@ -166,6 +180,17 @@ def json_numbers(values, n: int, what: str) -> np.ndarray:
         if np.isfinite(row).all():
             return row
     raise MalformedJson(f"{what} is not an array of {n} finite JSON numbers")
+
+
+def gesture_table(rows, n: int, path, name: str, row: str) -> dict[GestureLabel, np.ndarray]:
+    """``rows``, decoded JSON named ``name``, as a float64 array per gesture if it is an object
+    from gesture names to arrays of ``n`` finite numbers. Before any row is read, a ``rows``
+    that is not an object is TypeError and a name that is no gesture KeyError, for the caller
+    to word; a bad row is :func:`json_numbers`'s MalformedJson naming ``path``, gesture and ``row``."""
+    if not isinstance(rows, dict):
+        raise TypeError(f"{name} is not an object")
+    labels = [GestureLabel[gesture] for gesture in rows]
+    return {label: json_numbers(v, n, f"{path}: {label.name} {row}") for label, v in zip(labels, rows.values())}
 
 
 def parse_openpose_frame(json_text: bytes | str) -> np.ndarray:
@@ -250,7 +275,7 @@ def read_sequence(path: str | Path) -> Sequence:
     meta = load_json(lines[0], f"{path}: bad metadata line")
     try:
         fps = meta["fps"]
-        label = GestureLabel[meta["label"]] if meta.get("label") else None
+        label = None if meta.get("label") is None else GestureLabel[meta["label"]]
         view = meta.get("view_angle_deg")
     except (KeyError, TypeError) as exc:
         raise MalformedJson(f"{path}: bad metadata line: {exc}") from exc

@@ -19,7 +19,7 @@ import numpy as np
 from . import synth
 from .errors import IoError, MalformedJson, NoPeriod, ShapeMismatch, TooShort, UnknownLabel
 from .features import Encoding, encode_frame
-from .skeleton import GestureLabel, json_numbers, load_json
+from .skeleton import GestureLabel, gesture_table, load_json
 
 StartPositionTable = dict[GestureLabel, np.ndarray]
 
@@ -98,16 +98,13 @@ def load_start_positions(path: str | Path) -> tuple[StartPositionTable, Encoding
     path = Path(path)
     if not path.is_file():
         raise IoError(f"{path} does not exist")
-    doc = load_json(path.read_bytes(), f"{path}: bad start-position file")
+    doc = load_json(path.read_bytes(), where := f"{path}: bad start-position file")
     try:
         encoding = Encoding(doc["encoding"])
-        if not isinstance(doc["positions"], dict):
-            raise TypeError("'positions' is not an object")
-        table = {GestureLabel[name]: values for name, values in doc["positions"].items()}
+        table = gesture_table(doc["positions"], encoding.dim, path, "'positions'", "start position")
     except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedJson(f"{path}: bad start-position file: {exc}") from exc
-    for label, values in table.items():
-        row = table[label] = json_numbers(values, encoding.dim, f"{path}: {label.name} start position")
+        raise MalformedJson(f"{where}: {exc}") from exc
+    for label, row in table.items():
         if encoding is Encoding.ANGLE and not np.all((row >= 0.0) & (row <= 1.0)):
             raise MalformedJson(f"{path}: {label.name} angle start position lies outside [0, 1]")
     return table, encoding

@@ -68,7 +68,7 @@ def coord_model(frontal_seqs):
 @pytest.fixture(scope="module")
 def augmented_model(frontal_seqs):
     t0 = time.monotonic()
-    table = augment.default_depth_table()
+    table = augment.load_depth_table()
     seqs = list(frontal_seqs)
     for angle in ANGLES:
         for s in frontal_seqs:
@@ -171,7 +171,7 @@ class TestA4RotatedViewRobustness:
     def test_a4(self, coord_model, augmented_model, test_seqs):
         t0 = time.monotonic()
         frontal_params, _, _ = coord_model
-        table = augment.default_depth_table()
+        table = augment.load_depth_table()
         true_table = {g: tuple(TEST_DEPTH_SCALE * d for d in row) for g, row in table.items()}
         aug_ok = True
         dominance_ok = True

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,14 +9,14 @@ from hypothesis import strategies as st
 from gesturepipe import augment
 from gesturepipe.augment import (
     RotationSpec,
-    default_depth_table,
     load_depth_table,
-    parse_depth_table,
     resample_speed,
     rotate_sequence,
 )
 from gesturepipe.errors import (
     InvalidConfig,
+    IoError,
+    MalformedJson,
     MissingKeypoint,
     TooShort,
     UnknownLabel,
@@ -122,7 +123,7 @@ class TestRotatePose:
 class TestRotateSequence:
     def test_zero_angle_identity_and_metadata(self):
         seq = generate(SynthConfig(gesture=GestureLabel.LeftHandWave, n_frames=20, period_frames=10))
-        out = rotate_sequence(seq, default_depth_table(), RotationSpec(0.0))
+        out = rotate_sequence(seq, load_depth_table(), RotationSpec(0.0))
         assert out.view_angle_deg == 0.0
         for a, b in zip(out.frames, seq.frames):
             np.testing.assert_allclose(a.kp, b.kp, atol=1e-12)
@@ -130,20 +131,20 @@ class TestRotateSequence:
     def test_vertical_axis_preserves_heights(self):
         seq = generate(SynthConfig(gesture=GestureLabel.LeftHandWave, n_frames=20, period_frames=10))
         for angle in (45.0, -45.0):
-            out = rotate_sequence(seq, default_depth_table(), RotationSpec(angle))
+            out = rotate_sequence(seq, load_depth_table(), RotationSpec(angle))
             for a, b in zip(out.frames, seq.frames):
                 np.testing.assert_array_equal(a.kp[:, 1], b.kp[:, 1])
 
     def test_unlabeled_rejected(self, rng):
         seq = Sequence((full_pose(rng),), fps=30.0)
         with pytest.raises(UnknownLabel):
-            rotate_sequence(seq, default_depth_table(), RotationSpec(15.0))
+            rotate_sequence(seq, load_depth_table(), RotationSpec(15.0))
 
     def test_full_vocabulary_sixfold(self):
         base = SynthConfig(gesture=GestureLabel.StandStill, n_frames=12, fps=30.0, seed=3)
         jitter = JitterSpec(period=(8, 10), noise_frac=(0.0, 0.0))
         seqs = generate_dataset(1, base, jitter)
-        table = default_depth_table()
+        table = load_depth_table()
         rotated = [
             rotate_sequence(s, table, RotationSpec(a))
             for s in seqs
@@ -159,7 +160,7 @@ class TestRotateSequence:
         bad = random_pose(rng, present_mask=mask)
         seq = Sequence((good, bad), fps=30.0, label=GestureLabel.StandStill)
         with pytest.raises(MissingKeypoint, match="frame 1"):
-            rotate_sequence(seq, default_depth_table(), RotationSpec(15.0))
+            rotate_sequence(seq, load_depth_table(), RotationSpec(15.0))
 
     def test_error_names_the_first_failing_frame(self, rng):
         frames = []
@@ -170,7 +171,7 @@ class TestRotateSequence:
             frames.append(random_pose(rng, present_mask=mask))
         seq = Sequence(tuple(frames), fps=30.0, label=GestureLabel.StandStill)
         with pytest.raises(MissingKeypoint, match="frame 2: keypoint 6") as err:
-            rotate_sequence(seq, default_depth_table(), RotationSpec(15.0))
+            rotate_sequence(seq, load_depth_table(), RotationSpec(15.0))
         assert err.value.index == 6
 
     @pytest.mark.parametrize("angle", [-90.0, -45.0, -30.0, -15.0, 15.0, 30.0, 45.0, 90.0])
@@ -181,8 +182,8 @@ class TestRotateSequence:
         mask[0] = mask[12] = False  # missing non-arm keypoints stay put
         frames.append(random_pose(rng, present_mask=mask).kp)
         seq = Sequence(frames, fps=30.0, label=GestureLabel.LeftHandWave)
-        depths = default_depth_table()[GestureLabel.LeftHandWave]
-        out = rotate_sequence(seq, default_depth_table(), RotationSpec(angle))
+        depths = load_depth_table()[GestureLabel.LeftHandWave]
+        out = rotate_sequence(seq, load_depth_table(), RotationSpec(angle))
         expected = np.stack([reference_rotate_frame(kp, depths, angle) for kp in frames])
         assert np.array_equal(out.kp, expected)
 
@@ -341,27 +342,51 @@ class TestResampleSpeed:
 
 
 class TestDepthTable:
+    # every shipped row, value for value
+    SHIPPED = {
+        GestureLabel.StandStill: [0.0, 0.1, -0.1, 0.0, 0.1, -0.1],
+        GestureLabel.LeftHandWave: [0.0, -0.4, -0.4, 0.0, 0.1, -0.1],
+        GestureLabel.LeftHandLeftCircle: [0.0, -0.1, -0.1, 0.0, 0.1, -0.1],
+        GestureLabel.LeftHandRightCircle: [0.0, -0.1, -0.1, 0.0, 0.1, -0.1],
+        GestureLabel.RightHandWave: [0.0, 0.1, -0.1, 0.0, -0.4, -0.4],
+        GestureLabel.RightHandRightCircle: [0.0, 0.1, -0.1, 0.0, -0.1, -0.1],
+        GestureLabel.RightHandLeftCircle: [0.0, 0.1, -0.1, 0.0, -0.1, -0.1],
+        GestureLabel.CallToPass: [0.0, -0.1, -0.2, 0.0, -0.2, -0.3],
+    }
+
     def test_default_covers_vocabulary(self):
-        table = default_depth_table()
+        table = load_depth_table()
         assert set(table) == set(GestureLabel)
-        assert all(len(v) == 6 for v in table.values())
+        assert all(row.dtype == np.float64 and row.shape == (6,) for row in table.values())
 
     def test_known_rows(self):
-        table = default_depth_table()
-        assert table[GestureLabel.StandStill] == (0.0, 0.1, -0.1, 0.0, 0.1, -0.1)
-        assert table[GestureLabel.LeftHandWave] == (0.0, -0.4, -0.4, 0.0, 0.1, -0.1)
-        assert table[GestureLabel.LeftHandLeftCircle] == (0.0, -0.1, -0.1, 0.0, 0.1, -0.1)
+        table = load_depth_table()
+        assert {label: row.tolist() for label, row in table.items()} == self.SHIPPED
 
-    def test_parse_rejects_bad_rows(self):
-        with pytest.raises(InvalidConfig):
-            parse_depth_table("StandStill 1 2 3\n")
-        with pytest.raises(UnknownLabel):
-            parse_depth_table("NoSuchGesture 0 0 0 0 0 0\n")
-        with pytest.raises(InvalidConfig):
-            parse_depth_table("StandStill 0 0 x 0 0 0\n")
+    BAD = [
+        ('{"StandStill": [1, 2, 3]}', "StandStill depth row is not an array of 6 finite JSON numbers"),
+        ('{"StandStill": [0, 0, "x", 0, 0, 0]}', "StandStill depth row is not an array of 6 finite JSON numbers"),
+        ('{"NoSuchGesture": [0, 0, 0, 0, 0, 0]}', "bad depth table: 'NoSuchGesture'"),
+        ('{"StandStill": [0, 0, NaN, 0, 0, 0]}', "bad depth table: NaN is not a finite JSON number"),
+        ('{"StandStill": [0, 0, 1_0, 0, 0, 0]}', "bad depth table: Expecting ',' delimiter"),
+        ('{"StandStill": [0, 0, 0, 0, 0, 0], "StandStill": [0, 0, 0, 0, 0, 1]}',
+         "bad depth table: name 'StandStill' is given twice"),
+        ('[["StandStill", 0, 0, 0, 0, 0, 0]]', "bad depth table: the document is not an object"),
+        ("StandStill 0 0.1 -0.1 0 0.1 -0.1\n", "bad depth table: Expecting value"),  # a whitespace table
+    ]
+
+    def test_parse_rejects_bad_rows(self, tmp_path):
+        path = tmp_path / "depths.json"
+        for text, message in self.BAD:
+            path.write_text(text)
+            with pytest.raises(MalformedJson, match=f"^{re.escape(f'{path}: {message}')}"):
+                load_depth_table(path)
 
     def test_load_round_trip(self, tmp_path):
-        path = tmp_path / "depths.cfg"
-        path.write_text("# comment\nCallToPass 0 -0.1 -0.2 0 -0.2 -0.3\n")
+        path = tmp_path / "depths.json"
+        path.write_text('{"CallToPass": [0, -0.1, -0.2, 0, -0.2, -0.3]}')
         table = load_depth_table(path)
-        assert table == {GestureLabel.CallToPass: (0.0, -0.1, -0.2, 0.0, -0.2, -0.3)}
+        assert {label: row.tolist() for label, row in table.items()} == {
+            GestureLabel.CallToPass: [0.0, -0.1, -0.2, 0.0, -0.2, -0.3]}
+        with pytest.raises(IoError, match="does not exist"):
+            load_depth_table(tmp_path / "missing.json")

@@ -325,12 +325,12 @@ class TestAugment:
             "error: resampling LeftHandWave at speed ratio 0.7: frame 1: keypoint 4 has a non-finite value\n")
 
     @pytest.mark.parametrize("depth, message", [
-        ("nan", "depth table line 1: depths must be finite"),
+        ("NaN", "bad depth table: NaN is not a finite JSON number"),
         ("1e307", "rotating StandStill by 30 degrees: frame 0: keypoint 2 has a non-finite value"),
     ])
     def test_non_finite_or_overflowing_depth_exits_three(self, tmp_path, synth_dir, capsys, depth, message):
-        table = tmp_path / "depths.cfg"
-        table.write_text(f"StandStill {depth} 0.1 -0.1 0 0.1 -0.1\n")
+        table = tmp_path / "depths.json"
+        table.write_text(f'{{"StandStill": [{depth}, 0.1, -0.1, 0, 0.1, -0.1]}}\n')
         standstill = tmp_path / "in"
         standstill.mkdir()
         name = next(n for n in data_files(synth_dir) if n.startswith("StandStill"))
@@ -339,6 +339,12 @@ class TestAugment:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+    def test_whitespace_depth_table_exits_three(self, tmp_path, synth_dir, capsys):
+        table = tmp_path / "depths.cfg"  # a whitespace table, not JSON
+        table.write_text("# KP2 KP3 KP4 KP5 KP6 KP7\nStandStill 0 0.1 -0.1 0 0.1 -0.1\n")
+        assert run("augment", synth_dir, "--out", tmp_path / "aug", "--depth-config", table, "--angles", "30") == 3
+        assert capsys.readouterr().err == f"error: {table}: bad depth table: Expecting value: line 1 column 1 (char 0)\n"
 
 
 class TestTrain:
@@ -753,8 +759,8 @@ class TestHostileFiles:
             "speed-start-positions-nested": (("speed", seq_file, "--start-positions", bad), NESTED,
                                              f"{bad}: bad start-position file: maximum recursion depth"),
             "augment-depth-config-0xff": (("augment", synth_dir, "--out", tmp_path / "aug", "--depth-config", bad),
-                                          b"StandStill 0 0.1 -0.1 0 0.1 \xff\n",
-                                          f"{bad}: 'utf-8' codec can't decode byte 0xff"),
+                                          b'{"StandStill": [0, 0.1, -0.1, 0, 0.1, \xff]}\n',
+                                          f"{bad}: bad depth table: 'utf-8' codec can't decode byte 0xff"),
         }[case]
         bad.write_bytes(content)
         assert run(*argv) == 3

@@ -1,8 +1,9 @@
 """Hostile input against every file reader of the package.
 
-The JSON readers share ``skeleton.load_json``; the table below feeds each of
-them the tokens that one step must refuse, and the property mutates valid
-files of all five readers, the depth table included.
+The readers share ``skeleton.load_json``; the table below feeds each of them
+the tokens that one step must refuse, a second test gives each a name twice
+in one object, and the property mutates valid files of all five reading
+functions, the depth table's included.
 """
 import json
 import re
@@ -57,6 +58,15 @@ def weight_file(path):
     return path.read_bytes()
 
 
+def depth_table_file():
+    return resources.files("gesturepipe").joinpath("data/depths.json").read_bytes()
+
+
+def first_number(data, token):
+    """``data`` with its first JSON number replaced by ``token``."""
+    return re.sub(rb"-?\d[\d.eE+-]*", lambda _: token, data, count=1)
+
+
 # each writes a valid file with its first number replaced by a token, and
 # returns the read and the start of its refusal message
 def hostile_openpose(path, token, cause):
@@ -75,7 +85,7 @@ def hostile_metadata(path, token, cause):
 
 def hostile_frame(path, token, cause):
     meta, first, second, rest = sequence_file(path).split(b"\n", 3)
-    second = re.sub(rb"\d[\d.e+-]*", lambda _: token, second, count=1)
+    second = first_number(second, token)
     path.write_bytes(b"\n".join([meta, first, second, rest]))
     return lambda: read_sequence(path), f"{path}: frame 1: " + (cause or "keypoint 0 has a non-finite value")
 
@@ -88,9 +98,24 @@ def hostile_weight_header(path, token, cause):
         cause or "ValueError('config seed is not an integer: inf')")
 
 
+def hostile_start_positions(path, token, cause):
+    path.write_bytes(first_number(start_position_file(), token))
+    return lambda: speed.load_start_positions(path), f"{path}: " + (
+        f"bad start-position file: {cause}" if cause
+        else f"{speed.CYCLIC_GESTURES[0].name} start position is not an array of 18 finite JSON numbers")
+
+
+def hostile_depth_table(path, token, cause):
+    path.write_bytes(first_number(depth_table_file(), token))
+    return lambda: augment.load_depth_table(path), f"{path}: " + (
+        f"bad depth table: {cause}" if cause else "StandStill depth row is not an array of 6 finite JSON numbers")
+
+
 @pytest.mark.parametrize("case", HOSTILE)
-@pytest.mark.parametrize("reader", [hostile_openpose, hostile_metadata, hostile_frame, hostile_weight_header],
-                         ids=["openpose", "sequence-metadata", "sequence-frame", "weight-header"])
+@pytest.mark.parametrize("reader", [hostile_openpose, hostile_metadata, hostile_frame, hostile_weight_header,
+                                    hostile_start_positions, hostile_depth_table],
+                         ids=["openpose", "sequence-metadata", "sequence-frame", "weight-header", "start-positions",
+                              "depth-table"])
 def test_hostile_json_refused(tmp_path, reader, case):
     token, cause = HOSTILE[case]
     read, message = reader(tmp_path / "file", token, cause)
@@ -116,8 +141,7 @@ def valid_files(tmp_path_factory):
         "load_sequence": (openpose_file(), lambda path: load_sequence(path, 30.0)),
         "load_start_positions": (start_position_file(), speed.load_start_positions),
         "load_model": (weight_file(scratch / "weights.gpw"), nn.load_model),
-        "load_depth_table": (resources.files("gesturepipe").joinpath("data/depths.cfg").read_bytes(),
-                             augment.load_depth_table),
+        "load_depth_table": (depth_table_file(), augment.load_depth_table),
     }
 
 
@@ -140,3 +164,25 @@ def test_mutated_file_is_read_or_refused(valid_files, tmp_path_factory, reader, 
         read(path)
     except PipelineError:
         pass
+
+
+# each reader's valid file with a pair put ahead of the first use of a name, in the
+# same object: json's default decoder would keep the last pair and read the file
+DUPLICATES = [
+    ("load_sequence", "people", "[]"),
+    ("read_sequence", "fps", "1.0"),  # the metadata line
+    ("read_sequence", "kp", "[]"),  # frame 0
+    ("load_model", "seed", "8"),
+    ("load_start_positions", "CallToPass", "[]"),
+    ("load_depth_table", "StandStill", "[]"),
+]
+
+
+@pytest.mark.parametrize("reader, name, value", DUPLICATES, ids=[
+    "openpose", "sequence-metadata", "sequence-frame", "weight-header", "start-positions", "depth-table"])
+def test_name_given_twice_refused(valid_files, tmp_path, reader, name, value):
+    valid, read = valid_files[reader]
+    path = tmp_path / "file"
+    path.write_bytes(valid.replace(f'"{name}"'.encode(), f'"{name}": {value}, "{name}"'.encode(), 1))
+    with pytest.raises(MalformedJson, match=f"name '{name}' is given twice$"):
+        read(path)

@@ -181,6 +181,10 @@ class TestSequenceFileFormat:
         ("fps", math.inf, "bad metadata line: Infinity is not a finite JSON number"), ("fps", 0.0, "fps must be"),
         ("fps", "30", "fps must be"), ("fps", True, "fps must be"),
         ("fps", 10**400, "bad metadata line: 100000000000... is not a finite JSON number"),
+        # a label is null or a gesture name: none of these reads as an unlabeled sequence
+        ("label", False, "bad metadata line: False"), ("label", 0, "bad metadata line: 0"),
+        ("label", "", "bad metadata line: ''"), ("label", [], "bad metadata line: unhashable type: 'list'"),
+        ("label", {}, "bad metadata line: unhashable type: 'dict'"),
     ]
 
     @pytest.mark.parametrize("field, value, message", BAD_METADATA, ids=[f"{f}-{v}" for f, v, _ in BAD_METADATA])
@@ -295,6 +299,29 @@ class TestSequenceInvariants:
     @pytest.mark.parametrize("view", [None, 15, -15.0, np.float64(30.0)])
     def test_view_angle_accepts_none_and_finite_numbers(self, rng, view):
         assert Sequence((random_pose(rng),), fps=30.0, view_angle_deg=view).view_angle_deg == view
+
+    # each was built at one time, and write_sequence then failed on it
+    UNWRITABLE = [
+        ("fps", 10**400, "fps must be finite"),
+        ("view_angle_deg", 10**400, "view_angle_deg must be null or a finite number, got 1000"),
+        ("view_angle_deg", -10**400, "view_angle_deg must be null or a finite number, got -1000"),
+        ("label", "CallToPass", "label must be a GestureLabel or None, got 'CallToPass'"),
+        ("label", 3, "label must be a GestureLabel or None, got 3"),
+        ("label", True, "label must be a GestureLabel or None, got True"),
+    ]
+
+    @pytest.mark.parametrize("field, value, message", UNWRITABLE,
+                             ids=["fps-10**400", "view-10**400", "view--10**400", "label-name", "label-3", "label-True"])
+    def test_refuses_what_write_sequence_cannot_write(self, rng, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            Sequence((random_pose(rng),), **{"fps": 30.0, field: value})
+
+    def test_fps_and_view_angle_stored_as_float(self, rng, tmp_path):
+        seq = Sequence((random_pose(rng),), fps=np.int64(30), view_angle_deg=15)
+        assert type(seq.fps) is float and type(seq.view_angle_deg) is float
+        assert (seq.fps, seq.view_angle_deg) == (30.0, 15.0)
+        write_sequence(tmp_path / "seq.jsonl", seq)
+        assert read_sequence(tmp_path / "seq.jsonl").fps == 30.0
 
     def test_poses_lists_and_arrays_hold_equal_keypoints(self, rng):
         poses = tuple(random_pose(rng) for _ in range(4))
