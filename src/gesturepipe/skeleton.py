@@ -155,20 +155,22 @@ def _unique_names(pairs: list) -> dict:
 
 
 # one decoder, built once (a decoder per call costs more than parsing a frame line), whose
-# int and constant hook refuses NaN, Infinity, -Infinity and an integer beyond float range,
-# and whose object hook refuses an object that gives one name twice
-_DECODER = json.JSONDecoder(parse_int=_finite_int, parse_constant=_finite_int, object_pairs_hook=_unique_names)
+# constant hook refuses NaN, Infinity and -Infinity, whose int hook refuses an integer beyond
+# float range (one of at most 308 characters is below 10**308, so only a longer one needs the
+# float test) and whose object hook refuses an object that gives one name twice
+_DECODER = json.JSONDecoder(parse_int=lambda text: int(text) if len(text) <= 308 else _finite_int(text),
+                            parse_constant=_finite_int, object_pairs_hook=_unique_names)
 
 
-def load_json(data: bytes | str, where: str):
+def load_json(data: bytes | str, where: str | None):
     """The package's one JSON step: the value in ``data``, UTF-8 bytes or text.
     Bytes that are not UTF-8, text that is not JSON, nesting past the parser's
     stack, a number ``_finite_int`` refuses and a name given twice in one object
-    are MalformedJson "<where>: <cause>"."""
+    are MalformedJson "<where>: <cause>", or the cause alone if ``where`` is None."""
     try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
         return _DECODER.decode(data.decode("utf-8") if isinstance(data, bytes) else data)
     except (ValueError, RecursionError) as exc:
-        raise MalformedJson(f"{where}: {exc}") from exc
+        raise MalformedJson(exc if where is None else f"{where}: {exc}") from exc
 
 
 def json_numbers(values, n: int, what: str) -> np.ndarray:
@@ -210,6 +212,29 @@ def parse_openpose_frame(json_text: bytes | str) -> np.ndarray:
     return json_numbers(raw, 3 * N_KEYPOINTS, "pose_keypoints_2d").reshape(N_KEYPOINTS, 3)
 
 
+def _read_frames(path: Path, texts: list, parse, fps, label, view_angle_deg) -> Sequence:
+    """The one frame step of both readers: a Sequence of ``texts``, one (place, text) pair
+    per frame, each text read by ``parse``. No frames is IoError. A frame that ``parse``
+    refuses keeps its refusal's class, and a frame the Sequence's check refuses is
+    MalformedJson; both read "<path>: frame <i> (<place>): <cause>", i counted from 0.
+    A ValueError that names no frame (fps, label or view angle) is raised as it is."""
+    if not texts:
+        raise IoError(f"no frames in {path}")
+    frames = []
+    try:
+        for _, text in texts:
+            frames.append(parse(text))
+        return Sequence(frames, fps, label=label, view_angle_deg=view_angle_deg)
+    except (PipelineError, ValueError) as exc:
+        if isinstance(exc, PipelineError):
+            i, refusal, cause = len(frames), type(exc), exc
+        elif hasattr(exc, "frame"):
+            i, refusal, cause = exc.frame, MalformedJson, str(exc).removeprefix(f"frame {exc.frame}: ")
+        else:
+            raise
+        raise refusal(f"{path}: frame {i} ({texts[i][0]}): {cause}") from exc
+
+
 def load_sequence(
     path: str | Path,
     fps: float,
@@ -217,30 +242,17 @@ def load_sequence(
     view_angle_deg: float | None = None,
 ) -> Sequence:
     """Load OpenPose output into a Sequence: a directory of per-frame ``*.json``
-    files, in filename order, or a JSONL file with one frame document per line.
-    Per-frame parse errors are re-raised with the 0-based frame index."""
+    files, in filename order, or a JSONL file with one frame document per line,
+    blank lines skipped. A frame's refusal reads "<path>: frame <i> (line <j>): <cause>",
+    i counted from 0 and j from 1, or "(<name>.json)" for a file of a directory."""
     path = Path(path)
     if path.is_dir():
         texts = [(p.name, p.read_bytes()) for p in sorted(path.iterdir()) if p.suffix == ".json" and p.is_file()]
     elif path.is_file():
-        lines = path.read_bytes().splitlines()
-        texts = [(f"line {i}", line) for i, line in enumerate(lines) if line.strip()]
+        texts = [(f"line {j}", line) for j, line in enumerate(path.read_bytes().splitlines(), 1) if line.strip()]
     else:
         raise IoError(f"{path} does not exist")
-    if not texts:
-        raise IoError(f"no frames in {path}")
-    frames = []
-    for i, (name, text) in enumerate(texts):
-        try:
-            frames.append(parse_openpose_frame(text))
-        except PipelineError as exc:
-            raise type(exc)(f"frame {i} ({name}): {exc}") from exc
-    try:
-        return Sequence(frames, fps, label=label, view_angle_deg=view_angle_deg)
-    except ValueError as exc:
-        if not hasattr(exc, "frame"):
-            raise
-        raise MalformedJson(f"{exc} ({texts[exc.frame][0]})") from exc
+    return _read_frames(path, texts, parse_openpose_frame, fps, label, view_angle_deg)
 
 
 def write_sequence(path: str | Path, seq: Sequence) -> None:
@@ -264,8 +276,26 @@ def write_sequence(path: str | Path, seq: Sequence) -> None:
             fh.write((_FRAME_LINE * len(block)) % tuple(block.ravel().tolist()))
 
 
+_T, _F, _N = b"tfn"  # as ints: a bytes line finds an int faster than a one-byte string
+
+
+def _frame_line(line: bytes) -> np.ndarray:
+    """One frame line of a sequence file as an array; its refusal is MalformedJson naming only the cause."""
+    doc = load_json(line, None)
+    try:
+        # the one string on a frame line is its "kp" key, and true, false and null each hold
+        # a t, f or n, which no JSON number does: a scan of the text, not of every value
+        if line.count(b'"') != 2 or _T in line or _F in line or _N in line:
+            raise ValueError("a keypoint value is not a JSON number")
+        return np.asarray(doc["kp"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedJson(exc) from exc
+
+
 def read_sequence(path: str | Path) -> Sequence:
-    """Read a Sequence written by :func:`write_sequence`."""
+    """Read a Sequence written by :func:`write_sequence`, blank lines skipped. A frame's
+    refusal reads "<path>: frame <i> (line <j>): <cause>", i counted from 0 and j from 1,
+    the metadata being line 1."""
     path = Path(path)
     if not path.is_file():
         raise IoError(f"{path} does not exist")
@@ -279,23 +309,8 @@ def read_sequence(path: str | Path) -> Sequence:
         view = meta.get("view_angle_deg")
     except (KeyError, TypeError) as exc:
         raise MalformedJson(f"{path}: bad metadata line: {exc}") from exc
-    frames = []
-    t, f, n = b"tfn"  # as ints: a bytes line finds an int faster than a one-byte string
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        doc = load_json(line, f"{path}: frame {len(frames)}")
-        try:
-            # the one string on a frame line is its "kp" key, and true, false and null each hold
-            # a t, f or n, which no JSON number does: a scan of the text, not of every value
-            if line.count(b'"') != 2 or t in line or f in line or n in line:
-                raise ValueError("a keypoint value is not a JSON number")
-            frames.append(np.asarray(doc["kp"], dtype=np.float64))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedJson(f"{path}: frame {len(frames)}: {exc}") from exc
-    if not frames:
-        raise IoError(f"{path} has no frames")
+    texts = [(f"line {j}", line) for j, line in enumerate(lines[1:], 2) if line.strip()]
     try:
-        return Sequence(frames, fps, label=label, view_angle_deg=view)
-    except ValueError as exc:
+        return _read_frames(path, texts, _frame_line, fps, label, view)
+    except ValueError as exc:  # the metadata's fps or view angle
         raise MalformedJson(f"{path}: {exc}") from exc

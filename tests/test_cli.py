@@ -259,7 +259,7 @@ class TestIngest:
         bad.write_text('{"people":[{"pose_keypoints_2d": 5}]}\n')
         assert run("ingest", bad, "--fps", 30, "--out", tmp_path / "o.jsonl") == 3
         err = capsys.readouterr().err
-        assert err == "error: frame 0 (line 0): pose_keypoints_2d is not an array of 75 finite JSON numbers\n"
+        assert err == f"error: {bad}: frame 0 (line 1): pose_keypoints_2d is not an array of 75 finite JSON numbers\n"
         assert not (tmp_path / "o.jsonl").exists()
 
     def test_keypoint_value_not_a_number_exits_three(self, tmp_path, capsys):
@@ -268,7 +268,7 @@ class TestIngest:
         bad.write_text(make_openpose_doc(values) + "\n" + make_openpose_doc([*values[:5], True, *values[6:]]) + "\n")
         assert run("ingest", bad, "--fps", 30, "--out", tmp_path / "o.jsonl") == 3
         err = capsys.readouterr().err
-        assert err == "error: frame 1 (line 1): pose_keypoints_2d is not an array of 75 finite JSON numbers\n"
+        assert err == f"error: {bad}: frame 1 (line 2): pose_keypoints_2d is not an array of 75 finite JSON numbers\n"
         assert not (tmp_path / "o.jsonl").exists()
 
 
@@ -407,7 +407,7 @@ class TestTrain:
         frames[3] = json.dumps({"kp": kp})
         bad.write_text("\n".join([meta, *frames]) + "\n")
         assert run("train", "--data", data, "--out", tmp_path / "m", *TRAIN_FLAGS) == 3
-        assert capsys.readouterr().err == f"error: {bad}: frame 3: a keypoint value is not a JSON number\n"
+        assert capsys.readouterr().err == f"error: {bad}: frame 3 (line 5): a keypoint value is not a JSON number\n"
         assert not (tmp_path / "m").exists()
 
     def test_refusal_names_the_file(self, tmp_path, synth_dir, trained_dir, capsys):
@@ -745,14 +745,14 @@ class TestHostileFiles:
         ingest = ("ingest", bad, "--fps", 30, "--out", tmp_path / "o.jsonl")
         stream = ("stream", bad, "--weights", weights, "--base-len", 20)
         argv, content, message = {
-            "ingest-nested": (ingest, openpose + NESTED, "frame 1 (line 1): document: maximum recursion depth"),
+            "ingest-nested": (ingest, openpose + NESTED, f"{bad}: frame 1 (line 2): document: maximum recursion depth"),
             "ingest-0xff": (ingest, openpose + b"\xff" + openpose,
-                            "frame 1 (line 1): document: 'utf-8' codec can't decode byte 0xff"),
+                            f"{bad}: frame 1 (line 2): document: 'utf-8' codec can't decode byte 0xff"),
             "stream-metadata-nested": (stream, NESTED + b"\n" + frame,
                                        f"{bad}: bad metadata line: maximum recursion depth"),
-            "stream-frame-nested": (stream, meta + frame + NESTED, f"{bad}: frame 1: maximum recursion depth"),
+            "stream-frame-nested": (stream, meta + frame + NESTED, f"{bad}: frame 1 (line 3): maximum recursion depth"),
             "stream-frame-0xff": (stream, meta + frame + frame.replace(b"[", b"\xff", 1),
-                                  f"{bad}: frame 1: 'utf-8' codec can't decode byte 0xff"),
+                                  f"{bad}: frame 1 (line 3): 'utf-8' codec can't decode byte 0xff"),
             "stream-weight-file": (("stream", bad, "--weights", bad), weights.read_bytes(),
                                    f"{bad}: bad metadata line: 'fps'"),
             "speed-nested": (("speed", bad), NESTED, f"{bad}: bad metadata line: maximum recursion depth"),

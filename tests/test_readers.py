@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gesturepipe import augment, nn, speed
-from gesturepipe.errors import MalformedJson, PipelineError
+from gesturepipe.errors import MalformedJson, NoPerson, PipelineError
 from gesturepipe.features import Encoding
 from gesturepipe.skeleton import GestureLabel, Sequence, load_sequence, read_sequence, write_sequence
 
@@ -72,7 +72,7 @@ def first_number(data, token):
 def hostile_openpose(path, token, cause):
     first, second, _ = openpose_file().split(b"\n")
     path.write_bytes(first + b"\n" + second.replace(b"12.5", token, 1))
-    where = "frame 1 (line 1): "
+    where = f"{path}: frame 1 (line 2): "
     return lambda: load_sequence(path, 30.0), where + (
         f"document: {cause}" if cause else "pose_keypoints_2d is not an array of 75 finite JSON numbers")
 
@@ -87,7 +87,7 @@ def hostile_frame(path, token, cause):
     meta, first, second, rest = sequence_file(path).split(b"\n", 3)
     second = first_number(second, token)
     path.write_bytes(b"\n".join([meta, first, second, rest]))
-    return lambda: read_sequence(path), f"{path}: frame 1: " + (cause or "keypoint 0 has a non-finite value")
+    return lambda: read_sequence(path), f"{path}: frame 1 (line 3): " + (cause or "keypoint 0 has a non-finite value")
 
 
 def hostile_weight_header(path, token, cause):
@@ -122,6 +122,42 @@ def test_hostile_json_refused(tmp_path, reader, case):
     with pytest.raises(MalformedJson) as exc:
         read()
     assert str(exc.value).startswith(message)
+
+
+# a bad frame after a blank line, or in a directory after a file that is no frame, refused
+# by the frame's parser or by the sequence's check: the refusal keeps its class and names
+# the file, the frame counted from 0 and its line counted from 1, or its file
+@pytest.mark.parametrize("refused_by", ["parser", "check"])
+@pytest.mark.parametrize("kind", ["sequence-file", "openpose-jsonl", "openpose-directory"])
+def test_frame_refusal_names_file_frame_and_line(tmp_path, kind, refused_by):
+    bad_pose = np.tile([12.5, 20.0, 0.75], (25, 1))
+    bad_pose[3, 2] = 1.5
+    cause, error = "keypoint 3 has a confidence outside [0, 1]", MalformedJson
+    path = tmp_path / "input"
+    if kind == "sequence-file":
+        meta, first, _ = sequence_file(path).split(b"\n", 2)
+        bad = {"kp": bad_pose.tolist()}
+        if refused_by == "parser":
+            bad, cause = {"kp": "x"}, "a keypoint value is not a JSON number"
+        path.write_bytes(b"\n".join([meta, first, b"", json.dumps(bad).encode(), b""]))
+        place = "line 4"
+    else:
+        good, bad = make_openpose_doc(), make_openpose_doc(bad_pose.ravel())
+        if refused_by == "parser":
+            bad, cause, error = '{"people": []}', "no person detected in frame", NoPerson
+        if kind == "openpose-jsonl":
+            path.write_text("\n".join([good, "", bad]) + "\n")
+            place = "line 3"
+        else:
+            path.mkdir()
+            (path / "f_00.json").write_text(good)
+            (path / "f_01.txt").write_text("")
+            (path / "f_02.json").write_text(bad)
+            place = "f_02.json"
+    with pytest.raises(PipelineError) as exc:
+        read_sequence(path) if kind == "sequence-file" else load_sequence(path, 30.0)
+    assert type(exc.value) is error
+    assert str(exc.value) == f"{path}: frame 1 ({place}): {cause}"
 
 
 # a mutation replaces, inserts or cuts one token: a string, a number, a word,

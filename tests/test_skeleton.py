@@ -141,7 +141,7 @@ class TestLoadSequence:
         values[5] = 1.5  # keypoint 1 confidence
         path = tmp_path / "frames.jsonl"
         path.write_text(good + "\n\n" + good + "\n" + make_openpose_doc(values) + "\n")
-        with pytest.raises(MalformedJson, match=r"frame 2: keypoint 1 .*\(line 3\)"):
+        with pytest.raises(MalformedJson, match=r"frames.jsonl: frame 2 \(line 4\): keypoint 1 "):
             load_sequence(path, fps=30.0)
 
     def test_jsonl_roundtrip(self, tmp_path):
@@ -216,7 +216,7 @@ class TestSequenceFileFormat:
         kp = np.array(seq.kp)
         kp[0, 4, 2] = -0.5
         path.write_text("\n".join([lines[0], lines[1], "", json.dumps({"kp": kp[0].tolist()})]))
-        with pytest.raises(MalformedJson, match="frame 1: keypoint 4 has a confidence outside"):
+        with pytest.raises(MalformedJson, match=r"seq.jsonl: frame 1 \(line 4\): keypoint 4 has a confidence outside"):
             read_sequence(path)
 
     @pytest.mark.parametrize("value, message", [
@@ -231,7 +231,7 @@ class TestSequenceFileFormat:
         kp = json.loads(second)["kp"]
         kp[4][1] = value
         path.write_text("\n".join([meta, first, json.dumps({"kp": kp})]) + "\n")
-        with pytest.raises(MalformedJson, match=f"seq.jsonl: frame 1: {message}"):
+        with pytest.raises(MalformedJson, match=f"seq.jsonl: frame 1 \\(line 3\\): {message}"):
             read_sequence(path)
 
 
