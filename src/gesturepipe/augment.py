@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidConfig, IoError, MalformedJson, MissingKeypoint, TooShort, UnknownLabel
+from .errors import InvalidConfig, IoError, MalformedJson, MissingKeypoint, TooShort, UnknownLabel, at
 from .skeleton import ARM_A, ARM_B, MAX_FRAMES, NECK, GestureLabel, Sequence, gesture_table, load_json
 
 # keypoints carrying manual depth estimates, in table column order
@@ -64,7 +64,7 @@ def rotate_sequence(seq: Sequence, table: DepthTable, spec: RotationSpec) -> Seq
     missing = seq.kp[:, needed, 2] <= 0.0
     if missing.any():
         t, k = np.argwhere(missing)[0]
-        raise MissingKeypoint(needed[k], f"frame {t}: keypoint {needed[k]} is missing")
+        raise at(MissingKeypoint(needed[k]), frame=int(t))
 
     kp = np.array(seq.kp)
     neck_x = kp[:, NECK, 0, None]
@@ -82,7 +82,7 @@ def rotate_sequence(seq: Sequence, table: DepthTable, spec: RotationSpec) -> Seq
     try:
         return Sequence(kp, seq.fps, label=seq.label, view_angle_deg=spec.angle_deg)
     except ValueError as exc:  # only x changed, so only a rotated x can be out of range
-        raise InvalidConfig(f"rotating {seq.label.name} by {spec.angle_deg:g} degrees: {exc}") from exc
+        raise at(InvalidConfig(f"rotating {seq.label.name} by {spec.angle_deg:g} degrees: {exc}"), **vars(exc)) from exc
 
 
 def resample_speed(seq: Sequence, ratio: float) -> Sequence:
@@ -116,8 +116,8 @@ def resample_speed(seq: Sequence, ratio: float) -> Sequence:
     try:
         return Sequence(out, seq.fps, label=seq.label, view_angle_deg=seq.view_angle_deg)
     except ValueError as exc:  # only an interpolated x or y can be out of range, near the float limit
-        raise InvalidConfig(f"resampling {getattr(seq.label, 'name', 'an unlabeled sequence')} "
-                            f"at speed ratio {ratio:g}: {exc}") from exc
+        raise at(InvalidConfig(f"resampling {getattr(seq.label, 'name', 'an unlabeled sequence')} "
+                               f"at speed ratio {ratio:g}: {exc}"), **vars(exc)) from exc
 
 
 def load_depth_table(path: str | Path | None = None) -> DepthTable:

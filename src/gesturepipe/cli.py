@@ -23,6 +23,9 @@ outside [0, 1], and a ``synth --frames`` or a ``stream`` window (from
 ``--base-len``, ``--fps``, ``--base-fps`` and ``--speed-ratio``) above
 ``skeleton.MAX_FRAMES``, 100,000. ``speed`` takes its encoding from
 ``--start-positions`` when given, so ``--encoding`` beside it is a bad flag.
+A refusal of an input's frame reads ``error: <file>: frame <i>: <cause>``
+from every command, with ``(line <j>)`` or ``(<name>.json)`` after the frame
+when a reader refused it.
 
 ``train``'s held-out test accuracy splits windows, not sequences: at stride 10,
 50-frame windows of one sequence share 40 frames across the split. ``eval``
@@ -53,6 +56,7 @@ import math
 import sys
 import time
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -60,7 +64,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, augment, features, nn, recognizer, skeleton, speed, synth
-from .errors import IoError, NonFiniteGradient, PipelineError
+from .errors import IoError, NonFiniteGradient, PipelineError, at
 from .features import Encoding
 from .skeleton import GestureLabel
 
@@ -131,10 +135,20 @@ def _read_sequence_dir(path: Path) -> Iterator[tuple[Path, skeleton.Sequence]]:
     return ((p, skeleton.read_sequence(p)) for p in files)
 
 
+@contextmanager
+def _in_file(path, **where):
+    """The one CLI step that names the input file: a refusal raised inside carries
+    ``path``, and any other field ``where`` gives (:func:`~.errors.at`)."""
+    try:
+        yield
+    except PipelineError as exc:
+        raise at(exc, path=Path(path), **where)
+
+
 def _windows_from_sequences(seqs, encoding: Encoding, window: int, stride: int):
     """Encode (file, sequence) pairs and cut them into labeled windows, one
     every ``stride`` frames, or every ``window`` frames when ``stride`` is 0.
-    A refusal names the file.
+    A refusal names the file (:func:`_in_file`).
 
     Returns (x, y, angles): the (n, window, dim) windows, their (n,) labels,
     and an (n,) object array of the view angle (a float or None) of the
@@ -142,13 +156,10 @@ def _windows_from_sequences(seqs, encoding: Encoding, window: int, stride: int):
     """
     parts, labels, angles = [], [], []
     for path, seq in seqs:
-        if seq.label is None:
-            raise IoError(f"{path}: sequence has no label; cannot use it for training/eval")
-        try:
+        with _in_file(path):
+            if seq.label is None:
+                raise IoError("sequence has no label; cannot use it for training/eval")
             matrix = features.encode_sequence(seq, encoding)
-        except PipelineError as exc:  # args, not a new error, so the class and its fields stay
-            exc.args = (f"{path}: {exc}",)
-            raise
         windows = features.slice_windows(matrix, window, stride or window)
         parts.append(windows)
         labels += [int(seq.label)] * len(windows)
@@ -206,7 +217,8 @@ def cmd_augment(args) -> RunRecord:
     out_dir.mkdir(parents=True, exist_ok=True)
     table = augment.load_depth_table(args.depth_config)
     # each view and speed once, in first-seen order: 0 and -0 are one view, and --both-sides adds no -0
-    angles = dict.fromkeys(a for mag in args.angles for a in ((mag, -mag) if args.both_sides and mag else (mag,)))
+    rotations = [augment.RotationSpec(a) for a in
+                 dict.fromkeys(a for mag in args.angles for a in ((mag, -mag) if args.both_sides and mag else (mag,)))]
 
     outputs = []
 
@@ -215,12 +227,13 @@ def cmd_augment(args) -> RunRecord:
         skeleton.write_sequence(outputs[-1], seq)
 
     for path, seq in _read_sequence_dir(in_dir):
-        if args.include_original:
-            write(path.name, seq)
-        for angle in angles:
-            write(f"{path.stem}_rot{angle:+g}.jsonl", augment.rotate_sequence(seq, table, augment.RotationSpec(angle)))
-        for ratio in dict.fromkeys(args.speed_ratios):
-            write(f"{path.stem}_speed{ratio:g}.jsonl", augment.resample_speed(seq, ratio))
+        with _in_file(path):
+            if args.include_original:
+                write(path.name, seq)
+            for spec in rotations:
+                write(f"{path.stem}_rot{spec.angle_deg:+g}.jsonl", augment.rotate_sequence(seq, table, spec))
+            for ratio in dict.fromkeys(args.speed_ratios):
+                write(f"{path.stem}_speed{ratio:g}.jsonl", augment.resample_speed(seq, ratio))
     print(f"wrote {len(outputs)} sequences to {out_dir}")
     return out_dir, [in_dir], outputs, {}
 
@@ -339,7 +352,8 @@ def cmd_stream(args) -> RunRecord | None:
         if args.realtime:
             # frame i is due (i + 1) / fps in; a deadline keeps evaluations from adding drift
             time.sleep(max(0.0, paced_from + (i + 1) / fps - time.monotonic()))
-        emission = state.push(features.encode_frame(kp, encoding), params)
+        with _in_file(args.sequence, frame=i):
+            emission = state.push(features.encode_frame(kp, encoding), params)
         if emission is not None:
             emissions.append(emission)
             print(
@@ -361,18 +375,16 @@ def cmd_stream(args) -> RunRecord | None:
 
 def cmd_speed(args) -> RunRecord | None:
     seq = skeleton.read_sequence(args.sequence)
-    if args.label:
-        label = GestureLabel[args.label]
-    elif seq.label is not None:
-        label = seq.label
-    else:
+    label = GestureLabel[args.label] if args.label else seq.label
+    if label is None:
         raise IoError("sequence carries no label; pass --label")
     if args.start_positions:
         table, encoding = speed.load_start_positions(args.start_positions)
     else:
         encoding = Encoding(args.encoding or "coordinate")
         table = speed.default_start_positions(encoding)
-    window = features.encode_sequence(seq, encoding)
+    with _in_file(args.sequence):
+        window = features.encode_sequence(seq, encoding)
     estimate = speed.estimate_speed(window, label, table, args.fps or seq.fps)
     print(f"period_frames={estimate.period_frames} cycles_per_second={estimate.cycles_per_second:.4f}")
     if args.out:

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateExtent, MissingKeypoint, PipelineError, ZeroLengthRay
+from .errors import DegenerateExtent, MissingKeypoint, PipelineError, ZeroLengthRay, at
 from .skeleton import ARM_A, ARM_B, MID_HIP, N_UPPER, NECK, NOSE, Pose, Sequence
 
 # (a, vertex, b) keypoint triples: elbows, shoulders, neck
@@ -42,9 +42,8 @@ class Encoding(str, Enum):
 
 
 def _at_frame(error: PipelineError, bad: np.ndarray) -> PipelineError:
-    """Tag ``error`` with ``frame``, the first index along axis 0 where ``bad`` is set."""
-    error.frame = int(np.argmax(bad.reshape(len(bad), -1).any(axis=1))) if bad.ndim else 0
-    return error
+    """``error`` with ``frame`` set to the first index along axis 0 where ``bad`` is set."""
+    return at(error, frame=int(np.argmax(bad.reshape(len(bad), -1).any(axis=1))) if bad.ndim else 0)
 
 
 def normalize_1x1(points: np.ndarray) -> np.ndarray:
@@ -114,15 +113,9 @@ def encode_frame(pose: Pose | np.ndarray, encoding: Encoding) -> np.ndarray:
 
 
 def encode_sequence(seq: Sequence, encoding: Encoding) -> np.ndarray:
-    """Encode every frame of a sequence into an (n_frames, dim) matrix.
-
-    A failure names the earliest failing frame in its message.
-    """
-    try:
-        return _encode(seq.kp, encoding)
-    except PipelineError as exc:
-        exc.args = (f"frame {exc.frame}: {exc}",)
-        raise
+    """Encode every frame of a sequence into an (n_frames, dim) matrix; a
+    refusal carries the earliest failing frame as ``frame``."""
+    return _encode(seq.kp, encoding)
 
 
 def slice_windows(matrix: np.ndarray, window_len: int, stride: int) -> np.ndarray:

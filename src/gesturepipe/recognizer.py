@@ -14,7 +14,7 @@ So a state serves one model, whose weights must not change while it streams.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,14 +64,9 @@ def effective_window(config: WindowConfig, fps: float) -> int:
 
 
 def majority_vote(votes) -> int:
-    """Most frequent value; ties resolve to the most recent among the tied."""
-    counts = Counter(votes)
-    best = max(counts.values())
-    tied = {v for v, c in counts.items() if c == best}
-    for v in reversed(list(votes)):
-        if v in tied:
-            return v
-    raise ValueError("empty vote history")
+    """Most frequent value; ties resolve to the most recent among the tied, the
+    first that ``max`` meets from the end. An empty history is a ValueError."""
+    return max(reversed(votes), key=votes.count)
 
 
 def forward(params: ModelParams, gate_rows: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoError, MalformedJson, NoPerson, PipelineError
+from .errors import IoError, MalformedJson, NoPerson, PipelineError, at
 
 log = logging.getLogger(__name__)
 
@@ -60,9 +60,9 @@ class GestureLabel(IntEnum):
 
 def _keypoint_frames(frames) -> np.ndarray:
     """T frames, as (25, 3) arrays, nested lists or poses, in a new read-only
-    float64 (T, 25, 3) array, checked once: a ValueError names the first frame
-    of another shape, with a non-finite value or with a confidence outside
-    [0, 1], by its index among the frames, and carries that index as ``frame``.
+    float64 (T, 25, 3) array, checked once: the first frame of another shape,
+    with a non-finite value or with a confidence outside [0, 1] is a ValueError
+    that carries its index among the frames as ``frame`` (:func:`~.errors.at`).
     """
     if not len(frames):
         raise ValueError("a sequence needs at least one frame")
@@ -72,17 +72,16 @@ def _keypoint_frames(frames) -> np.ndarray:
         kp = np.empty(0)
     if kp.shape[1:] != (N_KEYPOINTS, 3):
         t = next((i for i, f in enumerate(frames) if np.shape(f) != (N_KEYPOINTS, 3)), 0)
-        error = ValueError(f"frame {t}: a pose must have shape ({N_KEYPOINTS}, 3)")
+        error = ValueError(f"a pose must have shape ({N_KEYPOINTS}, 3)")
     elif not (np.isfinite(kp).all() and kp[..., 2].min() >= 0.0 and kp[..., 2].max() <= 1.0):
         conf, finite = kp[..., 2], np.isfinite(kp).all(axis=2)
         t, k = np.argwhere(~finite | (conf < 0.0) | (conf > 1.0))[0]
         what = "a confidence outside [0, 1]" if finite[t, k] else "a non-finite value"
-        error = ValueError(f"frame {t}: keypoint {k} has {what}")
+        error = ValueError(f"keypoint {k} has {what}")
     else:
         kp.setflags(write=False)
         return kp
-    error.frame = int(t)
-    raise error
+    raise at(error, frame=int(t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,8 +215,9 @@ def _read_frames(path: Path, texts: list, parse, fps, label, view_angle_deg) -> 
     """The one frame step of both readers: a Sequence of ``texts``, one (place, text) pair
     per frame, each text read by ``parse``. No frames is IoError. A frame that ``parse``
     refuses keeps its refusal's class, and a frame the Sequence's check refuses is
-    MalformedJson; both read "<path>: frame <i> (<place>): <cause>", i counted from 0.
-    A ValueError that names no frame (fps, label or view angle) is raised as it is."""
+    MalformedJson; both carry ``path``, ``frame`` (counted from 0) and ``place``, so
+    they read "<path>: frame <i> (<place>): <cause>". A ValueError that names no frame
+    (fps, label or view angle) is raised as it is."""
     if not texts:
         raise IoError(f"no frames in {path}")
     frames = []
@@ -225,14 +225,12 @@ def _read_frames(path: Path, texts: list, parse, fps, label, view_angle_deg) -> 
         for _, text in texts:
             frames.append(parse(text))
         return Sequence(frames, fps, label=label, view_angle_deg=view_angle_deg)
-    except (PipelineError, ValueError) as exc:
-        if isinstance(exc, PipelineError):
-            i, refusal, cause = len(frames), type(exc), exc
-        elif hasattr(exc, "frame"):
-            i, refusal, cause = exc.frame, MalformedJson, str(exc).removeprefix(f"frame {exc.frame}: ")
-        else:
+    except PipelineError as exc:
+        raise at(exc, path=path, frame=len(frames), place=texts[len(frames)][0])
+    except ValueError as exc:
+        if not hasattr(exc, "frame"):
             raise
-        raise refusal(f"{path}: frame {i} ({texts[i][0]}): {cause}") from exc
+        raise at(MalformedJson(exc), path=path, frame=exc.frame, place=texts[exc.frame][0]) from exc
 
 
 def load_sequence(
@@ -313,4 +311,4 @@ def read_sequence(path: str | Path) -> Sequence:
     try:
         return _read_frames(path, texts, _frame_line, fps, label, view)
     except ValueError as exc:  # the metadata's fps or view angle
-        raise MalformedJson(f"{path}: {exc}") from exc
+        raise at(MalformedJson(exc), path=path) from exc

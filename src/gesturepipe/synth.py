@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, at
 from .skeleton import ARM_A, ARM_B, MAX_FRAMES, MID_HIP, N_KEYPOINTS, N_UPPER, NOSE, GestureLabel, Sequence
 
 # body proportions as fractions of the shoulder width
@@ -187,7 +187,7 @@ def generate(config: SynthConfig) -> Sequence:
     try:
         return Sequence(kp, config.fps, label=config.gesture, view_angle_deg=0.0)
     except ValueError as exc:  # keypoints that overflow, at a scale or offset near the float limit
-        raise InvalidConfig(f"{config.gesture.name} at scale {config.subject_scale:g}: {exc}") from exc
+        raise at(InvalidConfig(f"{config.gesture.name} at scale {config.subject_scale:g}: {exc}"), **vars(exc)) from exc
 
 
 def generate_dataset(per_class: int, base: SynthConfig, jitter: JitterSpec) -> list[Sequence]:

@@ -327,8 +327,10 @@ class TestResampleSpeed:
         kp[0, keypoint, 0], kp[1, keypoint, 0] = 1.5e308, -1.5e308  # their difference overflows
         seq = Sequence(kp, seq.fps, label=seq.label)
         if keypoint == 4:
-            with pytest.raises(InvalidConfig, match="resampling LeftHandWave at speed ratio 0.7: frame 1: keypoint 4"):
+            with pytest.raises(InvalidConfig,
+                               match="^frame 1: resampling LeftHandWave at speed ratio 0.7: keypoint 4") as err:
                 resample_speed(seq, 0.7)
+            assert err.value.frame == 1
         else:
             out = resample_speed(seq, 0.7)
             assert np.isfinite(out.kp).all() and not out.kp[:, keypoint, 2].any()

@@ -322,11 +322,12 @@ class TestAugment:
         write_sequence(data / name, Sequence(kp, seq.fps, label=seq.label))
         assert run("augment", data, "--out", tmp_path / "aug", "--speed-ratios", "0.7") == 3
         assert capsys.readouterr().err == (
-            "error: resampling LeftHandWave at speed ratio 0.7: frame 1: keypoint 4 has a non-finite value\n")
+            f"error: {data / name}: frame 1: "
+            "resampling LeftHandWave at speed ratio 0.7: keypoint 4 has a non-finite value\n")
 
     @pytest.mark.parametrize("depth, message", [
         ("NaN", "bad depth table: NaN is not a finite JSON number"),
-        ("1e307", "rotating StandStill by 30 degrees: frame 0: keypoint 2 has a non-finite value"),
+        ("1e307", "frame 0: rotating StandStill by 30 degrees: keypoint 2 has a non-finite value"),
     ])
     def test_non_finite_or_overflowing_depth_exits_three(self, tmp_path, synth_dir, capsys, depth, message):
         table = tmp_path / "depths.json"
@@ -428,7 +429,7 @@ class TestTrain:
         assert capsys.readouterr().err == expected
         with pytest.raises(MissingKeypoint) as err:  # the class and its fields survive the renaming
             cli._windows_from_sequences([(bad, read_sequence(bad))], Encoding.COORDINATE, 20, 0)
-        assert (err.value.index, err.value.frame) == (6, 4)
+        assert (err.value.index, err.value.frame, err.value.path) == (6, 4, bad)
 
     def test_numeric_failure_exits_four(self, tmp_path, synth_dir, monkeypatch):
         def explode(*args, **kwargs):
@@ -724,6 +725,41 @@ class TestSpeed:
         rc = run("eval", "--weights", trained_dir / "weights.gpw", "--data", data, "--out", tmp_path / "e")
         assert rc == 3
         assert "view_angle_deg must be null or a finite number, got '15'" in capsys.readouterr().err
+
+
+class TestRefusalAcrossCommands:
+    """A frame that lacks an arm keypoint, which every encoding and the rotation need, is
+    refused alike by every command that reads the file: exit 3, with the file and the frame."""
+
+    FRAME = 7
+
+    @pytest.mark.parametrize("command", ["train", "eval", "speed", "stream", "augment"])
+    def test_names_file_and_frame(self, tmp_path, synth_dir, trained_dir, capsys, command):
+        name = next(n for n in data_files(synth_dir) if n.startswith("LeftHandWave"))
+        seq = read_sequence(synth_dir / name)
+        kp = seq.kp.copy()
+        kp[self.FRAME, 6] = 0.0  # the chain B elbow
+        data = tmp_path / "data"
+        data.mkdir()
+        good = data_files(synth_dir)[0]  # read first, so a command must name the right file
+        assert good < name
+        (data / good).write_bytes((synth_dir / good).read_bytes())
+        bad = data / name
+        write_sequence(bad, Sequence(kp, seq.fps, label=seq.label))
+        weights = trained_dir / "weights.gpw"
+        argv = [str(a) for a in {
+            "train": ("train", "--data", data, "--out", tmp_path / "m", *TRAIN_FLAGS),
+            "eval": ("eval", "--weights", weights, "--data", data, "--window", 20, "--out", tmp_path / "e"),
+            "speed": ("speed", bad),
+            "stream": ("stream", bad, "--weights", weights, "--base-len", 20),
+            "augment": ("augment", data, "--out", tmp_path / "aug", "--angles", 30),
+        }[command]]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == f"error: {bad}: frame {self.FRAME}: keypoint 6 is missing\n"
+        args = cli.build_parser().parse_args(argv)
+        with pytest.raises(MissingKeypoint) as err:  # what main catches: the class and its fields intact
+            args.func(args)
+        assert (err.value.index, err.value.frame, err.value.path, err.value.place) == (6, self.FRAME, bad, None)
 
 
 NESTED = b"[" * 60_000 + b"]" * 60_000  # past the JSON parser's stack

@@ -175,8 +175,8 @@ class TestEncodeFrame:
         pose = pose_from_upper(pts, present)
         with pytest.raises(MissingKeypoint) as err:
             encode_frame(pose, Encoding.ANGLE)
-        assert err.value.index == 0
-        assert str(err.value) == "keypoint 0 is missing"
+        assert (err.value.index, err.value.frame) == (0, 0)
+        assert str(err.value) == "frame 0: keypoint 0 is missing"
 
     def test_angle_path_ignores_unit_box_scaling(self, rng):
         # angles computed on the raw points, not the anisotropic 1x1 output
@@ -265,7 +265,8 @@ class TestEncodeFrame:
         with pytest.raises(expected) as alone:
             encode_frame(bad, encoding)
         assert in_seq.value.frame == 2 and alone.value.frame == 0
-        assert str(in_seq.value) == f"frame 2: {alone.value}"
+        cause = alone.value.args[0]
+        assert (str(in_seq.value), str(alone.value)) == (f"frame 2: {cause}", f"frame 0: {cause}")
         assert vars(alone.value) == {**vars(in_seq.value), "frame": 0}
 
 

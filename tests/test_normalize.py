@@ -63,7 +63,8 @@ def test_missing_neck():
         with pytest.raises(MissingKeypoint) as err:
             encode_frame(pose_from_upper(points, present), encoding)
         assert err.value.index == 1
-        assert str(err.value) == "keypoint 1 is missing"
+        assert err.value.frame == 0
+        assert str(err.value) == "frame 0: keypoint 1 is missing"
 
 
 def test_missing_points_excluded_from_extent(rng):

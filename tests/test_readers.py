@@ -3,11 +3,13 @@
 The readers share ``skeleton.load_json``; the table below feeds each of them
 the tokens that one step must refuse, a second test gives each a name twice
 in one object, and the property mutates valid files of all five reading
-functions, the depth table's included.
+functions, the depth table's included. A frame's refusal carries its file,
+frame and place as fields, which one renderer words.
 """
 import json
 import re
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gesturepipe import augment, nn, speed
-from gesturepipe.errors import MalformedJson, NoPerson, PipelineError
+from gesturepipe.errors import MalformedJson, NoPerson, PipelineError, at
 from gesturepipe.features import Encoding
 from gesturepipe.skeleton import GestureLabel, Sequence, load_sequence, read_sequence, write_sequence
 
@@ -157,7 +159,25 @@ def test_frame_refusal_names_file_frame_and_line(tmp_path, kind, refused_by):
     with pytest.raises(PipelineError) as exc:
         read_sequence(path) if kind == "sequence-file" else load_sequence(path, 30.0)
     assert type(exc.value) is error
+    assert (exc.value.path, exc.value.frame, exc.value.place) == (path, 1, place)
     assert str(exc.value) == f"{path}: frame 1 ({place}): {cause}"
+
+
+# PipelineError words the fields a refusal carries, leaving out each one unset;
+# a place is worded only beside its frame
+@pytest.mark.parametrize("where, message", [
+    ({}, "cause"),
+    ({"frame": 0}, "frame 0: cause"),
+    ({"path": Path("d/f.jsonl")}, "d/f.jsonl: cause"),
+    ({"path": Path("d/f.jsonl"), "frame": 3}, "d/f.jsonl: frame 3: cause"),
+    ({"frame": 3, "place": "line 5"}, "frame 3 (line 5): cause"),
+    ({"path": Path("d"), "frame": 3, "place": "f_03.json"}, "d: frame 3 (f_03.json): cause"),
+    ({"path": Path("d"), "place": "line 5"}, "d: cause"),
+])
+def test_refusal_words_the_fields_it_carries(where, message):
+    error = at(NoPerson("cause"), **where)
+    assert str(error) == message
+    assert (error.path, error.frame, error.place) == tuple(where.get(f) for f in ("path", "frame", "place"))
 
 
 # a mutation replaces, inserts or cuts one token: a string, a number, a word,

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -98,7 +99,12 @@ class TestMajorityVote:
     def test_exhaustive_enumeration_matches_reference(self):
         for length in (1, 2, 3, 4):
             for history in itertools.product(range(3), repeat=length):
-                assert majority_vote(list(history)) == reference_vote(history)
+                assert majority_vote(list(history)) == majority_vote(deque(history)) == reference_vote(history)
+
+    def test_empty_history_is_refused(self):
+        for empty in ([], deque()):
+            with pytest.raises(ValueError):
+                majority_vote(empty)
 
     def test_single_aberrant_vote_never_flips_outcome(self):
         for vote_n in (3, 4, 5):
