@@ -8,14 +8,17 @@ measures a cyclic gesture's period.
 
 Exit codes: 0 success, 2 bad flags, 3 data errors, 4 numeric failure. Bad
 flags include a number that is not finite (``inf``, ``nan``), in any flag or
-in ``augment``'s comma-separated lists, and a number out of range: ``--fps``
+in a comma-separated list, and a number out of range: ``--fps``
 of ``synth``, ``ingest``, ``stream`` and ``speed``, ``--per-class`` and
 ``--frames`` of ``synth``, ``--window``, ``--epochs``, ``--batch``, ``--lr``,
-``--gru-hidden``, ``--head-dim``, ``--speed-ratio``, ``--base-fps`` and
-``--vote-n`` must be positive, ``--hidden-dims`` must be two positive
-integers joined by a comma, and ``--stride``, the ``--seed`` of ``synth``
-and ``train`` and ``--split-seed`` must not be negative (a ``--stride`` of 0
-means the window length). A jitter
+``--gru-hidden``, ``--head-dim``, ``--speed-ratio``, ``--base-fps``,
+``--vote-n`` and each of ``augment --speed-ratios`` must be positive,
+``--hidden-dims`` must be two positive integers joined by a comma, and
+``--stride``, the ``--seed`` of ``synth`` and ``train`` and ``--split-seed``
+must not be negative (a ``--stride`` of 0 means the window length). Every
+number, alone or in a list, is read by one argparse type, :func:`_number`. A
+list that starts with a negative number needs ``=``: ``--angles=-15,30``
+(argparse reads ``--angles -15,30`` as a missing value, exit 2). A jitter
 range of ``synth`` whose minimum exceeds its maximum, or that reaches a
 non-positive scale, a negative noise or a period too short for a cyclic
 gesture, is a configuration error (exit 3), and so are a ``synth --drop-prob``
@@ -38,9 +41,14 @@ row of sequences with no view angle ``@none`` (``no view angle`` per angle),
 right after the label's 0° row.
 
 Each ``cmd_*`` function computes, writes its outputs and returns its run
-record ``(out_dir, inputs, outputs, seeds)``, or None when it wrote no file.
-After a command succeeds, :func:`main` appends the record as one JSON line to
-``manifest.jsonl`` in ``out_dir``, beside the outputs.
+record ``(out_dir, outputs)``, or None when it wrote no file. After a command
+succeeds, :func:`main` appends one JSON line to ``manifest.jsonl`` in
+``out_dir``, beside the outputs: the command, its flags, its outputs, the
+version and the run's start and duration. Every file is written through one
+step, :func:`_output`, that makes its directory at the first write, so a
+command refused before that write leaves no file and no directory. A data
+refusal partway through ``augment``'s input directory keeps the files written
+before it, and ``train``'s exit 4 keeps the best epoch's ``weights.gpw``.
 
 A flag that fills a field of a library config takes its default from that
 field: ``recognizer.WindowConfig`` for the window and vote flags,
@@ -74,52 +82,55 @@ def _number(kind=float, bound: str = ""):
     ``bound``, when it names one: "positive" or "at least 0"."""
     def parse(text: str):
         value = kind(text)
-        if bound and not (value > 0 if bound == "positive" else value >= 0):
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
         if not -math.inf < value < math.inf:  # compares an int of any size without overflow
             raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+        if bound and not (value > 0 if bound == "positive" else value >= 0):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names the type in its "invalid int value" message
     return parse
 
 
-def _layer_sizes(text: str) -> tuple[int, int]:
-    """An argparse type: the two dense layer sizes, positive integers joined by a comma."""
-    try:
-        sizes = tuple(int(v) for v in text.split(","))
-    except ValueError:
-        sizes = ()
-    if len(sizes) != 2 or min(sizes) < 1:
-        raise argparse.ArgumentTypeError(f"must be two positive integers joined by a comma, got {text}")
-    return sizes
+def _numbers(kind=float, bound: str = "", count: int | None = None):
+    """An argparse type: a tuple of the comma-separated items, each read by
+    ``_number(kind, bound)``, and ``count`` of them when given; empty items are skipped."""
+    item = _number(kind, bound)
+
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(item(v) for v in text.split(",") if v.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be finite {kind.__name__} values joined by commas, "
+                                             f"got {text}") from None
+        if count is not None and len(values) != count:
+            raise argparse.ArgumentTypeError(f"must be {count} {kind.__name__} values joined by commas, got {text}")
+        return values
+
+    return parse
 
 
-def _parse_floats(text: str) -> list[float]:
-    """An argparse type: finite numbers joined by commas; empty items are skipped."""
-    try:
-        return [_number()(v) for v in text.split(",") if v.strip()]
-    except (ValueError, argparse.ArgumentTypeError):
-        raise argparse.ArgumentTypeError(f"must be finite numbers joined by commas, got {text}") from None
+# (out_dir, outputs) of one run; the manifest goes to out_dir, beside the outputs
+RunRecord = tuple[Path, list]
 
 
-# (out_dir, inputs, outputs, seeds) of one run; out_dir exists, since the command wrote there
-RunRecord = tuple[Path, list, list, dict]
+def _output(path: Path) -> Path:
+    """The one CLI step before a file is written: makes its directory, then returns
+    ``path``. So a command refused before its first write leaves nothing behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
-def _write_manifest(args: argparse.Namespace, started: tuple[str, float],
-                    out_dir: Path, inputs: list, outputs: list, seeds: dict) -> None:
+def _write_manifest(args: argparse.Namespace, started: tuple[str, float], out_dir: Path, outputs: list) -> None:
     doc = {
         "command": args.func.__name__.removeprefix("cmd_"),
         "flags": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
-        "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
-        "seeds": seeds,
         "version": __version__,
         "started_utc": started[0],
         "duration_s": round(time.monotonic() - started[1], 3),
     }
-    with open(out_dir / "manifest.jsonl", "a", encoding="utf-8") as fh:
+    with open(_output(out_dir / "manifest.jsonl"), "a", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, default=str) + "\n")
 
 
@@ -189,12 +200,11 @@ def cmd_synth(args) -> RunRecord:
     for i, seq in enumerate(sequences):  # per_class sequences of each gesture in turn
         if args.drop_prob != 0.0:  # drop_keypoints refuses a probability outside [0, 1]
             seq = synth.drop_keypoints(seq, args.drop_prob, args.seed + 1 + i)
-        out_dir.mkdir(parents=True, exist_ok=True)  # after drop_keypoints checks, so a refusal leaves no out_dir
         path = out_dir / f"{seq.label.name}_{i % args.per_class:03d}.jsonl"
-        skeleton.write_sequence(path, seq)
+        skeleton.write_sequence(_output(path), seq)
         outputs.append(path)
     print(f"wrote {len(outputs)} sequences to {out_dir}")
-    return out_dir, [], outputs, {"seed": args.seed}
+    return out_dir, outputs
 
 
 # --- ingest ---
@@ -203,18 +213,15 @@ def cmd_ingest(args) -> RunRecord:
     label = GestureLabel[args.label] if args.label else None
     seq = skeleton.load_sequence(args.input, args.fps, label=label, view_angle_deg=args.view_angle)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    skeleton.write_sequence(out, seq)
+    skeleton.write_sequence(_output(out), seq)
     print(f"ingested {len(seq)} frames -> {out}")
-    return out.parent, [args.input], [out], {}
+    return out.parent, [out]
 
 
 # --- augment ---
 
 def cmd_augment(args) -> RunRecord:
-    in_dir = Path(args.input)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     table = augment.load_depth_table(args.depth_config)
     # each view and speed once, in first-seen order: 0 and -0 are one view, and --both-sides adds no -0
     rotations = [augment.RotationSpec(a) for a in
@@ -224,9 +231,9 @@ def cmd_augment(args) -> RunRecord:
 
     def write(name: str, seq: skeleton.Sequence) -> None:
         outputs.append(out_dir / name)
-        skeleton.write_sequence(outputs[-1], seq)
+        skeleton.write_sequence(_output(outputs[-1]), seq)
 
-    for path, seq in _read_sequence_dir(in_dir):
+    for path, seq in _read_sequence_dir(Path(args.input)):
         with _in_file(path):
             if args.include_original:
                 write(path.name, seq)
@@ -235,7 +242,7 @@ def cmd_augment(args) -> RunRecord:
             for ratio in dict.fromkeys(args.speed_ratios):
                 write(f"{path.stem}_speed{ratio:g}.jsonl", augment.resample_speed(seq, ratio))
     print(f"wrote {len(outputs)} sequences to {out_dir}")
-    return out_dir, [in_dir], outputs, {}
+    return out_dir, outputs
 
 
 # --- train ---
@@ -252,11 +259,6 @@ def cmd_train(args) -> RunRecord:
     )
     out_dir = Path(args.out)
     weights_path = out_dir / "weights.gpw"
-
-    def save_best(params: nn.ModelParams) -> None:  # from the first epoch's end on, so a refusal leaves no out_dir
-        out_dir.mkdir(parents=True, exist_ok=True)
-        nn.save_model(weights_path, params, encoding)
-
     history = nn.train(
         x,
         y,
@@ -265,10 +267,10 @@ def cmd_train(args) -> RunRecord:
         lr=args.lr,
         batch_size=args.batch,
         split_seed=args.split_seed,
-        on_best=save_best,
+        on_best=lambda params: nn.save_model(_output(weights_path), params, encoding),
     )
     history_path = out_dir / "history.csv"
-    with open(history_path, "w", encoding="utf-8") as fh:
+    with open(_output(history_path), "w", encoding="utf-8") as fh:
         fh.write("epoch,train_loss,val_accuracy\n")
         for row in history:
             fh.write(f"{row.epoch},{row.train_loss!r},{row.val_accuracy!r}\n")
@@ -282,7 +284,7 @@ def cmd_train(args) -> RunRecord:
     print(f"windows: {len(x)}  best epoch: {best.epoch}")
     print(f"validation accuracy: {best.val_accuracy:.4f}")
     print(f"held-out test accuracy: {test_acc:.4f}")
-    return out_dir, [args.data], [weights_path, history_path], {"seed": args.seed, "split_seed": args.split_seed}
+    return out_dir, [weights_path, history_path]
 
 
 # --- eval ---
@@ -307,9 +309,8 @@ def cmd_eval(args) -> RunRecord:
                     key=lambda g: (_view(g[1])[0][0] != 0.0, g[0], _view(g[1])[0]))
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     confusion_path = out_dir / "confusion.csv"
-    with open(confusion_path, "w", encoding="utf-8") as fh:
+    with open(_output(confusion_path), "w", encoding="utf-8") as fh:
         fh.write("true_label,view_angle_deg,n," + ",".join(l.name for l in labels) + "\n")
         # text rendering: numbered columns with a legend, one row per CSV row
         print("predicted-label columns:")
@@ -334,7 +335,7 @@ def cmd_eval(args) -> RunRecord:
         print(f"  {_view(angle)[2]}: {correct[mask].mean():.4f} (n={mask.sum()})")
     overall = float(correct.mean())
     print(f"overall accuracy: {overall:.4f} (n={len(y)})")
-    return out_dir, [args.weights, args.data], [confusion_path], {}
+    return out_dir, [confusion_path]
 
 
 # --- stream ---
@@ -362,12 +363,11 @@ def cmd_stream(args) -> RunRecord | None:
             )
     if args.out:
         out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(_output(out), "w", encoding="utf-8") as fh:
             fh.write("frame_index,raw,smoothed,confidence\n")
             for e in emissions:
                 fh.write(f"{e.frame_index},{e.raw.name},{e.smoothed.name},{e.confidence!r}\n")
-        return out.parent, [args.sequence, args.weights], [out], {}
+        return out.parent, [out]
     return None
 
 
@@ -389,8 +389,7 @@ def cmd_speed(args) -> RunRecord | None:
     print(f"period_frames={estimate.period_frames} cycles_per_second={estimate.cycles_per_second:.4f}")
     if args.out:
         out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(
+        _output(out).write_text(
             json.dumps(
                 {
                     "label": label.name,
@@ -401,7 +400,7 @@ def cmd_speed(args) -> RunRecord | None:
             + "\n",
             encoding="utf-8",
         )
-        return out.parent, [args.sequence], [out], {}
+        return out.parent, [out]
     return None
 
 
@@ -452,9 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("augment", help="write rotated-view and resampled copies")
     p.add_argument("input", help="directory of sequence files")
     p.add_argument("--out", required=True)
-    p.add_argument("--angles", type=_parse_floats, default="", help='rotation angles, e.g. "15,30,45"')
+    p.add_argument("--angles", type=_numbers(), default=(), help='rotation angles, e.g. "15,30,45"')
     p.add_argument("--both-sides", action="store_true", help="also rotate by the negated angles")
-    p.add_argument("--speed-ratios", type=_parse_floats, default="", help='speed ratios, e.g. "0.5,2.0"')
+    p.add_argument("--speed-ratios", type=_numbers(float, "positive"), default=(), help='speed ratios, e.g. "0.5,2.0"')
     p.add_argument("--depth-config", default=None, help="JSON depth table (default: the built-in data/depths.json)")
     p.add_argument("--no-include-original", dest="include_original", action="store_false",
                    help="do not copy the source sequences into the output")
@@ -467,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=_number(int, "positive"), default=16)
     p.add_argument("--seed", type=_number(int, "at least 0"), default=nn.ModelConfig.seed, help="weight init seed")
     p.add_argument("--split-seed", type=_number(int, "at least 0"), default=0, help="60/10/30 split seed")
-    p.add_argument("--hidden-dims", type=_layer_sizes, default=nn.ModelConfig.hidden_dims)
+    p.add_argument("--hidden-dims", type=_numbers(int, "positive", 2), default=nn.ModelConfig.hidden_dims)
     p.add_argument("--gru-hidden", type=_number(int, "positive"), default=nn.ModelConfig.gru_hidden)
     p.add_argument("--head-dim", type=_number(int, "positive"), default=nn.ModelConfig.head_dims[0])
     p.add_argument("--out", required=True, help="output directory for weights and history")

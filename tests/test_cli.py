@@ -93,6 +93,7 @@ class TestHelp:
         ("speed", "seq.jsonl", "--fps", "0"),
         ("stream", "seq.jsonl", "--weights", "w", "--fps", "0"),
         ("stream", "seq.jsonl", "--weights", "w", "--speed-ratio", "0"),
+        ("augment", "in", "--out", "a", "--speed-ratios", "0.5,0"),
         ("synth", "--out", "s", "--frames", "0"),
         ("synth", "--out", "s", "--per-class", "0"),
         ("synth", "--out", "s", "--fps", "0"),
@@ -124,6 +125,7 @@ class TestHelp:
         ("stream", "seq.jsonl", "--weights", "w", "--fps", "inf"),
         ("stream", "seq.jsonl", "--weights", "w", "--base-fps", "inf"),
         ("stream", "seq.jsonl", "--weights", "w", "--speed-ratio", "inf"),
+        ("stream", "seq.jsonl", "--weights", "w", "--speed-ratio", "nan"),
         ("stream", "seq.jsonl", "--weights", "w", "--retention", "nan"),
         ("speed", "seq.jsonl", "--fps", "inf"),
     ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
@@ -158,7 +160,7 @@ class TestSynth:
         manifest = (synth_dir / "manifest.jsonl").read_text().splitlines()
         doc = json.loads(manifest[0])
         assert doc["command"] == "synth"
-        assert doc["seeds"] == {"seed": 5}
+        assert doc["flags"]["seed"] == 5
 
     def test_sequences_carry_labels(self, synth_dir):
         seq = read_sequence(synth_dir / data_files(synth_dir)[0])
@@ -299,6 +301,29 @@ class TestAugment:
         assert capsys.readouterr().out == f"wrote {n_in * 4} sequences to {out}\n"
         outputs = json.loads((out / "manifest.jsonl").read_text())["outputs"]
         assert sorted(Path(p).name for p in outputs) == names
+
+    @pytest.mark.parametrize("flags, code", [
+        (("--speed-ratios", "0"), 2),
+        (("--angles", "100"), 3),
+        (("--depth-config", "missing.json"), 3),
+    ], ids=["speed ratio 0", "angle 100", "missing depth table"])
+    def test_refusal_leaves_no_out(self, tmp_path, synth_dir, monkeypatch, flags, code):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "aug"
+        try:
+            rc = run("augment", synth_dir, "--out", out, *flags)
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == code
+        assert not out.exists()
+
+    def test_negative_first_angle_needs_equals(self, tmp_path, synth_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("augment", synth_dir, "--out", tmp_path / "a", "--angles", "-15,30")
+        assert exc.value.code == 2
+        assert "argument --angles: expected one argument" in capsys.readouterr().err
+        assert run("augment", synth_dir, "--out", tmp_path / "b", "--angles=-15,30", "--no-include-original") == 0
+        assert len(data_files(tmp_path / "b")) == 2 * len(data_files(synth_dir))
 
     def test_empty_input_exits_three(self, tmp_path):
         empty = tmp_path / "empty"

@@ -5,13 +5,17 @@ comment-only lines and the lines of docstrings (the string that opens a
 module, class or function body) do not count. Physical lines count every
 line of the file. ROADMAP.md and CHANGES.md quote the code-line figure.
 
-Usage: python3 tools/code_lines.py [package directory]
-(default: src/gesturepipe beside this script's parent directory)
+Usage: python3 tools/code_lines.py [package directory] [--against REV]
+(default: src/gesturepipe beside this script's parent directory). With
+``--against``, each module's counts at git revision REV (read with ``git
+show``) are printed beside the working tree's, with the difference.
 """
 from __future__ import annotations
 
+import argparse
 import ast
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -42,16 +46,46 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
+def counts(source: str) -> tuple[int, int]:
+    """(code lines, physical lines) of ``source``."""
+    return code_lines(source), len(source.splitlines())
+
+
+def sources_at(rev: str, root: Path, package: Path) -> dict[str, str]:
+    """Module name -> source of each ``*.py`` directly in ``package`` at git revision ``rev``."""
+    git = ["git", "-C", str(root)]
+    prefix = package.relative_to(root).as_posix()
+    names = subprocess.run([*git, "ls-tree", "--name-only", rev, f"{prefix}/"],
+                           capture_output=True, text=True, check=True).stdout.split()
+    return {Path(n).name: subprocess.run([*git, "show", f"{rev}:{n}"], capture_output=True, text=True,
+                                         check=True).stdout
+            for n in names if n.endswith(".py")}
+
+
 def main(argv: list[str]) -> int:
-    package = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "gesturepipe"
-    total_code = total_physical = 0
-    print(f"{'module':<16} {'code':>6} {'physical':>9}")
-    for path in sorted(package.glob("*.py")):
-        source = path.read_text(encoding="utf-8")
-        code, physical = code_lines(source), len(source.splitlines())
-        total_code, total_physical = total_code + code, total_physical + physical
-        print(f"{path.name:<16} {code:>6} {physical:>9}")
-    print(f"{'total':<16} {total_code:>6} {total_physical:>9}")
+    root = Path(__file__).resolve().parent.parent
+    parser = argparse.ArgumentParser(description="Code and physical lines per module of the package.")
+    parser.add_argument("package", nargs="?", type=Path, default=root / "src" / "gesturepipe")
+    parser.add_argument("--against", metavar="REV", help="also print REV's counts and the difference")
+    args = parser.parse_args(argv)
+    now = {p.name: counts(p.read_text(encoding="utf-8")) for p in sorted(args.package.glob("*.py"))}
+    rows, header = dict(now), ("code", "physical")
+    if args.against is not None:
+        try:
+            sources = sources_at(args.against, root, args.package.resolve())
+        except subprocess.CalledProcessError as exc:
+            print(exc.stderr.strip(), file=sys.stderr)
+            return 2
+        before, rows = {name: counts(source) for name, source in sources.items()}, {}
+        for name in sorted({*before, *now}):
+            b, n = before.get(name, (0, 0)), now.get(name, (0, 0))
+            rows[name] = (*b, *n, n[0] - b[0], n[1] - b[1])
+        header = (f"code@{args.against}", f"physical@{args.against}", *header, "Δcode", "Δphysical")
+    rows["total"] = tuple(map(sum, zip(*rows.values())))
+    widths = [max(len(h), 6) for h in header]
+    print(f"{'module':<16} " + " ".join(f"{h:>{w}}" for h, w in zip(header, widths)))
+    for name, c in rows.items():
+        print(f"{name:<16} " + " ".join(f"{v:>{w}}" for v, w in zip(c, widths)))
     return 0
 
 
